@@ -20,24 +20,27 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as sla
 
 from .errors import (
     InsufficientShapes,
     ProviderFailure,
     RequiresCanonical,
-    SolverFailure,
     SpectralGapWarning,
 )
 from .fmaps import FunctionalMap, _pinv_diag, _restore_zero_mode
 from .network import FMNetwork
-from .spectral import Shape, _eigen_clusters, _fix_signs, shape_dna
+from .spectral import (
+    CLUSTER_GAP_TOL,
+    Shape,
+    _eigen_clusters,
+    _fix_signs,
+    _lowest_eigenpairs,
+    shape_dna,
+)
 
 logger = logging.getLogger(__name__)
 
-DENSE_BLOCK_LIMIT = 6000  # dense eigensolve of the block matrix up to this size
 GAP_WARN_TOL = 1e-10
-CLUSTER_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,32 +139,14 @@ def consistent_latent_basis(net: FMNetwork, m: int) -> ConsistentLatentBasis:
     if not 1 <= m <= k_min:
         raise ValueError(f"m={m} must be in 1..min(k_i)={k_min}")
     W, offsets = _block_matrix(net, order)
-    size = W.shape[0]
-    want = min(m + 1, size)  # one extra eigenvalue for the gap check
-    if size <= DENSE_BLOCK_LIMIT:
-        dense = W.toarray()
-        dense = 0.5 * (dense + dense.T)
-        try:
-            lam, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, want - 1))
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverFailure(f"latent basis eigensolve failed: {exc}") from exc
-        lam, vecs = lam[:want], vecs[:, :want]
-    else:
-        v0 = np.full(size, 1.0 / np.sqrt(size))
-        try:
-            lam, vecs = sla.eigsh(W, k=want, sigma=-1e-8, which="LM", v0=v0)
-        except sla.ArpackError as exc:
-            raise SolverFailure(f"latent basis eigensolve failed: {exc}") from exc
-        idx = np.argsort(lam)
-        lam, vecs = lam[idx], vecs[:, idx]
-    if want > m and lam[m] - lam[m - 1] < GAP_WARN_TOL:
+    lam, vecs = _lowest_eigenpairs(W, m, what="the latent basis")
+    if lam.size > m and lam[m] - lam[m - 1] < GAP_WARN_TOL:
         warnings.warn(
             f"latent dimension m={m} cuts a spectral gap of {lam[m] - lam[m - 1]:.3e}; "
             "the latent subspace is ill-defined",
             SpectralGapWarning,
             stacklevel=2,
         )
-    vecs = _fix_signs(vecs[:, :m])
     residual = float(np.sum(lam[:m]))
     Y = {
         sid: vecs[offsets[idx] : offsets[idx + 1]]

@@ -105,9 +105,8 @@ class Config:
             "pinv_rel_tol": fmaps.PINV_REL_TOL,
             "tikhonov_floor": fmaps.TIKHONOV_FLOOR,
             "landmark_radius_factor": fmaps.LANDMARK_RADIUS_FACTOR,
-            "dense_solver_max_vertices": spectral.DENSE_SOLVER_MAX_VERTICES,
+            "dense_solver_max_size": spectral.DENSE_SOLVER_MAX_SIZE,
             "cluster_gap_tol": spectral.CLUSTER_GAP_TOL,
-            "dense_block_limit": latent.DENSE_BLOCK_LIMIT,
             "spectral_gap_warn_tol": latent.GAP_WARN_TOL,
             "orthonormal_tol": variability.ORTHONORMAL_TOL,
             "condition_limit": opalg.CONDITION_LIMIT,

@@ -20,8 +20,10 @@ from .meshes import Mesh
 
 logger = logging.getLogger(__name__)
 
-# dense generalized solve below this vertex count, shift-invert iteration above
-DENSE_SOLVER_MAX_VERTICES = 2000
+# Dense symmetric eigensolve at or below this matrix size, shift-invert Lanczos
+# above it. Both eigenproblems (Laplacian pencil and latent block form) cross
+# over between 640 and 1200: measured table in CHANGES.md.
+DENSE_SOLVER_MAX_SIZE = 1000
 
 # relative gap under which adjacent eigenvalues are treated as one cluster
 CLUSTER_GAP_TOL = 1e-8
@@ -159,13 +161,61 @@ def _fix_signs(vecs):
     return vecs * signs
 
 
+def _lowest_eigenpairs(A, count, M=None, what="matrix"):
+    """Smallest eigenpairs of the symmetric pencil (A, diag(M)); M=None is I.
+
+    Returns min(count + 1, size) ascending eigenvalues, one past `count` so
+    that callers can check the gap at the cut, and the first `count`
+    eigenvectors, M-orthonormal, each with its largest-magnitude entry
+    positive.
+
+    Dense solve (through the M^(-1/2) similarity transform) at or below
+    DENSE_SOLVER_MAX_SIZE, and when an eighth or more of the spectrum is
+    wanted: shift-invert cost grows with the square of its Lanczos basis
+    (2 * count + 1 vectors) and loses to dense from about a ninth on, and
+    ARPACK needs fewer pairs than the size. Shift-invert Lanczos otherwise,
+    from a fixed pseudo-random start vector: a structured start such as the
+    constant vector can be an exact eigenvector and leave members of a
+    degenerate band out of the Krylov space.
+    """
+    size = A.shape[0]
+    want = min(count + 1, size)
+    if size <= DENSE_SOLVER_MAX_SIZE or 8 * want >= size:
+        dense = A.toarray()
+        if M is not None:
+            inv_sqrt_m = 1.0 / np.sqrt(M)
+            dense = dense * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
+        try:
+            lam, vecs = scipy.linalg.eigh(0.5 * (dense + dense.T), subset_by_index=(0, want - 1))
+        except scipy.linalg.LinAlgError as exc:
+            raise SolverFailure(f"dense eigensolve of {what} failed: {exc}") from exc
+        if M is not None:
+            vecs = vecs * inv_sqrt_m[:, None]
+    else:
+        scale = max(float(np.mean(A.diagonal())), 1.0)
+        try:
+            lam, vecs = sla.eigsh(
+                A.tocsc(),
+                k=want,
+                M=None if M is None else sparse.diags(M).tocsc(),
+                sigma=-1e-8 * scale,
+                which="LM",
+                v0=np.random.default_rng(0).standard_normal(size),
+            )
+        except sla.ArpackError as exc:
+            raise SolverFailure(f"shift-invert eigensolve of {what} failed: {exc}") from exc
+        order = np.argsort(lam)
+        lam, vecs = lam[order], vecs[:, order]
+    return lam, _fix_signs(vecs[:, :count])
+
+
 def eigenbasis(mm: MetricMeasure, k: int) -> SpectralBasis:
     """k smallest generalized eigenpairs of (L, M), M-orthonormal, ascending.
 
-    Dense symmetric solve (via the M^(-1/2) similarity transform, M being
-    diagonal) up to DENSE_SOLVER_MAX_VERTICES vertices; shift-invert Lanczos
-    beyond that. Deterministic output: fixed solver start vector and a sign
-    convention making each eigenvector's largest-magnitude entry positive.
+    Solved by `_lowest_eigenpairs` (dense or shift-invert by size), which
+    fixes the start vector and the sign of each eigenvector, so the output is
+    deterministic. Emits SpectralGapWarning when eigenvalues k and k+1 are
+    closer than CLUSTER_GAP_TOL (relative): k then splits a cluster.
     """
     n = mm.num_vertices
     if not 1 <= k <= n:
@@ -173,46 +223,22 @@ def eigenbasis(mm: MetricMeasure, k: int) -> SpectralBasis:
     if np.any(mm.mass_diag <= 0):
         raise RankDeficientMass(f"mass matrix of '{mm.shape_id}' has non-positive entries")
 
-    inv_sqrt_m = 1.0 / np.sqrt(mm.mass_diag)
-    if n <= DENSE_SOLVER_MAX_VERTICES:
-        A = mm.stiffness.toarray() * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-        A = 0.5 * (A + A.T)
-        try:
-            lam, u = scipy.linalg.eigh(A, subset_by_index=(0, k - 1))
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverFailure(f"dense eigensolve failed on '{mm.shape_id}': {exc}") from exc
-        vecs = u * inv_sqrt_m[:, None]
-    else:
-        scale = float(np.mean(mm.stiffness.diagonal()))
-        v0 = np.full(n, 1.0 / np.sqrt(n))  # deterministic start vector
-        try:
-            lam, vecs = sla.eigsh(
-                mm.stiffness.tocsc(),
-                k=k,
-                M=sparse.diags(mm.mass_diag).tocsc(),
-                sigma=-1e-8 * max(scale, 1.0),
-                which="LM",
-                v0=v0,
-            )
-        except sla.ArpackError as exc:
-            raise SolverFailure(f"shift-invert eigensolve failed on '{mm.shape_id}': {exc}") from exc
-        order = np.argsort(lam)
-        lam, vecs = lam[order], vecs[:, order]
-
+    lam, vecs = _lowest_eigenpairs(mm.stiffness, k, mm.mass_diag, f"shape '{mm.shape_id}'")
     # clip the rounding noise on the zero mode(s)
     floor = -1e-10 * max(1.0, abs(float(lam[-1])))
     lam = np.where((lam < 0) & (lam > floor), 0.0, lam)
-    vecs = _fix_signs(vecs)
-    clusters = _eigen_clusters(lam)
-    if clusters:
-        logger.debug("shape '%s': eigenvalue clusters %s", mm.shape_id, clusters)
-    if clusters and clusters[-1][1] == k and k > 1:
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    if lam.size > k and lam[k] - lam[k - 1] < CLUSTER_GAP_TOL * scale:
         warnings.warn(
-            f"shape '{mm.shape_id}': truncation at k={k} falls inside an eigenvalue "
-            f"cluster {clusters[-1]}; the spanned subspace is discretization-sensitive",
+            f"shape '{mm.shape_id}': truncation at k={k} splits an eigenvalue cluster "
+            f"at {lam[k - 1]:.6g}; the spanned subspace is discretization-sensitive",
             SpectralGapWarning,
             stacklevel=2,
         )
+    lam = lam[:k]
+    clusters = _eigen_clusters(lam)
+    if clusters:
+        logger.debug("shape '%s': eigenvalue clusters %s", mm.shape_id, clusters)
     return SpectralBasis(lam, vecs, mm.shape_id, clusters)
 
 
@@ -229,13 +255,3 @@ def compute_shape(mesh: Mesh, k: int) -> Shape:
     """Run the per-shape stage: metric/measure then truncated eigenbasis."""
     mm = metric_measure(mesh)
     return Shape(mesh, mm, eigenbasis(mm, k))
-
-
-def project_function(shape: Shape, f):
-    """Spectral coefficients of a vertex function: Phi^T M f."""
-    return shape.basis.eigenvectors.T @ (shape.mm.mass_diag * f)
-
-
-def reconstruct_function(shape: Shape, coeffs):
-    """Vertex function from spectral coefficients: Phi a."""
-    return shape.basis.eigenvectors @ coeffs

@@ -354,18 +354,6 @@ def write_identity_correspondences(meshes, pairs, directory):
                 fh.write(lines)
 
 
-def identity_family_correspondence(family, src_id, tgt_id):
-    """Exact vertex correspondence between two members of a generated family
-    (the identity, since every family shares connectivity)."""
-    from .fmaps import identity_correspondence
-
-    by_id = {m.shape_id: m for m in family.meshes}
-    n = by_id[src_id].num_vertices
-    if by_id[tgt_id].num_vertices != n:
-        raise ValueError(f"shapes {src_id!r} and {tgt_id!r} do not share connectivity")
-    return identity_correspondence(n)
-
-
 def family_pairs(ground_truth):
     """Shape-id pairs a family's natural topology needs maps for."""
     kind = ground_truth["family"]

@@ -114,14 +114,17 @@ def _ordered(diffs):
     return out
 
 
-def _pair_sum(mats, pairs):
-    """sum over the given index pairs of (D_i - D_j)^T (D_i - D_j)."""
-    m = mats[0].shape[0]
-    Q = np.zeros((m, m))
-    for i, j in pairs:
-        d = mats[i] - mats[j]
-        Q += d.T @ d
-    return Q
+def _scatter(mats):
+    """(mean, sum_i (D_i - mean)^T (D_i - mean)) of a list of operators.
+
+    Summed over unordered pairs, (D_i - D_j)^T (D_i - D_j) adds up to n times
+    the scatter; the centred form keeps near-identical operators from
+    cancelling, as n sum D_i^T D_i - S^T S would.
+    """
+    X = np.stack(mats)
+    mean = X.mean(axis=0)
+    R = (X - mean).reshape(-1, X.shape[2])  # rows of every centred D_i
+    return mean, R.T @ R
 
 
 def _top_eigvecs(Q, count, mode):
@@ -152,9 +155,8 @@ def global_variability(diffs, count=3):
     items = _ordered(diffs)
     if len(items) < 2:
         raise InsufficientShapes("global variability needs >= 2 shapes")
-    mats = [m for _, m in items]
-    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    return _top_eigvecs(_pair_sum(mats, pairs), count, "global")
+    _, scatter = _scatter([m for _, m in items])
+    return _top_eigvecs(len(items) * scatter, count, "global")
 
 
 def cross_collection_variability(diffs, partition: Partition, count=3, within_weight=1.0):
@@ -169,19 +171,15 @@ def cross_collection_variability(diffs, partition: Partition, count=3, within_we
     unknown = (set(partition.cluster_a) | set(partition.cluster_b)) - set(diffs)
     if unknown:
         raise UnknownShape(f"partition references unknown shapes {sorted(unknown)}")
-    ids = list(partition.cluster_a) + list(partition.cluster_b)
-    mats = [_as_matrix(diffs[sid]) for sid in ids]
-    na = len(partition.cluster_a)
-    across = [(i, j) for i in range(na) for j in range(na, len(ids))]
-    within = [
-        (i, j)
-        for group in (range(na), range(na, len(ids)))
-        for i in group
-        for j in group
-        if i < j
-    ]
-    Q = _pair_sum(mats, across) - within_weight * _pair_sum(mats, within)
-    return _top_eigvecs(Q, count, "cross_collection")
+    na, nb = len(partition.cluster_a), len(partition.cluster_b)
+    mean_a, scatter_a = _scatter([_as_matrix(diffs[sid]) for sid in partition.cluster_a])
+    mean_b, scatter_b = _scatter([_as_matrix(diffs[sid]) for sid in partition.cluster_b])
+    gap = mean_a - mean_b
+    # over pairs (a, b): (D_a - D_b) = gap + centred D_a - centred D_b, and
+    # the centred parts sum to zero within each cluster
+    across = na * nb * (gap.T @ gap) + nb * scatter_a + na * scatter_b
+    within = na * scatter_a + nb * scatter_b
+    return _top_eigvecs(across - within_weight * within, count, "cross_collection")
 
 
 def transfer_to_shape(alpha, shape: Shape, Y_i):
@@ -224,13 +222,12 @@ def separation_embedding(diffs, alpha):
 
 
 def suppression_gain(diffs, F):
-    """Total drop of squared pairwise distances after projecting on F."""
-    items = _ordered(diffs)
-    total = 0.0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            total += delta(items[i][1], items[j][1], F)
-    return total
+    """Total drop of squared pairwise distances after projecting on F: the sum
+    of `delta` over unordered pairs, trace(F^T Q F) with Q the global form."""
+    mats = [mat for _, mat in _ordered(diffs)]
+    mean, scatter = _scatter(mats)
+    Fm = _as_F(F, mean.shape[0])
+    return float(len(mats) * np.sum(Fm * (scatter @ Fm)))
 
 
 def adjoint_energy_commutativity_check(diffs, clb: ConsistentLatentBasis, shapes, max_quads=256, seed=0):

@@ -6,10 +6,15 @@ explicit segment-intersection geometry.
 """
 
 import itertools
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse.linalg as sla
 
+from lskit import spectral
 from lskit.fmaps import Correspondence, fmap_from_landmarks
 from lskit.meshes import validate_mesh
 from lskit.network import attach_maps, build_topology, identity_map_provider
@@ -83,6 +88,37 @@ def landmark_net(shapes, stride=4, weight=1e-2, kind="clique"):
     return attach_maps(
         shapes, build_topology([s.dna() for s in shapes], kind), provider, kind
     )
+
+
+@contextmanager
+def solver_path(path):
+    """Force lskit's eigensolver dispatch onto `path` ("dense" or "sparse")
+    inside the block, and check on exit that only that path's solver
+    (`scipy.linalg.eigh` or `eigsh`) ran."""
+    calls = {"dense": 0, "sparse": 0}
+
+    def counting(kind, fn):
+        def counted(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "DENSE_SOLVER_MAX_SIZE", 10**9 if path == "dense" else 0)
+        mp.setattr(scipy.linalg, "eigh", counting("dense", scipy.linalg.eigh))
+        mp.setattr(sla, "eigsh", counting("sparse", sla.eigsh))
+        yield
+    other = "sparse" if path == "dense" else "dense"
+    assert calls[path] > 0 and calls[other] == 0, f"forced {path} path, solver calls {calls}"
+
+
+def subspace_sine(A, B, gram=None):
+    """Sine of the largest principal angle between the column spans of two
+    bases, orthonormal in the inner product with diagonal `gram` (default I)."""
+    w = np.ones(A.shape[0]) if gram is None else gram
+    residual = B - A @ (A.T @ (w[:, None] * B))
+    return float(np.linalg.norm(np.sqrt(w)[:, None] * residual, 2))
 
 
 # ---------------------------------------------------------------------------

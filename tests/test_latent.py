@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
 
 from helpers import (
     cached_bumpy_shape,
@@ -7,11 +8,14 @@ from helpers import (
     identity_net,
     landmark_net,
     mean_shape_oracle,
+    solver_path,
+    subspace_sine,
 )
 from lskit.errors import InsufficientShapes, RequiresCanonical, SpectralGapWarning
 from lskit.fmaps import Correspondence, fmap_from_correspondence, pair_difference
 from lskit.latent import (
     LatentShape,
+    _block_matrix,
     canonical_residuals,
     canonicalize,
     consistent_latent_basis,
@@ -22,7 +26,7 @@ from lskit.latent import (
 from lskit.meshes import apply_rigid, permute_vertices, random_rotation
 from lskit.network import FMNetwork
 from lskit.spectral import compute_shape
-from lskit.synth import perturbation_family
+from lskit.synth import chain_family, perturbation_family
 
 
 def identical_collection(n=3, k=12, seed=2):
@@ -242,10 +246,44 @@ def test_stability_probe_requires_enough_shapes():
 
 
 def test_spectral_gap_warning_on_degenerate_cut():
-    shapes = identical_collection(3, k=10)
+    # m=8 cuts the exact 40-dimensional kernel of three identical shapes:
+    # any 8 kernel vectors are a valid answer, and both paths must warn
+    shapes = identical_collection(3, k=40)
     net = identity_net(shapes)
-    with pytest.warns(SpectralGapWarning):
-        consistent_latent_basis(net, 5)
+    W, _ = _block_matrix(net, tuple(net.ids))
+    for path in ("dense", "sparse"):
+        with solver_path(path), pytest.warns(SpectralGapWarning):
+            clb = consistent_latent_basis(net, 8)
+        assert np.abs(W @ clb.stacked()).max() <= 1e-10
+
+
+def _landmark_collection():
+    shapes = [compute_shape(mesh, 30) for mesh in perturbation_family(count=5).meshes]
+    return landmark_net(shapes), 10
+
+
+def _criterion_06_chain():
+    # gap at m is 6e-10 against a form of norm 13
+    shapes = [compute_shape(mesh, 50) for mesh in chain_family(23, cycle=True).meshes]
+    return identity_net(shapes, "chain", order=list(range(23))), 20
+
+
+@pytest.mark.parametrize("build", [_landmark_collection, _criterion_06_chain], ids=["landmark", "chain"])
+def test_latent_basis_dense_and_shift_invert_agree(build):
+    net, m = build()
+    with solver_path("dense"):
+        dense = consistent_latent_basis(net, m)
+    with solver_path("sparse"):
+        shift = consistent_latent_basis(net, m)
+    # perturbation bound: backward error of order eps * |W| over the gap at m
+    W, _ = _block_matrix(net, dense.order)
+    lam = np.linalg.eigvalsh(W.toarray())
+    bound = 1e-14 * sla.norm(W, 1) / (lam[m] - lam[m - 1])
+    assert subspace_sine(dense.stacked(), shift.stacked()) <= bound
+    spectra = net.spectra()
+    lat_dense = canonicalize(dense, spectra)[1].spectrum
+    lat_shift = canonicalize(shift, spectra)[1].spectrum
+    assert np.abs(lat_shift - lat_dense).max() <= bound * lat_dense.max()
 
 
 def test_m_out_of_range():

@@ -1,12 +1,30 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
+import scipy.sparse.linalg as sla
 
-from helpers import bumpy_sphere, cached_bumpy_shape, dense_generalized_eigh, unit_area_triangle
-from lskit.errors import RankDeficientMass
+from helpers import (
+    bumpy_sphere,
+    cached_bumpy_shape,
+    dense_generalized_eigh,
+    solver_path,
+    subspace_sine,
+    unit_area_triangle,
+)
+from lskit.errors import RankDeficientMass, SpectralGapWarning
 from lskit.meshes import apply_rigid, random_rotation, validate_mesh
-from lskit.spectral import MetricMeasure, compute_shape, eigenbasis, metric_measure, shape_dna
-from lskit.synth import grid_patch, icosphere
+from lskit.spectral import (
+    MetricMeasure,
+    _lowest_eigenpairs,
+    compute_shape,
+    eigenbasis,
+    metric_measure,
+    shape_dna,
+)
+from lskit.synth import grid_patch, icosphere, sphere_bump_family
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +175,77 @@ def test_k_out_of_range():
         eigenbasis(mm, 4)
     with pytest.raises(ValueError):
         eigenbasis(mm, 0)
+
+
+def test_eigenbasis_dense_and_shift_invert_agree():
+    mm = metric_measure(bumpy_sphere(1, 3))  # 642 vertices, generic spectrum
+    with solver_path("dense"):
+        dense = eigenbasis(mm, 30)
+    with solver_path("sparse"):
+        shift = eigenbasis(mm, 30)
+    np.testing.assert_allclose(shift.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=1e-12)
+    assert subspace_sine(dense.eigenvectors, shift.eigenvectors, mm.mass_diag) <= 1e-10
+    # simple eigenvalues: the sign convention makes the bases equal columnwise
+    np.testing.assert_allclose(shift.eigenvectors, dense.eigenvectors, atol=1e-9)
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+@pytest.mark.parametrize("k, splits", [(4, False), (9, False), (2, True), (7, True)])
+def test_gap_warning_only_when_k_splits_a_band(ico2, path, k, splits):
+    # the icosphere's l=1 triple and l=2 quintuple are exactly degenerate:
+    # k=4 and k=9 end a band, k=2 and k=7 cut one
+    mm = metric_measure(ico2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with solver_path(path):
+            eigenbasis(mm, k)
+    assert any(issubclass(w.category, SpectralGapWarning) for w in caught) == splits
+
+
+def test_shift_invert_returns_every_member_of_a_degenerate_band():
+    # sphere-bump member b0 is a plain subdivision-5 icosphere (10242
+    # vertices, shift-invert path) and k=49 ends its bands l <= 6; started
+    # from the constant vector, an exact eigenvector, the solver returned
+    # four of the five copies of 41.849 and 55.710 as the 49th eigenvalue
+    b0 = next(m for m in sphere_bump_family(n_per_cluster=1, subdivisions=5).meshes if m.shape_id == "b0")
+    mm = metric_measure(b0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = eigenbasis(mm, 49)
+    assert not any(issubclass(w.category, SpectralGapWarning) for w in caught)
+    continuum = np.repeat([l * (l + 1.0) for l in range(7)], [2 * l + 1 for l in range(7)])
+    np.testing.assert_allclose(basis.eigenvalues, continuum, rtol=1e-2, atol=1e-10)
+    quintuple = basis.eigenvalues[39:44]  # l=6 splits into 3 + 5 + 4 + 1
+    np.testing.assert_allclose(quintuple, 41.849, rtol=1e-4)
+    assert np.ptp(quintuple) <= 1e-9 * quintuple[0]
+    gram = basis.eigenvectors.T @ (mm.mass_diag[:, None] * basis.eigenvectors)
+    assert np.abs(gram - np.eye(49)).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "size, count, path",
+    [
+        (2568, 642, "dense"),  # criterion 01: full bases of 4 x 642 vertices
+        (1000, 30, "dense"),
+        (1001, 30, "sparse"),
+        (1150, 20, "sparse"),  # criterion 06: 23 shapes x k=50
+        (2400, 300, "dense"),  # an eighth of the spectrum or more
+        (2400, 290, "sparse"),
+    ],
+)
+def test_dispatch_by_size_and_share_of_spectrum(monkeypatch, size, count, path):
+    taken = []
+
+    def fake(kind):
+        def solve(A, **kwargs):
+            taken.append(kind)
+            want = kwargs["k"] if "k" in kwargs else kwargs["subset_by_index"][1] + 1
+            return np.arange(want, dtype=float), np.ones((size, want))
+
+        return solve
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fake("dense"))
+    monkeypatch.setattr(sla, "eigsh", fake("sparse"))
+    lam, vecs = _lowest_eigenpairs(sparse.identity(size, format="csr"), count)
+    assert taken == [path]
+    assert lam.shape == (count + 1,) and vecs.shape == (size, count)

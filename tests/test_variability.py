@@ -279,3 +279,41 @@ def test_projection_basis_container():
     D = random_spd(rng, 6)
     np.testing.assert_allclose(project_difference(D, F), project_difference(D, F.F))
     assert F.p == 2
+
+
+def _pairwise(mats, pairs):
+    """Reference loop: sum over the pairs of (D_i - D_j)^T (D_i - D_j)."""
+    Q = np.zeros_like(mats[0])
+    for i, j in pairs:
+        d = mats[i] - mats[j]
+        Q += d.T @ d
+    return Q
+
+
+def _eigenvalues_close(out, Q):
+    ref = np.sort(np.linalg.eigvalsh(0.5 * (Q + Q.T)))[::-1]
+    got = np.array([f.eigenvalue for f in out])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spread", [1.0, 1e-3])
+def test_closed_forms_match_pairwise_sums(spread):
+    # near-isometric members (spread 1e-3 around I) cancel badly in the
+    # uncentred form n sum D^T D - S^T S; non-symmetric (conformal-like)
+    # operators exercise the Gram orientation
+    rng = np.random.default_rng(9)
+    m, n, na = 7, 9, 4
+    mats = [np.eye(m) + spread * rng.standard_normal((m, m)) for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    _eigenvalues_close(global_variability(mats, count=m), _pairwise(mats, pairs))
+
+    diffs = {f"s{i}": D for i, D in enumerate(mats)}
+    part = Partition([f"s{i}" for i in range(na)], [f"s{i}" for i in range(na, n)])
+    across = [(i, j) for i in range(na) for j in range(na, n)]
+    within = [(i, j) for i, j in pairs if (i < na) == (j < na)]
+    Q = _pairwise(mats, across) - 0.5 * _pairwise(mats, within)
+    _eigenvalues_close(cross_collection_variability(diffs, part, m, within_weight=0.5), Q)
+
+    F = random_orthonormal(rng, m, 3)
+    ref = sum(delta(mats[i], mats[j], F) for i, j in pairs)
+    assert abs(suppression_gain(diffs, F) - ref) <= 1e-12 * ref
