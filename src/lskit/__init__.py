@@ -5,6 +5,8 @@ consistent latent basis (canonicalized) -> per-shape difference operators ->
 variability analysis, retrieval descriptors and operator algebra.
 """
 
+__version__ = "0.1.0"  # the only copy: matio and pyproject.toml read it
+
 from .errors import LskitError
 from .fmaps import (
     Correspondence,
@@ -71,5 +73,3 @@ from .variability import (
     separation_embedding,
     transfer_to_shape,
 )
-
-__version__ = "0.1.0"

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
-from .errors import LskitError, ManifestError, ProviderFailure
+from .errors import LskitError, ManifestError, ProviderFailure, UnknownShape
 from .matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_matrix
 from .meshes import load_mesh
 from .spectral import Shape, SpectralBasis, _eigen_clusters, metric_measure
@@ -156,6 +156,36 @@ def cmd_synth(args):
 # spectra
 
 
+def _copy_mesh(ws: Workspace, src):
+    """Copy a mesh file into the workspace's meshes/ (unless it is already
+    there); returns its workspace-relative path."""
+    rel_mesh = os.path.join("meshes", os.path.basename(src))
+    os.makedirs(ws.path("meshes"), exist_ok=True)
+    if os.path.abspath(src) != os.path.abspath(ws.path(rel_mesh)):
+        shutil.copyfile(src, ws.path(rel_mesh))
+    return rel_mesh
+
+
+def _register_shape(ws: Workspace, manifest, shape: Shape, rel_mesh, fmt):
+    """Write a shape's spectra and record it, with its mesh, in the manifest."""
+    sid = shape.shape_id
+    arrays = {"phi": shape.basis.eigenvectors, "lam": shape.basis.eigenvalues, "dna": shape.dna()}
+    manifest["shapes"][sid] = {
+        "mesh": rel_mesh,
+        "mesh_sha256": sha256_file(ws.path(rel_mesh)),
+        "format": fmt,
+        "k": shape.basis.k,
+        "vertices": shape.mesh.num_vertices,
+        "triangles": shape.mesh.num_triangles,
+        "files": {
+            name: ws.write_tracked_matrix(manifest, os.path.join("spectra", f"{sid}.{name}.lsk"), arr)
+            for name, arr in arrays.items()
+        },
+        "clusters": [list(c) for c in shape.basis.clusters],
+    }
+    manifest["hashes"][rel_mesh] = manifest["shapes"][sid]["mesh_sha256"]
+
+
 def cmd_spectra(args):
     ws = Workspace(args.workspace)
     cfg = _load_config(ws, args)
@@ -184,32 +214,16 @@ def cmd_spectra(args):
                     continue
                 except (ManifestError, KeyError):
                     pass  # artifacts missing or stale: recompute
-            rel_mesh = os.path.join("meshes", fname)
-            os.makedirs(ws.path("meshes"), exist_ok=True)
-            if os.path.abspath(src) != os.path.abspath(ws.path(rel_mesh)):
-                shutil.copyfile(src, ws.path(rel_mesh))
+            rel_mesh = _copy_mesh(ws, src)
             mesh = load_mesh(ws.path(rel_mesh), args.format or None, shape_id=sid)
-            shape = spectral.compute_shape(mesh, cfg.k)
-            files_entry = {
-                "phi": ws.write_tracked_matrix(manifest, os.path.join("spectra", f"{sid}.phi.lsk"), shape.basis.eigenvectors),
-                "lam": ws.write_tracked_matrix(manifest, os.path.join("spectra", f"{sid}.lam.lsk"), shape.basis.eigenvalues),
-                "dna": ws.write_tracked_matrix(manifest, os.path.join("spectra", f"{sid}.dna.lsk"), shape.dna()),
-            }
-            manifest["shapes"][sid] = {
-                "mesh": rel_mesh,
-                "mesh_sha256": sha256_file(ws.path(rel_mesh)),
-                "format": args.format or "",
-                "k": cfg.k,
-                "vertices": mesh.num_vertices,
-                "triangles": mesh.num_triangles,
-                "files": files_entry,
-                "clusters": [list(c) for c in shape.basis.clusters],
-            }
-            manifest["hashes"][rel_mesh] = manifest["shapes"][sid]["mesh_sha256"]
+            _register_shape(ws, manifest, spectral.compute_shape(mesh, cfg.k), rel_mesh, args.format or "")
             done += 1
         except LskitError as exc:
             failures.append((fname, exc))
             print(f"error: {fname}: {exc}", file=sys.stderr)
+    if done:  # the network and everything built on it used the old spectra
+        for stage in ("fmn", "latent", "diffs"):
+            manifest.pop(stage, None)
     ws.save_manifest(manifest)
     if skipped and not done:
         print(f"up to date ({skipped} shapes)")
@@ -222,38 +236,32 @@ def cmd_spectra(args):
 # fmn
 
 
-def _corr_provider(args, cfg):
-    directory = args.corr_dir
+def _file_provider(directory, cfg):
+    """Maps from <src>__<tgt>.txt vertex-pair files: full correspondences, or
+    sparse landmarks (--maps landmarks)."""
     if not directory:
-        raise ManifestError("--maps correspondence requires --corr-dir")
+        raise ManifestError(f"--maps {cfg.maps} requires --corr-dir")
+    landmarks = cfg.maps == "landmarks"
 
     def provider(src: Shape, tgt: Shape):
         path = fmaps.correspondence_path(directory, src.shape_id, tgt.shape_id)
         if not os.path.isfile(path):
-            raise ProviderFailure(
-                (src.shape_id, tgt.shape_id), f"missing correspondence file {path}"
-            )
-        corr = fmaps.load_correspondence(path)
-        return fmaps.fmap_from_correspondence(src, tgt, corr)
+            what = "landmark" if landmarks else "correspondence"
+            raise ProviderFailure((src.shape_id, tgt.shape_id), f"missing {what} file {path}")
+        if landmarks:
+            marks = fmaps.load_correspondence(path, kind="sparse_landmarks")
+            return fmaps.fmap_from_landmarks(src, tgt, marks, cfg.landmark_weight)
+        return fmaps.fmap_from_correspondence(src, tgt, fmaps.load_correspondence(path))
 
     return provider
 
 
-def _landmark_provider(args, cfg):
-    directory = args.corr_dir
-    if not directory:
-        raise ManifestError("--maps landmarks requires --corr-dir")
-
-    def provider(src: Shape, tgt: Shape):
-        path = fmaps.correspondence_path(directory, src.shape_id, tgt.shape_id)
-        if not os.path.isfile(path):
-            raise ProviderFailure(
-                (src.shape_id, tgt.shape_id), f"missing landmark file {path}"
-            )
-        marks = fmaps.load_correspondence(path, kind="sparse_landmarks")
-        return fmaps.fmap_from_landmarks(src, tgt, marks, cfg.landmark_weight)
-
-    return provider
+def _fmn_lineage(manifest):
+    """What the latent stage consumed from `fmn`: topology, nodes, map hashes."""
+    fmn = manifest.get("fmn")
+    if not fmn:
+        return None
+    return fmn["topology"], fmn["nodes"], [(rel, manifest["hashes"].get(rel)) for *_, rel in fmn["edges"]]
 
 
 def cmd_fmn(args):
@@ -282,16 +290,15 @@ def cmd_fmn(args):
 
     if cfg.maps == "identity":
         provider = network.identity_map_provider
-    elif cfg.maps == "correspondence":
-        provider = _corr_provider(args, cfg)
-    elif cfg.maps == "landmarks":
-        provider = _landmark_provider(args, cfg)
+    elif cfg.maps in ("correspondence", "landmarks"):
+        provider = _file_provider(args.corr_dir, cfg)
     else:
         return _fail(f"unknown maps mode {cfg.maps!r}")
 
     ordered = [shapes[sid] for sid in ids]
     net = network.attach_maps(ordered, edges, provider, topology)
 
+    consumed = _fmn_lineage(manifest)
     os.makedirs(ws.path("maps"), exist_ok=True)
     edge_entries = []
     for (src, tgt), fm in sorted(net.edges.items()):
@@ -305,6 +312,9 @@ def cmd_fmn(args):
         "edges": edge_entries,
         "cross_edges": [[ids[i], ids[j]] for i, j in cross_pairs],
     }
+    if _fmn_lineage(manifest) != consumed:  # latent results describe another network
+        manifest.pop("latent", None)
+        manifest.pop("diffs", None)
     manifest["config"] = cfg.effective()
     ws.save_manifest(manifest)
 
@@ -516,14 +526,8 @@ def cmd_ops(args):
         return 0
 
     diffs = _load_diffs(ws, manifest, kind)
-
-    def get(sid):
-        if sid not in diffs:
-            return None
-        return diffs[sid]
-
     if args.action == "analogy":
-        A, B, C = get(args.a), get(args.b), get(args.c)
+        A, B, C = diffs.get(args.a), diffs.get(args.b), diffs.get(args.c)
         if None in (A, B, C):
             return _fail("analogy operands must be shape ids with stored differences")
         expr = opalg.analogy(A, B, C)
@@ -531,7 +535,7 @@ def cmd_ops(args):
         print(f"wrote {rel} (condition {expr.recipe['condition']:.3e})")
         return 0
     if args.action == "interp":
-        A, B = get(args.a), get(args.b)
+        A, B = diffs.get(args.a), diffs.get(args.b)
         if None in (A, B):
             return _fail("interp operands must be shape ids with stored differences")
         expr = opalg.interpolate(A, B, args.t)
@@ -539,14 +543,16 @@ def cmd_ops(args):
         print(f"wrote {rel}")
         return 0
     if args.action == "mix":
-        A, B = get(args.a), get(args.b)
+        A, B = diffs.get(args.a), diffs.get(args.b)
         if None in (A, B):
             return _fail("mix operands must be shape ids with stored differences")
         with open(args.region, "r", encoding="utf-8") as fh:
             region_doc = json.load(fh)
         shapes = _load_shapes(ws, manifest)
         clb, latent_shape = _load_clb(ws, manifest)
-        host = shapes[region_doc["shape"]]
+        host = shapes.get(region_doc.get("shape"))
+        if host is None:
+            raise UnknownShape(f"region shape {region_doc.get('shape')!r} is not in the workspace")
         F = opalg.localized_basis(latent_shape, clb, host, region_doc["vertices"])
         expr = opalg.partial_mix(A, B, F)
         rel = _write_expression(ws, f"mix_{args.a}_{args.b}.{kind}", expr)
@@ -588,26 +594,7 @@ def cmd_extend(args):
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id
-    rel_mesh = os.path.join("meshes", os.path.basename(args.mesh))
-    os.makedirs(ws.path("meshes"), exist_ok=True)
-    if os.path.abspath(args.mesh) != os.path.abspath(ws.path(rel_mesh)):
-        shutil.copyfile(args.mesh, ws.path(rel_mesh))
-    manifest["shapes"][sid] = {
-        "mesh": rel_mesh,
-        "mesh_sha256": sha256_file(ws.path(rel_mesh)),
-        "format": "",
-        "k": k,
-        "vertices": mesh.num_vertices,
-        "triangles": mesh.num_triangles,
-        "files": {
-            "phi": ws.write_tracked_matrix(manifest, os.path.join("spectra", f"{sid}.phi.lsk"), new_shape.basis.eigenvectors),
-            "lam": ws.write_tracked_matrix(manifest, os.path.join("spectra", f"{sid}.lam.lsk"), new_shape.basis.eigenvalues),
-            "dna": ws.write_tracked_matrix(manifest, os.path.join("spectra", f"{sid}.dna.lsk"), new_shape.dna()),
-        },
-        "clusters": [list(c) for c in new_shape.basis.clusters],
-    }
-    manifest["hashes"][rel_mesh] = manifest["shapes"][sid]["mesh_sha256"]
-
+    _register_shape(ws, manifest, new_shape, _copy_mesh(ws, args.mesh), "")
     y_rel = ws.write_tracked_matrix(manifest, os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
     diff_rels = {}
     for kind, D in diffs.items():
@@ -726,7 +713,7 @@ def main(argv=None):
             args.per_cluster = defaults["per_cluster"][args.family]
     try:
         return args.func(args)
-    except (LskitError, ValueError) as exc:
+    except (LskitError, ValueError, OSError) as exc:
         return _fail(exc)
 
 

@@ -63,14 +63,6 @@ class FunctionalMap:
     source_id: str
     target_id: str
 
-    @property
-    def k_source(self):
-        return self.matrix.shape[1]
-
-    @property
-    def k_target(self):
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class PairDifference:
@@ -198,6 +190,19 @@ def _restore_zero_mode(D, value=1.0):
     return D
 
 
+def _difference_matrix(Y, kind, base_eigs, eigs, scale=1.0, zero_mode=1.0):
+    """area scale * Y^T Y, or conformal scale * pinv(Lambda_base) Y^T Lambda Y
+    with the constant mode restored to `zero_mode`. Y maps base-basis
+    coefficients into the basis whose spectrum is `eigs`."""
+    if kind == "area":
+        return scale * (Y.T @ Y)
+    if kind == "conformal":
+        eigs = np.asarray(eigs, dtype=np.float64)
+        D = scale * (_pinv_diag(base_eigs)[:, None] * (Y.T @ (eigs[:, None] * Y)))
+        return _restore_zero_mode(D, zero_mode)
+    raise ValueError(f"unknown difference kind {kind!r}")
+
+
 def pair_difference(cmap: FunctionalMap, eigs_source, eigs_target, kind="area") -> PairDifference:
     """Difference operator of one map: area C^T C, or conformal
     pinv(Lambda_src) C^T Lambda_tgt C with the constant mode restored."""
@@ -208,13 +213,7 @@ def pair_difference(cmap: FunctionalMap, eigs_source, eigs_target, kind="area") 
         raise DimensionMismatch(
             f"map is {C.shape}, spectra are {eigs_target.size}x{eigs_source.size}"
         )
-    if kind == "area":
-        D = C.T @ C
-    elif kind == "conformal":
-        D = _pinv_diag(eigs_source)[:, None] * (C.T @ (eigs_target[:, None] * C))
-        D = _restore_zero_mode(D)
-    else:
-        raise ValueError(f"unknown difference kind {kind!r}")
+    D = _difference_matrix(C, kind, eigs_source, eigs_target)
     return PairDifference(D, kind, cmap.source_id, cmap.target_id)
 
 

@@ -21,14 +21,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .errors import (
-    InsufficientShapes,
-    ProviderFailure,
-    RequiresCanonical,
-    SpectralGapWarning,
-)
-from .fmaps import FunctionalMap, _pinv_diag, _restore_zero_mode
-from .network import FMNetwork
+from .errors import InsufficientShapes, RequiresCanonical, SpectralGapWarning
+from .fmaps import _difference_matrix
+from .network import FMNetwork, _provider_map
 from .spectral import (
     CLUSTER_GAP_TOL,
     Shape,
@@ -72,7 +67,6 @@ class LatentShape:
 
     spectrum: np.ndarray
     clb: ConsistentLatentBasis = field(repr=False, default=None)
-    collection_id: str = ""
 
     @property
     def m(self):
@@ -215,20 +209,13 @@ def latent_differences(clb: ConsistentLatentBasis, spectra: dict, latent: Latent
         raise RequiresCanonical("latent differences need a canonical basis")
     n = clb.n_shapes
     scale = float(n) if normalized else 1.0
-    lam0_inv = _pinv_diag(latent.spectrum)
-    out = {}
-    for sid in clb.order:
-        Yi = clb.Y[sid]
-        if kind == "area":
-            D = scale * (Yi.T @ Yi)
-        elif kind == "conformal":
-            lam = np.asarray(spectra[sid], dtype=np.float64)
-            D = scale * (lam0_inv[:, None] * (Yi.T @ (lam[:, None] * Yi)))
-            D = _restore_zero_mode(D, scale / n)
-        else:
-            raise ValueError(f"unknown difference kind {kind!r}")
-        out[sid] = LatentDifference(D, kind, sid, normalized)
-    return out
+    return {
+        sid: LatentDifference(
+            _difference_matrix(clb.Y[sid], kind, latent.spectrum, spectra[sid], scale, scale / n),
+            kind, sid, normalized,
+        )
+        for sid in clb.order
+    }
 
 
 def extend_to_shape(latent: LatentShape, net: FMNetwork, new_shape: Shape, map_provider, normalized=False, neighbor_id=None):
@@ -260,26 +247,17 @@ def extend_to_shape(latent: LatentShape, net: FMNetwork, new_shape: Shape, map_p
             dist = float(np.linalg.norm(d[:size] - d_new[:size]))
             if dist < best_dist:
                 best, best_dist = sid, dist
-    neighbor = net.shape(best)
-    try:
-        fm = map_provider(neighbor, new_shape)
-    except ProviderFailure:
-        raise
-    except Exception as exc:
-        raise ProviderFailure((best, new_shape.shape_id), exc) from exc
-    if not isinstance(fm, FunctionalMap):
-        raise ProviderFailure((best, new_shape.shape_id), "invalid map returned")
-    Y_new = fm.matrix @ clb.Y[best]
+    Y_new = _provider_map(map_provider, net.shape(best), new_shape).matrix @ clb.Y[best]
     n = clb.n_shapes
     scale = float(n) if normalized else 1.0
-    lam_new = new_shape.basis.eigenvalues
-    lam0_inv = _pinv_diag(latent.spectrum)
-    area = LatentDifference(scale * (Y_new.T @ Y_new), "area", new_shape.shape_id, normalized)
-    Dc = scale * (lam0_inv[:, None] * (Y_new.T @ (lam_new[:, None] * Y_new)))
-    conf = LatentDifference(
-        _restore_zero_mode(Dc, scale / n), "conformal", new_shape.shape_id, normalized
-    )
-    return best, Y_new, {"area": area, "conformal": conf}
+    diffs = {
+        kind: LatentDifference(
+            _difference_matrix(Y_new, kind, latent.spectrum, new_shape.basis.eigenvalues, scale, scale / n),
+            kind, new_shape.shape_id, normalized,
+        )
+        for kind in ("area", "conformal")
+    }
+    return best, Y_new, diffs
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import __version__
 from .errors import ManifestError, ParseError
 
 MAGIC = b"LSKMAT01"
 _DTYPE_F64 = 1
 _HEADER = struct.Struct("<8sQQQ")  # magic, dtype code, rows, cols
-
-TOOL_VERSION = "0.1.0"
 
 
 def _atomic_write(path, data: bytes):
@@ -136,9 +135,6 @@ class Workspace:
     def path(self, *parts):
         return os.path.join(self.root, *parts)
 
-    def rel(self, path):
-        return os.path.relpath(os.path.abspath(path), self.root)
-
     @property
     def manifest_path(self):
         return self.path(self.MANIFEST)
@@ -149,7 +145,7 @@ class Workspace:
     def init_manifest(self, config: Config):
         manifest = {
             "tool": "lskit",
-            "version": TOOL_VERSION,
+            "version": __version__,
             "config": config.effective(),
             "shapes": {},
             "hashes": {},

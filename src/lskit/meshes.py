@@ -117,6 +117,18 @@ def _data_lines(text):
             yield line
 
 
+def _fan(tris, corners, line, count=None):
+    """Append the fan triangulation (c0, ca, ca+1) of one polygon face to tris.
+
+    OFF and PLY face records lead with the corner `count`; values after the
+    corners (per-face colors) are ignored.
+    """
+    count = len(corners) if count is None else count
+    if count < 3 or len(corners) < count:
+        raise ParseError(f"face line malformed: {line!r}")
+    tris.extend((corners[0], corners[a], corners[a + 1]) for a in range(1, count - 1))
+
+
 def _parse_off(text):
     lines = _data_lines(text)
     try:
@@ -149,12 +161,7 @@ def _parse_off(text):
         if parts is None:
             raise ParseError(f"OFF file truncated at face {i}")
         vals = [int(x) for x in parts.split()]
-        d = vals[0]
-        if d < 3 or len(vals) < d + 1:
-            raise ParseError(f"face line {i} malformed: {parts!r}")
-        poly = vals[1 : d + 1]
-        for a in range(1, d - 1):  # fan triangulation for d > 3
-            tris.append((poly[0], poly[a], poly[a + 1]))
+        _fan(tris, vals[1:], parts, vals[0])
     return verts, np.asarray(tris, dtype=np.int64).reshape(-1, 3)
 
 
@@ -176,11 +183,7 @@ def _parse_obj(text):
                 raise ParseError(f"OBJ vertex line too short: {line!r}")
             verts.append([float(fields[1]), float(fields[2]), float(fields[3])])
         elif fields[0] == "f":
-            if len(fields) < 4:
-                raise ParseError(f"OBJ face line too short: {line!r}")
-            poly = [_obj_index(tok, len(verts)) for tok in fields[1:]]
-            for a in range(1, len(poly) - 1):
-                tris.append((poly[0], poly[a], poly[a + 1]))
+            _fan(tris, [_obj_index(tok, len(verts)) for tok in fields[1:]], line)
     if not verts:
         raise ParseError("OBJ file contains no vertices")
     return np.asarray(verts, dtype=np.float64), np.asarray(tris, dtype=np.int64).reshape(-1, 3)
@@ -236,12 +239,7 @@ def _parse_ply(text):
         elif elem == "face":
             for ln in chunk:
                 vals = [int(x) for x in ln.split()]
-                d = vals[0]
-                if d < 3 or len(vals) < d + 1:
-                    raise ParseError(f"PLY face line malformed: {ln!r}")
-                poly = vals[1 : d + 1]
-                for a in range(1, d - 1):
-                    tris.append((poly[0], poly[a], poly[a + 1]))
+                _fan(tris, vals[1:], ln, vals[0])
     return verts, np.asarray(tris, dtype=np.int64).reshape(-1, 3)
 
 

@@ -24,41 +24,40 @@ def dna_distances(dnas):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _mst_edges(dist):
-    """Kruskal MST with (weight, i, j) ordering, so ties break by index."""
-    n = dist.shape[0]
-    parent = list(range(n))
+class _DisjointSets:
+    """Union-find over 0..n-1 with path halving."""
 
-    def find(x):
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(self, a, b):
+        """Merge the sets of a and b; False when they already were one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def _mst_edges(dist):
+    """Kruskal MST with (weight, i, j) ordering, so ties break by index."""
+    n = dist.shape[0]
+    sets = _DisjointSets(n)
     edges = sorted((dist[i, j], i, j) for i in range(n) for j in range(i + 1, n))
     out = []
     for _, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+        if sets.union(i, j):
             out.append((i, j))
             if len(out) == n - 1:
                 break
     return out
-
-
-def _components(n, edges):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        parent[find(i)] = find(j)
-    return {i: find(i) for i in range(n)}
 
 
 def build_topology(dnas, kind, k_nn=None, order=None):
@@ -93,16 +92,11 @@ def build_topology(dnas, kind, k_nn=None, order=None):
             near = [j for j in np.argsort(dist[i], kind="stable") if j != i][:k_nn]
             for j in near:
                 edges.add((min(i, int(j)), max(i, int(j))))
-        comp = _components(n, edges)
-        if len(set(comp.values())) > 1:
-            added = [e for e in _mst_edges(dist) if e not in edges]
-            for i, j in added:
-                if comp[i] != comp[j]:
+        sets = _DisjointSets(n)
+        if sum(sets.union(i, j) for i, j in edges) < n - 1:  # disconnected
+            for i, j in _mst_edges(dist):
+                if sets.union(i, j):
                     edges.add((i, j))
-                    stale = comp[i]
-                    for v, c in comp.items():
-                        if c == stale:
-                            comp[v] = comp[j]
                     logger.info("knn graph disconnected; added mst edge (%d, %d)", i, j)
         return sorted(edges)
     raise ValueError(f"unknown topology kind {kind!r}")
@@ -160,20 +154,9 @@ class FMNetwork:
             raise ValueError("functional map network must be connected")
 
     def _connected(self):
-        ids = [s.shape_id for s in self.shapes]
-        if len(ids) <= 1:
-            return True
-        seen = {ids[0]}
-        stack = [ids[0]]
-        adj = {}
-        for i, j in self.edges:
-            adj.setdefault(i, []).append(j)
-        while stack:
-            for j in adj.get(stack.pop(), []):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == len(ids)
+        index = {sid: pos for pos, sid in enumerate(self._by_id)}
+        sets = _DisjointSets(len(index))
+        return sum(sets.union(index[i], index[j]) for i, j in self.edges) >= len(index) - 1
 
     @property
     def ids(self):
@@ -197,18 +180,25 @@ def attach_maps(shapes, topology, map_provider, topology_tag="custom") -> FMNetw
     """
     edges = {}
     for i, j in topology:
-        for a, b in ((i, j), (j, i)):
-            sa, sb = shapes[a], shapes[b]
-            try:
-                fm = map_provider(sa, sb)
-            except ProviderFailure:
-                raise
-            except Exception as exc:
-                raise ProviderFailure((sa.shape_id, sb.shape_id), exc) from exc
-            if not isinstance(fm, FunctionalMap) or not np.all(np.isfinite(fm.matrix)):
-                raise ProviderFailure((sa.shape_id, sb.shape_id), "invalid map returned")
-            edges[(sa.shape_id, sb.shape_id)] = fm
+        for src, tgt in ((shapes[i], shapes[j]), (shapes[j], shapes[i])):
+            edges[(src.shape_id, tgt.shape_id)] = _provider_map(map_provider, src, tgt)
     return FMNetwork(list(shapes), edges, topology_tag)
+
+
+def _provider_map(map_provider, src: Shape, tgt: Shape) -> FunctionalMap:
+    """The provider's map for the directed edge (src, tgt). Any exception it
+    raises, and a result that is not a finite FunctionalMap, becomes a
+    ProviderFailure naming the edge."""
+    edge = (src.shape_id, tgt.shape_id)
+    try:
+        fm = map_provider(src, tgt)
+    except ProviderFailure:
+        raise
+    except Exception as exc:
+        raise ProviderFailure(edge, exc) from exc
+    if not isinstance(fm, FunctionalMap) or not np.all(np.isfinite(fm.matrix)):
+        raise ProviderFailure(edge, "invalid map returned")
+    return fm
 
 
 def identity_map_provider(src: Shape, tgt: Shape) -> FunctionalMap:

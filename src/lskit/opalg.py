@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import EmptyRegion, IllConditioned, UnknownShape
 from .latent import ConsistentLatentBasis, LatentDifference, LatentShape
-from .spectral import Shape
+from .spectral import CLUSTER_GAP_TOL, Shape
 from .variability import ProjectionBasis, _as_F, _as_matrix
 
 CONDITION_LIMIT = 1e8
@@ -129,7 +129,7 @@ def localized_basis(latent: LatentShape, clb: ConsistentLatentBasis, shape: Shap
     lam0 = latent.spectrum
     start = 0
     for stop in range(1, m + 1):
-        if stop == m or mu[start] - mu[stop] > 1e-8:
+        if stop == m or mu[start] - mu[stop] > CLUSTER_GAP_TOL:
             if stop - start > 1:
                 block = U[:, start:stop]
                 E = block.T @ (lam0[:, None] * block)

@@ -38,10 +38,6 @@ class MetricMeasure:
     shape_id: str = ""
 
     @property
-    def mass(self):
-        return sparse.diags(self.mass_diag)
-
-    @property
     def num_vertices(self):
         return self.mass_diag.shape[0]
 

@@ -21,10 +21,9 @@ from .errors import (
     UnknownShape,
 )
 from .latent import ConsistentLatentBasis, LatentDifference
-from .spectral import Shape, _fix_signs
+from .spectral import CLUSTER_GAP_TOL, Shape, _fix_signs
 
 ORTHONORMAL_TOL = 1e-10
-DEGENERATE_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,8 @@ def _top_eigvecs(Q, count, mode):
     vecs = _fix_signs(vecs)
     count = min(count, lam.size)
     scale = max(1.0, float(np.abs(lam[0])))
-    degenerate = bool(lam.size > 1 and (lam[0] - lam[1]) < DEGENERATE_GAP_TOL * scale)
-    degenerate = degenerate or bool(abs(lam[0]) < DEGENERATE_GAP_TOL)
+    degenerate = bool(lam.size > 1 and (lam[0] - lam[1]) < CLUSTER_GAP_TOL * scale)
+    degenerate = degenerate or bool(abs(lam[0]) < CLUSTER_GAP_TOL)
     if degenerate:
         warnings.warn(
             f"{mode} variability spectrum is degenerate at the top "

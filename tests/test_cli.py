@@ -343,3 +343,66 @@ def test_ops_align_prints_accuracy(tmp_path, capsys):
     assert main(["ops", "align", "--workspace", str(ws), "--partition", str(part)]) == 0
     out = capsys.readouterr().out
     assert "pairing accuracy vs ground truth: 2/2 (100%)" in out
+
+
+def test_upstream_rerun_drops_stale_results(tmp_path, family_dir, capsys):
+    ws = str(tmp_path / "ws")
+    assert main(["spectra", str(family_dir), "--workspace", ws, "--k", "30"]) == 0
+    assert main(["fmn", "--workspace", ws, "--topology", "clique", "--maps", "identity"]) == 0
+    assert main(["latent", "--workspace", ws, "--m", "15"]) == 0
+    # new spectra: the k=30 clique network and its latent results are stale
+    assert main(["spectra", str(family_dir), "--workspace", ws, "--k", "20"]) == 0
+    assert not {"fmn", "latent", "diffs"} & set(manifest_of(tmp_path / "ws"))
+    assert main(["fmn", "--workspace", ws, "--topology", "mst", "--maps", "identity"]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["variability", "--workspace", ws, "--mode", "global"],
+        ["ops", "analogy", "a0", "a1", "b0", "--workspace", ws],
+        ["variability", "--workspace", ws, "--mode", "cross", "--emit-fields",
+         "--partition", str(family_dir / "ground_truth.json")],
+    ):
+        assert main(argv) == 1
+        assert "`latent`" in capsys.readouterr().err
+    # rerunning fmn with identical maps keeps latent; a new topology drops it
+    assert main(["latent", "--workspace", ws, "--m", "15"]) == 0
+    assert main(["fmn", "--workspace", ws, "--topology", "mst", "--maps", "identity"]) == 0
+    assert main(["variability", "--workspace", ws, "--mode", "global"]) == 0
+    assert main(["fmn", "--workspace", ws, "--topology", "clique", "--maps", "identity"]) == 0
+    assert main(["variability", "--workspace", ws, "--mode", "global"]) == 1
+
+
+@pytest.mark.parametrize("case", ["unknown-region-shape", "missing-region", "missing-partition"])
+def test_bad_input_exits_1(tmp_path, workspace, case, capsys):
+    missing = str(tmp_path / "missing.json")
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"shape": "nope", "vertices": [0, 1, 2]}))
+    argv, named = {
+        "unknown-region-shape": (["ops", "mix", "a0", "b0", "--region", str(region)], "'nope'"),
+        "missing-region": (["ops", "mix", "a0", "b0", "--region", missing], missing),
+        "missing-partition": (["variability", "--mode", "cross", "--partition", missing], missing),
+    }[case]
+    assert main(argv + ["--workspace", str(workspace)]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_fmn_landmark_maps(tmp_path, family_dir, capsys):
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(family_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    marks = tmp_path / "landmarks"
+    marks.mkdir()
+    ids = ["a0", "a1", "b0", "b1"]
+    for a in ids:
+        for b in ids:
+            if a != b:
+                (marks / f"{a}__{b}.txt").write_text("".join(f"{i} {i}\n" for i in range(0, 42, 3)))
+    fmn = ["fmn", "--workspace", str(ws), "--topology", "chain", "--maps", "landmarks"]
+    assert main(fmn + ["--corr-dir", str(marks)]) == 0
+    manifest = manifest_of(ws)
+    assert manifest["fmn"]["maps"] == "landmarks" and len(manifest["fmn"]["edges"]) == 6
+    for _, _, rel in manifest["fmn"]["edges"]:
+        C = read_matrix(ws / rel)
+        assert C.shape == (8, 8) and np.all(np.isfinite(C))
+    (marks / "a1__b0.txt").unlink()
+    capsys.readouterr()
+    assert main(fmn + ["--corr-dir", str(marks)]) == 1
+    assert f"missing landmark file {marks / 'a1__b0.txt'}" in capsys.readouterr().err

@@ -11,8 +11,8 @@ from helpers import (
     solver_path,
     subspace_sine,
 )
-from lskit.errors import InsufficientShapes, RequiresCanonical, SpectralGapWarning
-from lskit.fmaps import Correspondence, fmap_from_correspondence, pair_difference
+from lskit.errors import InsufficientShapes, ProviderFailure, RequiresCanonical, SpectralGapWarning
+from lskit.fmaps import Correspondence, FunctionalMap, fmap_from_correspondence, pair_difference
 from lskit.latent import (
     LatentShape,
     _block_matrix,
@@ -219,6 +219,21 @@ def test_extend_identical_twin_exact():
     # forcing a different neighbor still reproduces the operator
     _, _, diffs_b = extend_to_shape(lat, net, twin, provider, neighbor_id="s1")
     assert np.abs(diffs_b["area"].matrix - diffs_core["s0"].matrix).max() <= 1e-6
+
+
+def test_extend_rejects_non_finite_map():
+    _, net = full_info_family(subdivisions=1, count=3)
+    can, lat = canonicalize(consistent_latent_basis(net, 20), net.spectra())
+    twin = compute_shape(net.shape("s0").mesh.with_id("new"), net.shape("s0").basis.k)
+
+    def provider(src, tgt):
+        matrix = np.eye(tgt.basis.k, src.basis.k)
+        matrix[1, 1] = np.nan
+        return FunctionalMap(matrix, src.shape_id, tgt.shape_id)
+
+    with pytest.raises(ProviderFailure) as err:
+        extend_to_shape(lat, net, twin, provider, neighbor_id="s1")
+    assert err.value.edge == ("s1", "new")
 
 
 def test_extend_requires_canonical_basis():

@@ -130,12 +130,36 @@ def test_parse_errors(tmp_path):
         load_mesh(unknown)
 
 
-def test_quad_faces_are_fanned(tmp_path):
-    off = "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
-    path = tmp_path / "quad.off"
-    path.write_text(off)
+POLYGONS = {
+    "quad": [(0, 0), (1, 0), (1, 1), (0, 1)],
+    "pentagon": [(0, 0), (2, 0), (3, 1), (1, 2), (-1, 1)],
+}
+
+
+def _polygon_file(fmt, corners):
+    verts = "".join(f"{x} {y} 0\n" for x, y in corners)
+    n = len(corners)
+    if fmt == "off":
+        return f"OFF\n{n} 1 0\n{verts}{n} {' '.join(map(str, range(n)))}\n"
+    if fmt == "obj":
+        face = " ".join(str(i + 1) for i in range(n))
+        return "".join(f"v {x} {y} 0\n" for x, y in corners) + f"f {face}\n"
+    header = (
+        f"ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\nproperty float y\n"
+        "property float z\nelement face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    )
+    return f"{header}{verts}{n} {' '.join(map(str, range(n)))}\n"
+
+
+@pytest.mark.parametrize("polygon", sorted(POLYGONS))
+@pytest.mark.parametrize("fmt", ["off", "obj", "ply"])
+def test_quad_faces_are_fanned(tmp_path, fmt, polygon):
+    corners = POLYGONS[polygon]
+    path = tmp_path / f"{polygon}.{fmt}"
+    path.write_text(_polygon_file(fmt, corners))
     mesh = load_mesh(path)
-    assert mesh.num_triangles == 2
+    expected = [[0, a, a + 1] for a in range(1, len(corners) - 1)]
+    assert mesh.triangles.tolist() == expected
 
 
 def test_rigid_and_permutation_helpers():
