@@ -305,6 +305,10 @@ def cmd_fmn(args):
         rel = os.path.join("maps", f"{src}__{tgt}.lsk")
         ws.write_tracked_matrix(manifest, rel, fm.matrix)
         edge_entries.append([src, tgt, rel])
+    listed = {rel for *_, rel in edge_entries}
+    unlisted = [rel for rel in manifest["hashes"] if os.path.dirname(rel) == "maps" and rel not in listed]
+    for rel in unlisted:  # maps of an earlier network
+        del manifest["hashes"][rel]
     manifest["fmn"] = {
         "topology": topology,
         "maps": cfg.maps,
@@ -317,6 +321,9 @@ def cmd_fmn(args):
         manifest.pop("diffs", None)
     manifest["config"] = cfg.effective()
     ws.save_manifest(manifest)
+    for rel in unlisted:  # only once the manifest no longer tracks them
+        if os.path.isfile(ws.path(rel)):
+            os.remove(ws.path(rel))
 
     report = network.consistency_report(net)
     print(
@@ -571,7 +578,9 @@ def cmd_extend(args):
     shapes = _load_shapes(ws, manifest)
     net = _load_network(ws, manifest, shapes)
     _, latent_shape = _load_clb(ws, manifest)
-    k = manifest["config"]["k"]
+    # the k the network's shapes were computed at (fmn compares their
+    # k-long shape-DNA, so they share it); config.k may be a later default
+    k = net.shapes[0].basis.k
 
     mesh = load_mesh(args.mesh)
     if mesh.shape_id in shapes:

@@ -50,11 +50,12 @@ def triangle_areas(vertices, triangles):
     return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
 
 
-def _edge_counts(triangles):
-    """Multiplicity of every undirected edge."""
-    e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    _, counts = np.unique(e, axis=0, return_counts=True)
+def _edge_counts(triangles, n):
+    """Multiplicity of every undirected edge, keyed as lo * n + hi (unique
+    while every index is < n)."""
+    a = np.concatenate([triangles[:, 0], triangles[:, 1], triangles[:, 2]])
+    b = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 0]])
+    _, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
     return counts
 
 
@@ -95,7 +96,7 @@ def validate_mesh(vertices, triangles, shape_id=""):
         small = np.nonzero(areas <= AREA_EPS * max(scale, 1.0))[0]
         if small.size:
             raise DegenerateGeometry(f"zero-area triangle(s): {small[:8].tolist()}")
-        counts = _edge_counts(t)
+        counts = _edge_counts(t, v.shape[0])
         if np.any(counts > 2):
             raise NonManifoldMesh("edge shared by more than two triangles")
     ncomp = component_count(v, t)
@@ -111,10 +112,9 @@ def validate_mesh(vertices, triangles, shape_id=""):
 
 
 def _data_lines(text):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+    """The lines of text without `#` comments, surrounding blanks or blank lines."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
 
 
 def _fan(tris, corners, line, count=None):
@@ -129,40 +129,80 @@ def _fan(tris, corners, line, count=None):
     tris.extend((corners[0], corners[a], corners[a + 1]) for a in range(1, count - 1))
 
 
+def _block(lines, dtype, usecols=None):
+    """Whitespace-separated numbers of all lines as one 2-D array, or None
+    when the lines are ragged or hold a token numpy does not take.
+
+    numpy takes a subset of what float() and int() take and gives the same
+    values, so on None the caller's per-line parse gives the same result,
+    or names the line at fault. numpy before 2.0 reads a float token such
+    as "2.7" into an int dtype with only a DeprecationWarning; that warning
+    is made an error here so such a line still reaches the per-line parse.
+    """
+    if not lines:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=dtype, usecols=usecols, comments=None, ndmin=2)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+
+
+def _read_vertices(lines, cols=(0, 1, 2)):
+    """(n, 3) positions from columns `cols` of the vertex records."""
+    verts = _block(lines, np.float64, cols)
+    if verts is None:
+        verts = np.empty((len(lines), 3))
+        for i, line in enumerate(lines):
+            vals = line.split()
+            if len(vals) <= max(cols):
+                raise ParseError(f"vertex line {i} has {len(vals)} fields")
+            verts[i] = [float(vals[c]) for c in cols]
+    return verts
+
+
+def _read_faces(lines):
+    """(m, 3) triangles from `count i j k ...` face records (OFF and PLY);
+    one block read when every face is a triangle, polygons fanned by _fan."""
+    block = _block(lines, np.int64)
+    if block is not None and block.shape[1] >= 4 and np.all(block[:, 0] == 3):
+        return np.ascontiguousarray(block[:, 1:4])
+    tris = []
+    for line in lines:
+        vals = [int(x) for x in line.split()]
+        _fan(tris, vals[1:], line, vals[0])
+    return np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+
+
 def _parse_off(text):
     lines = _data_lines(text)
-    try:
-        first = next(lines)
-    except StopIteration:
-        raise ParseError("empty OFF file") from None
-    if first.startswith("OFF"):
-        rest = first[3:].strip()
-        header = rest.split() if rest else next(lines, "").split()
+    if not lines:
+        raise ParseError("empty OFF file")
+    body = 1
+    if lines[0].startswith("OFF"):
+        header = lines[0][3:].split()
+        if not header:  # counts on the line after the magic
+            header = lines[1].split() if len(lines) > 1 else []
+            body = 2
     else:
-        header = first.split()  # headerless variant: counts on the first line
+        header = lines[0].split()  # headerless variant: counts on the first line
     if len(header) < 2:
         raise ParseError("OFF header must contain vertex and face counts")
     try:
         nv, nf = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ParseError(f"bad OFF counts: {header}") from exc
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        parts = next(lines, None)
-        if parts is None:
-            raise ParseError(f"OFF file truncated at vertex {i}")
-        vals = parts.split()
-        if len(vals) < 3:
-            raise ParseError(f"vertex line {i} has {len(vals)} fields")
-        verts[i] = [float(vals[0]), float(vals[1]), float(vals[2])]
-    tris = []
-    for i in range(nf):
-        parts = next(lines, None)
-        if parts is None:
-            raise ParseError(f"OFF file truncated at face {i}")
-        vals = [int(x) for x in parts.split()]
-        _fan(tris, vals[1:], parts, vals[0])
-    return verts, np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    if nv < 0 or nf < 0:
+        raise ParseError(f"bad OFF counts: {header}")
+    verts = _read_vertices(lines[body : body + nv])
+    if len(verts) < nv:
+        raise ParseError(f"OFF file truncated at vertex {len(verts)}")
+    face_lines = lines[body + nv : body + nv + nf]
+    tris = _read_faces(face_lines)
+    if len(face_lines) < nf:
+        raise ParseError(f"OFF file truncated at face {len(face_lines)}")
+    return verts, tris
 
 
 def _obj_index(token, nv):
@@ -217,15 +257,15 @@ def _parse_ply(text):
         raise ParseError("PLY header not terminated by end_header")
     if "vertex" not in counts or "face" not in counts:
         raise ParseError("PLY header must declare vertex and face elements")
+    if min(counts.values()) < 0:
+        raise ParseError(f"negative PLY element count: {counts}")
     try:
         cols = [vertex_props.index(c) for c in ("x", "y", "z")]
     except ValueError as exc:
         raise ParseError("PLY vertex element lacks x/y/z properties") from exc
 
-    body = [ln.strip() for ln in lines if ln.strip()]
+    body = [line for line in map(str.strip, lines) if line]
     pos = 0
-    verts = np.empty((counts["vertex"], 3))
-    tris = []
     for elem in order:
         n = counts[elem]
         if pos + n > len(body):
@@ -233,14 +273,10 @@ def _parse_ply(text):
         chunk = body[pos : pos + n]
         pos += n
         if elem == "vertex":
-            for i, ln in enumerate(chunk):
-                vals = ln.split()
-                verts[i] = [float(vals[c]) for c in cols]
+            verts = _read_vertices(chunk, cols)
         elif elem == "face":
-            for ln in chunk:
-                vals = [int(x) for x in ln.split()]
-                _fan(tris, vals[1:], ln, vals[0])
-    return verts, np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+            tris = _read_faces(chunk)
+    return verts, tris
 
 
 _PARSERS = {"off": _parse_off, "obj": _parse_obj, "ply": _parse_ply}
@@ -271,7 +307,7 @@ def load_mesh(path, fmt=None, shape_id=None):
         text = fh.read()
     try:
         verts, tris = _PARSERS[fmt](text)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if shape_id is None:
         shape_id = os.path.splitext(os.path.basename(path))[0]

@@ -5,6 +5,7 @@ import pytest
 
 from lskit.cli import main
 from lskit.matio import read_matrix
+from lskit.meshes import save_off
 from lskit.synth import sphere_bump_family, sphere_bump_ground_truth, two_cluster_family, two_cluster_ground_truth, write_family
 
 
@@ -406,3 +407,42 @@ def test_fmn_landmark_maps(tmp_path, family_dir, capsys):
     capsys.readouterr()
     assert main(fmn + ["--corr-dir", str(marks)]) == 1
     assert f"missing landmark file {marks / 'a1__b0.txt'}" in capsys.readouterr().err
+
+
+def test_extend_uses_the_k_of_the_collection(tmp_path, capsys):
+    # fmn and latent run without --k; the new shape must still be computed
+    # at the collection's k=20
+    fam = two_cluster_family(n_per_cluster=2, subdivisions=1, seed=3)
+    fam_dir = tmp_path / "meshes"
+    write_family(fam.meshes, fam_dir)
+    extra = two_cluster_family(n_per_cluster=2, subdivisions=1, seed=4).meshes[0].with_id("x0")
+    x0, corr = tmp_path / "x0.off", tmp_path / "corr.txt"
+    save_off(extra, x0)
+    corr.write_text("".join(f"{i} {i}\n" for i in range(extra.num_vertices)))
+    ws = str(tmp_path / "ws")
+    assert main(["spectra", str(fam_dir), "--workspace", ws, "--k", "20"]) == 0
+    assert main(["fmn", "--workspace", ws, "--topology", "clique", "--maps", "identity"]) == 0
+    assert main(["latent", "--workspace", ws, "--m", "8"]) == 0
+    assert main(["extend", "--workspace", ws, "--mesh", str(x0), "--corr", str(corr)]) == 0, capsys.readouterr().err
+    manifest = manifest_of(tmp_path / "ws")
+    assert manifest["shapes"]["x0"]["k"] == 20
+    assert read_matrix(tmp_path / "ws" / manifest["shapes"]["x0"]["files"]["phi"]).shape == (42, 20)
+    assert main(["fmn", "--workspace", ws, "--topology", "clique", "--maps", "identity"]) == 0, capsys.readouterr().err
+    assert "x0" in manifest_of(tmp_path / "ws")["fmn"]["nodes"]
+
+
+def test_fmn_rerun_drops_unlisted_maps(tmp_path, capsys):
+    fam = two_cluster_family(n_per_cluster=3, subdivisions=1)
+    fam_dir = tmp_path / "meshes"
+    write_family(fam.meshes, fam_dir)
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "10"]) == 0
+    assert main(["fmn", "--workspace", str(ws), "--topology", "clique", "--maps", "identity"]) == 0
+    assert len(list((ws / "maps").iterdir())) == 30
+    assert main(["fmn", "--workspace", str(ws), "--topology", "mst", "--maps", "identity"]) == 0
+    manifest = manifest_of(ws)
+    listed = {rel for *_, rel in manifest["fmn"]["edges"]}
+    assert len(listed) == 10
+    assert {rel for rel in manifest["hashes"] if rel.startswith("maps/")} == listed
+    assert {f"maps/{p.name}" for p in (ws / "maps").iterdir()} == listed
+    assert main(["latent", "--workspace", str(ws), "--m", "6"]) == 0, capsys.readouterr().err
