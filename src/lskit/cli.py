@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
 from .errors import LskitError, ManifestError, ProviderFailure, UnknownShape
-from .matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_matrix
+from .matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text
 from .meshes import load_mesh
 from .spectral import Shape, SpectralBasis, _eigen_clusters, metric_measure
 
@@ -86,12 +86,37 @@ def _load_diffs(ws: Workspace, manifest, kind):
     diffs = manifest.get("diffs", {})
     if kind not in diffs.get("kinds", []):
         raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
-    out = {}
-    for sid, rel in diffs["files"][kind].items():
-        out[sid] = latent_mod.LatentDifference(
-            read_matrix(ws.path(rel)), kind, sid, diffs["normalized"]
-        )
-    return out
+    return {
+        sid: latent_mod.LatentDifference(read_matrix(ws.path(rel)), kind, sid, diffs["normalized"])
+        for sid, rel in diffs["files"][kind].items()
+    }
+
+
+def _stage_files(manifest, stage):
+    """The workspace files that one stage record lists."""
+    rec = manifest.get(stage)
+    if not rec:
+        return set()
+    if stage == "shapes":
+        return {rel for entry in rec.values() for rel in (entry["mesh"], *entry["files"].values())}
+    if stage == "fmn":
+        return {rel for *_, rel in rec["edges"]}
+    if stage == "latent":
+        extended = (rel for ext in rec["extended"].values() for rel in (ext["Y"], *ext["diffs"].values()))
+        return {*rec["Y"].values(), rec["lambda0"], *extended}
+    return {rel for files in rec["files"].values() for rel in files.values()}  # diffs
+
+
+def _save_manifest(ws: Workspace, manifest):
+    """Save the manifest tracking exactly the files its stage records list,
+    then delete the files it no longer tracks."""
+    listed = set().union(*(_stage_files(manifest, stage) for stage in ("shapes", "fmn", "latent", "diffs")))
+    dropped = [rel for rel in manifest["hashes"] if rel not in listed]
+    for rel in dropped:
+        del manifest["hashes"][rel]
+    ws.save_manifest(manifest)
+    for rel in dropped:  # each exists: load_manifest verified it, or this command wrote it
+        os.remove(ws.path(rel))
 
 
 def _read_partition(path):
@@ -208,12 +233,8 @@ def cmd_spectra(args):
             src_hash = sha256_file(src)
             entry = manifest["shapes"].get(sid)
             if entry and entry["mesh_sha256"] == src_hash and entry["k"] == cfg.k:
-                try:
-                    ws.verify({"hashes": {r: manifest["hashes"][r] for r in entry["files"].values()}})
-                    skipped += 1
-                    continue
-                except (ManifestError, KeyError):
-                    pass  # artifacts missing or stale: recompute
+                skipped += 1  # load_manifest has verified its files
+                continue
             rel_mesh = _copy_mesh(ws, src)
             mesh = load_mesh(ws.path(rel_mesh), args.format or None, shape_id=sid)
             _register_shape(ws, manifest, spectral.compute_shape(mesh, cfg.k), rel_mesh, args.format or "")
@@ -224,7 +245,7 @@ def cmd_spectra(args):
     if done:  # the network and everything built on it used the old spectra
         for stage in ("fmn", "latent", "diffs"):
             manifest.pop(stage, None)
-    ws.save_manifest(manifest)
+    _save_manifest(ws, manifest)
     if skipped and not done:
         print(f"up to date ({skipped} shapes)")
     else:
@@ -257,11 +278,9 @@ def _file_provider(directory, cfg):
 
 
 def _fmn_lineage(manifest):
-    """What the latent stage consumed from `fmn`: topology, nodes, map hashes."""
-    fmn = manifest.get("fmn")
-    if not fmn:
-        return None
-    return fmn["topology"], fmn["nodes"], [(rel, manifest["hashes"].get(rel)) for *_, rel in fmn["edges"]]
+    """What the latent stage consumed from `fmn`: its record and the hashes of
+    the maps it lists."""
+    return manifest.get("fmn"), {rel: manifest["hashes"].get(rel) for rel in _stage_files(manifest, "fmn")}
 
 
 def cmd_fmn(args):
@@ -299,16 +318,10 @@ def cmd_fmn(args):
     net = network.attach_maps(ordered, edges, provider, topology)
 
     consumed = _fmn_lineage(manifest)
-    os.makedirs(ws.path("maps"), exist_ok=True)
-    edge_entries = []
-    for (src, tgt), fm in sorted(net.edges.items()):
-        rel = os.path.join("maps", f"{src}__{tgt}.lsk")
-        ws.write_tracked_matrix(manifest, rel, fm.matrix)
-        edge_entries.append([src, tgt, rel])
-    listed = {rel for *_, rel in edge_entries}
-    unlisted = [rel for rel in manifest["hashes"] if os.path.dirname(rel) == "maps" and rel not in listed]
-    for rel in unlisted:  # maps of an earlier network
-        del manifest["hashes"][rel]
+    edge_entries = [
+        [src, tgt, ws.write_tracked_matrix(manifest, os.path.join("maps", f"{src}__{tgt}.lsk"), fm.matrix)]
+        for (src, tgt), fm in sorted(net.edges.items())
+    ]
     manifest["fmn"] = {
         "topology": topology,
         "maps": cfg.maps,
@@ -320,10 +333,7 @@ def cmd_fmn(args):
         manifest.pop("latent", None)
         manifest.pop("diffs", None)
     manifest["config"] = cfg.effective()
-    ws.save_manifest(manifest)
-    for rel in unlisted:  # only once the manifest no longer tracks them
-        if os.path.isfile(ws.path(rel)):
-            os.remove(ws.path(rel))
+    _save_manifest(ws, manifest)
 
     report = network.consistency_report(net)
     print(
@@ -352,12 +362,10 @@ def cmd_latent(args):
     canonical, latent_shape = latent_mod.canonicalize(clb, spectra)
     ortho, offdiag = latent_mod.canonical_residuals(canonical, spectra)
 
-    os.makedirs(ws.path("latent"), exist_ok=True)
-    y_files = {}
-    for sid in canonical.order:
-        rel = os.path.join("latent", f"Y.{sid}.lsk")
-        ws.write_tracked_matrix(manifest, rel, canonical.Y[sid])
-        y_files[sid] = rel
+    y_files = {
+        sid: ws.write_tracked_matrix(manifest, os.path.join("latent", f"Y.{sid}.lsk"), canonical.Y[sid])
+        for sid in canonical.order
+    }
     lam0_rel = os.path.join("latent", "lambda0.lsk")
     ws.write_tracked_matrix(manifest, lam0_rel, latent_shape.spectrum)
     collection = hashlib.sha256(
@@ -375,18 +383,16 @@ def cmd_latent(args):
     }
 
     kinds = ["area", "conformal"] if cfg.kind == "both" else [cfg.kind]
-    os.makedirs(ws.path("diffs"), exist_ok=True)
     diff_files = {}
     for kind in kinds:
         diffs = latent_mod.latent_differences(canonical, spectra, latent_shape, kind, cfg.normalized)
-        diff_files[kind] = {}
-        for sid, D in diffs.items():
-            rel = os.path.join("diffs", f"{sid}.{kind}.lsk")
-            ws.write_tracked_matrix(manifest, rel, D.matrix)
-            diff_files[kind][sid] = rel
+        diff_files[kind] = {
+            sid: ws.write_tracked_matrix(manifest, os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
+            for sid, D in diffs.items()
+        }
     manifest["diffs"] = {"kinds": kinds, "normalized": cfg.normalized, "files": diff_files}
     manifest["config"] = cfg.effective()
-    ws.save_manifest(manifest)
+    _save_manifest(ws, manifest)
 
     head = ", ".join(f"{v:.6g}" for v in latent_shape.spectrum[: min(6, cfg.m)])
     print(f"latent: m={cfg.m}, consistency residual {canonical.consistency_residual:.6e}")
@@ -415,7 +421,6 @@ def cmd_variability(args):
     else:
         funcs = variability.global_variability(diffs, count=args.count)
 
-    os.makedirs(ws.path("variability"), exist_ok=True)
     doc = {
         "mode": args.mode,
         "kind": args.diff_kind,
@@ -430,34 +435,27 @@ def cmd_variability(args):
         ],
     }
     out_json = ws.path("variability", f"{args.mode}.json")
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    write_json(out_json, doc)
 
     ids, _, coords = variability.separation_embedding(diffs, funcs[0])
     csv_path = ws.path("variability", f"{args.mode}_embedding.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("shape_id,pc1,pc2\n")
-        for sid, (x, y) in zip(ids, coords):
-            fh.write(f"{sid},{float(x)!r},{float(y)!r}\n")
+    rows = "".join(f"{sid},{float(x)!r},{float(y)!r}\n" for sid, (x, y) in zip(ids, coords))
+    write_text(csv_path, "shape_id,pc1,pc2\n" + rows)
 
     if args.emit_fields:
         clb, _ = _load_clb(ws, manifest)
         shapes = _load_shapes(ws, manifest)
-        os.makedirs(ws.path("fields"), exist_ok=True)
         bundle = {"mode": args.mode, "shapes": {}}
         for sid in clb.order:
             raw, norm = variability.transfer_to_shape(funcs[0], shapes[sid], clb.Y[sid])
             txt = ws.path("fields", f"{args.mode}.{sid}.txt")
-            with open(txt, "w", encoding="utf-8") as fh:
-                for idx, val in enumerate(raw):
-                    fh.write(f"{idx} {float(val)!r}\n")
+            write_text(txt, "".join(f"{idx} {float(val)!r}\n" for idx, val in enumerate(raw)))
             bundle["shapes"][sid] = {
                 "field": os.path.relpath(txt, ws.root),
                 "max_abs": float(np.max(np.abs(raw))),
                 "normalized": norm.tolist(),
             }
-        with open(ws.path("fields", f"{args.mode}.json"), "w", encoding="utf-8") as fh:
-            json.dump(bundle, fh, indent=2, sort_keys=True)
+        write_json(ws.path("fields", f"{args.mode}.json"), bundle)
 
     top = funcs[0]
     print(
@@ -473,18 +471,10 @@ def cmd_variability(args):
 
 
 def _write_expression(ws, name, expr):
-    os.makedirs(ws.path("ops"), exist_ok=True)
     mat_rel = os.path.join("ops", f"{name}.lsk")
     write_matrix(ws.path(mat_rel), expr.result)
-    doc = {"op": expr.recipe["op"]}
-    for key, val in expr.recipe.items():
-        if key == "operands":
-            doc["operands"] = {k: np.asarray(v).tolist() for k, v in val.items()}
-        elif key != "op":
-            doc[key] = val
-    json_rel = os.path.join("ops", f"{name}.json")
-    with open(ws.path(json_rel), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    doc = {**expr.recipe, "operands": {k: np.asarray(v).tolist() for k, v in expr.recipe["operands"].items()}}
+    write_json(ws.path("ops", f"{name}.json"), doc)
     return mat_rel
 
 
@@ -496,10 +486,8 @@ def cmd_ops(args):
     if args.action == "descriptors":
         diffs = _load_diffs(ws, manifest, kind)
         doc = {sid: opalg.lssd_spectrum_descriptor(D).tolist() for sid, D in sorted(diffs.items())}
-        os.makedirs(ws.path("ops"), exist_ok=True)
         path = ws.path("ops", f"descriptors.{kind}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        write_json(path, doc)
         print(f"wrote {path}")
         return 0
 
@@ -585,11 +573,10 @@ def cmd_extend(args):
     mesh = load_mesh(args.mesh)
     if mesh.shape_id in shapes:
         return _fail(f"shape id {mesh.shape_id!r} already in the collection")
-    new_shape = spectral.compute_shape(mesh, k)
-    corr = fmaps.load_correspondence(args.corr)
-
     if args.neighbor != "auto" and args.neighbor not in shapes:
         return _fail(f"unknown --neighbor {args.neighbor!r}")
+    new_shape = spectral.compute_shape(mesh, k)
+    corr = fmaps.load_correspondence(args.corr)
 
     def provider(src: Shape, tgt: Shape):
         return fmaps.fmap_from_correspondence(src, tgt, corr)
@@ -605,20 +592,19 @@ def cmd_extend(args):
     sid = mesh.shape_id
     _register_shape(ws, manifest, new_shape, _copy_mesh(ws, args.mesh), "")
     y_rel = ws.write_tracked_matrix(manifest, os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
-    diff_rels = {}
-    for kind, D in diffs.items():
-        rel = os.path.join("diffs", f"{sid}.{kind}.lsk")
-        ws.write_tracked_matrix(manifest, rel, D.matrix)
-        diff_rels[kind] = rel
-        if kind in manifest.get("diffs", {}).get("kinds", []):
-            manifest["diffs"]["files"][kind][sid] = rel
+    diff_rels = {
+        kind: ws.write_tracked_matrix(manifest, os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
+        for kind, D in diffs.items()
+    }
+    for kind in manifest["diffs"]["kinds"]:  # extend_to_shape returns both kinds
+        manifest["diffs"]["files"][kind][sid] = diff_rels[kind]
     manifest["latent"]["extended"][sid] = {
         "neighbor": neighbor,
         "Y": y_rel,
         "diffs": diff_rels,
         "extended": True,
     }
-    ws.save_manifest(manifest)
+    _save_manifest(ws, manifest)
     print(f"extended collection with {sid!r} via neighbor {neighbor!r}")
     return 0
 

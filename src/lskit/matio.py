@@ -49,6 +49,14 @@ def write_matrix(path, array):
     _atomic_write(path, header + np.ascontiguousarray(arr).tobytes())
 
 
+def write_text(path, text):
+    _atomic_write(path, text.encode("utf-8"))
+
+
+def write_json(path, doc):
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True))
+
+
 def read_matrix(path):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -143,17 +151,16 @@ class Workspace:
         return os.path.isfile(self.manifest_path)
 
     def init_manifest(self, config: Config):
-        manifest = {
+        """A manifest with no shapes; nothing is written until it is saved."""
+        return {
             "tool": "lskit",
             "version": __version__,
             "config": config.effective(),
             "shapes": {},
             "hashes": {},
         }
-        self.save_manifest(manifest)
-        return manifest
 
-    def load_manifest(self, verify=True):
+    def load_manifest(self):
         if not self.exists():
             raise ManifestError(f"no manifest at {self.manifest_path}")
         with open(self.manifest_path, "r", encoding="utf-8") as fh:
@@ -161,8 +168,7 @@ class Workspace:
                 manifest = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"malformed manifest: {exc}") from exc
-        if verify:
-            self.verify(manifest)
+        self.verify(manifest)
         return manifest
 
     def save_manifest(self, manifest):

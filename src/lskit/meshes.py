@@ -120,8 +120,8 @@ def _data_lines(text):
 def _fan(tris, corners, line, count=None):
     """Append the fan triangulation (c0, ca, ca+1) of one polygon face to tris.
 
-    OFF and PLY face records lead with the corner `count`; values after the
-    corners (per-face colors) are ignored.
+    OFF and PLY face records give the corner `count` just before the corners;
+    values after the corners (per-face colors) are ignored.
     """
     count = len(corners) if count is None else count
     if count < 3 or len(corners) < count:
@@ -162,16 +162,19 @@ def _read_vertices(lines, cols=(0, 1, 2)):
     return verts
 
 
-def _read_faces(lines):
-    """(m, 3) triangles from `count i j k ...` face records (OFF and PLY);
-    one block read when every face is a triangle, polygons fanned by _fan."""
+def _read_faces(lines, col=0):
+    """(m, 3) triangles from face records holding `count i j k ...` from
+    column `col` on (OFF: 0; PLY: the index list's place among the face
+    properties); one block read when every face is a triangle, polygons
+    fanned by _fan."""
     block = _block(lines, np.int64)
-    if block is not None and block.shape[1] >= 4 and np.all(block[:, 0] == 3):
-        return np.ascontiguousarray(block[:, 1:4])
+    if block is not None and block.shape[1] >= col + 4 and np.all(block[:, col] == 3):
+        return np.ascontiguousarray(block[:, col + 1 : col + 4])
     tris = []
     for line in lines:
-        vals = [int(x) for x in line.split()]
-        _fan(tris, vals[1:], line, vals[0])
+        vals = line.split()[col:]
+        count = int(vals[0]) if vals else 0
+        _fan(tris, [int(x) for x in vals[1 : count + 1]], line, count)
     return np.asarray(tris, dtype=np.int64).reshape(-1, 3)
 
 
@@ -238,7 +241,7 @@ def _parse_ply(text):
         raise ParseError("only ASCII PLY is supported")
     counts = {}
     order = []
-    vertex_props = []
+    props = {}  # element -> property names, "list" for a list property
     current = None
     for line in lines:
         line = line.strip()
@@ -251,8 +254,9 @@ def _parse_ply(text):
             current = fields[1]
             counts[current] = int(fields[2])
             order.append(current)
-        elif fields[0] == "property" and current == "vertex" and fields[1] != "list":
-            vertex_props.append(fields[-1])
+            props[current] = []
+        elif fields[0] == "property" and current is not None:
+            props[current].append("list" if fields[1] == "list" else fields[-1])
     else:
         raise ParseError("PLY header not terminated by end_header")
     if "vertex" not in counts or "face" not in counts:
@@ -260,9 +264,10 @@ def _parse_ply(text):
     if min(counts.values()) < 0:
         raise ParseError(f"negative PLY element count: {counts}")
     try:
-        cols = [vertex_props.index(c) for c in ("x", "y", "z")]
+        cols = [props["vertex"].index(c) for c in ("x", "y", "z")]
+        face_col = props["face"].index("list")
     except ValueError as exc:
-        raise ParseError("PLY vertex element lacks x/y/z properties") from exc
+        raise ParseError("PLY header lacks vertex x/y/z properties or a face index list") from exc
 
     body = [line for line in map(str.strip, lines) if line]
     pos = 0
@@ -275,7 +280,7 @@ def _parse_ply(text):
         if elem == "vertex":
             verts = _read_vertices(chunk, cols)
         elif elem == "face":
-            tris = _read_faces(chunk)
+            tris = _read_faces(chunk, face_col)
     return verts, tris
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientShapes, ProviderFailure
+from .errors import DimensionMismatch, InsufficientShapes, ProviderFailure
 from .fmaps import FunctionalMap, fmap_from_correspondence, identity_correspondence
 from .spectral import Shape
 
@@ -17,9 +17,10 @@ logger = logging.getLogger(__name__)
 
 def dna_distances(dnas):
     """Pairwise Euclidean distances between shape-DNA descriptor vectors."""
+    lengths = sorted({np.size(d) for d in dnas})
+    if len(lengths) > 1:
+        raise DimensionMismatch(f"shape-DNA lengths {lengths[0]} and {lengths[-1]} differ: compute all spectra at one k")
     D = np.stack([np.asarray(d, dtype=np.float64) for d in dnas])
-    if np.unique([d.size for d in dnas]).size != 1:
-        raise ValueError("all descriptors must have the same length")
     diff = D[:, None, :] - D[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 

@@ -215,8 +215,14 @@ def test_extend_duplicate_twin(tmp_path, workspace, capsys):
     assert np.abs(dup_area - a0_area).max() <= 1e-8
 
 
-def test_extend_unknown_neighbor(tmp_path, workspace):
+def test_extend_unknown_neighbor(tmp_path, workspace, monkeypatch, capsys):
+    from lskit import spectral
     from lskit.meshes import load_mesh, save_off
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("extend solved the new shape's eigenproblem before checking --neighbor")
+
+    monkeypatch.setattr(spectral, "compute_shape", no_solve)
 
     manifest = manifest_of(workspace)
     mesh = load_mesh(workspace / manifest["shapes"]["a1"]["mesh"], shape_id="dup2")
@@ -228,6 +234,7 @@ def test_extend_unknown_neighbor(tmp_path, workspace):
         "extend", "--workspace", str(workspace), "--mesh", str(dup_path),
         "--neighbor", "nope", "--corr", str(corr_path),
     ]) == 1
+    assert "unknown --neighbor 'nope'" in capsys.readouterr().err
 
 
 def test_manifest_tamper_aborts(tmp_path, family_dir, capsys):
@@ -446,3 +453,81 @@ def test_fmn_rerun_drops_unlisted_maps(tmp_path, capsys):
     assert {rel for rel in manifest["hashes"] if rel.startswith("maps/")} == listed
     assert {f"maps/{p.name}" for p in (ws / "maps").iterdir()} == listed
     assert main(["latent", "--workspace", str(ws), "--m", "6"]) == 0, capsys.readouterr().err
+
+
+def _family_and_outsider(tmp_path):
+    """Six two-cluster meshes, and an outside mesh x0 with an identity
+    correspondence to them (all share the icosphere's connectivity)."""
+    fam_dir = tmp_path / "meshes"
+    write_family(two_cluster_family(subdivisions=1).meshes, fam_dir)
+    extra = two_cluster_family(n_per_cluster=2, subdivisions=1, seed=4).meshes[0].with_id("x0")
+    x0, corr = tmp_path / "x0.off", tmp_path / "corr.txt"
+    save_off(extra, x0)
+    corr.write_text("".join(f"{i} {i}\n" for i in range(extra.num_vertices)))
+    return fam_dir, ["extend", "--mesh", str(x0), "--corr", str(corr)]
+
+
+def listed_files(manifest):
+    """Every file that a stage record of the manifest names."""
+    listed = set()
+    for entry in manifest["shapes"].values():
+        listed.add(entry["mesh"])
+        listed.update(entry["files"].values())
+    for _, _, rel in manifest.get("fmn", {}).get("edges", []):
+        listed.add(rel)
+    if "latent" in manifest:
+        listed.update(manifest["latent"]["Y"].values())
+        listed.add(manifest["latent"]["lambda0"])
+        for ext in manifest["latent"]["extended"].values():
+            listed.add(ext["Y"])
+            listed.update(ext["diffs"].values())
+    for files in manifest.get("diffs", {}).get("files", {}).values():
+        listed.update(files.values())
+    return listed
+
+
+def test_manifest_tracks_exactly_the_listed_files(tmp_path, capsys):
+    fam_dir, extend = _family_and_outsider(tmp_path)
+    ws = tmp_path / "ws"
+    fmn = ["fmn", "--topology", "clique", "--maps", "identity"]
+    built, latent = {"fmn"}, {"fmn", "latent", "diffs"}
+    sequence = [  # each command, and the stage records it leaves
+        (["spectra", str(fam_dir), "--k", "12"], set()),
+        (fmn, built),
+        (["latent", "--m", "6", "--kind", "both"], latent),
+        (fmn, latent),  # an identical rerun keeps latent
+        (["latent", "--m", "6", "--kind", "area"], latent),  # the conformal differences go
+        (["latent", "--m", "6", "--kind", "both"], latent),
+        (extend, latent),
+        (["latent", "--m", "6", "--kind", "both"], latent),  # x0's extension goes
+        (fmn, built),  # x0 joins the network
+        (["spectra", str(fam_dir), "--k", "10"], set()),  # maps, latent and diffs go
+        (fmn, built),  # x0 stays at k=12
+        (["latent", "--m", "6", "--kind", "conformal"], latent),
+    ]
+    for argv, stages in sequence:
+        assert main(argv + ["--workspace", str(ws)]) == 0, (argv, capsys.readouterr().err)
+        manifest = manifest_of(ws)
+        assert {"fmn", "latent", "diffs"} & set(manifest) == stages, argv
+        on_disk = {
+            f"{sub}/{p.name}" for sub in ("meshes", "spectra", "maps", "latent", "diffs")
+            if (ws / sub).is_dir() for p in (ws / sub).iterdir()
+        }
+        assert set(manifest["hashes"]) == listed_files(manifest) == on_disk, argv
+    assert "x0" in manifest["fmn"]["nodes"]
+
+
+def test_fmn_on_mixed_k_names_both_lengths(tmp_path, capsys):
+    fam_dir, extend = _family_and_outsider(tmp_path)
+    ws = ["--workspace", str(tmp_path / "ws")]
+    for argv in (
+        ["spectra", str(fam_dir), "--k", "12"],
+        ["fmn", "--maps", "identity"],
+        ["latent", "--m", "6"],
+        extend,
+        ["spectra", str(fam_dir), "--k", "10"],  # x0 is not in the mesh directory: it stays at k=12
+    ):
+        assert main(argv + ws) == 0, (argv, capsys.readouterr().err)
+    capsys.readouterr()
+    assert main(["fmn", "--maps", "identity"] + ws) == 1
+    assert "shape-DNA lengths 10 and 12 differ" in capsys.readouterr().err

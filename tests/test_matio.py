@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lskit.errors import ManifestError, ParseError
-from lskit.matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_matrix
+from lskit.matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path):
@@ -89,3 +89,11 @@ def test_sha256_file(tmp_path):
     p = tmp_path / "x"
     p.write_bytes(b"abc")
     assert sha256_file(p) == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+def test_text_and_json_writers_create_their_directory(tmp_path):
+    write_json(tmp_path / "a" / "doc.json", {"b": [1, 2], "a": 0.1})
+    write_text(tmp_path / "c" / "rows.txt", "0 1.5\n")
+    assert (tmp_path / "a" / "doc.json").read_text() == json.dumps({"a": 0.1, "b": [1, 2]}, indent=2)
+    assert (tmp_path / "c" / "rows.txt").read_text() == "0 1.5\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "c", "doc.json", "rows.txt"]  # no temporaries

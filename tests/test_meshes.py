@@ -199,12 +199,12 @@ MIXED_VERTS = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0]]
 MIXED_TRIS = [[0, 1, 2], [0, 2, 3], [1, 4, 2]]
 
 
-def _ply(vertex_props, vertex_lines, face_lines, header_extra=(), face_props=()):
+def _ply(vertex_props, vertex_lines, face_lines, header_extra=(), face_props=(), leading_face_props=()):
     nv, nf = (sum(1 for line in lines if line.strip()) for lines in (vertex_lines, face_lines))
     header = ["ply", "format ascii 1.0", *header_extra, f"element vertex {nv}"]
     header += [f"property float {name}" for name in vertex_props]
-    header += [f"element face {nf}", "property list uchar int vertex_indices"]
-    header += [f"property uchar {name}" for name in face_props]
+    header += [f"element face {nf}", *(f"property uchar {name}" for name in leading_face_props)]
+    header += ["property list uchar int vertex_indices", *(f"property uchar {name}" for name in face_props)]
     return "\n".join(header + ["end_header", *vertex_lines, *face_lines]) + "\n"
 
 
@@ -284,6 +284,27 @@ def test_mixed_triangle_and_polygon_faces(tmp_path, fmt, faces):
     mesh = _load_text(tmp_path, f"mixed.{fmt}", text)
     expected = MIXED_TRIS if records[0].startswith("4") else [MIXED_TRIS[2], *MIXED_TRIS[:2]]
     _assert_mesh(mesh, MIXED_VERTS, expected)
+
+
+@pytest.mark.parametrize("flags", [7, 3])  # 3 also reads as a corner count
+@pytest.mark.parametrize("where", ["before", "after"])
+@pytest.mark.parametrize("faces", ["triangles", "mixed"])  # one block read, per-line fan
+def test_ply_face_scalar_beside_the_index_list(tmp_path, faces, where, flags):
+    verts, records, tris = {
+        "triangles": (TETRA_VERTS, PLY_FACES, TETRA_TRIS),
+        "mixed": (MIXED_VERTS, MIXED_FACES["ragged"], MIXED_TRIS),
+    }[faces]
+    records = [f"{flags} {r}" if where == "before" else f"{r} {flags}" for r in records]
+    props = {"leading_face_props" if where == "before" else "face_props": ("flags",)}
+    text = _ply("xyz", [" ".join(map(str, v)) for v in verts], records, **props)
+    _assert_mesh(_load_text(tmp_path, "flags.ply", text), verts, tris)
+
+
+
+def test_ply_face_element_without_index_list(tmp_path):
+    text = _ply("xyz", PLY_VERTS, PLY_FACES).replace("property list uchar int vertex_indices\n", "")
+    with pytest.raises(ParseError, match="lacks vertex x/y/z properties or a face index list"):
+        _load_text(tmp_path, "bad.ply", text)
 
 
 TETRA_BODY = ["0 0 0", "1 0 0", "0 1 0", "0 0 1", "3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import all_spanning_trees, cached_bumpy_shape, full_info_family, identity_net
-from lskit.errors import InsufficientShapes, ProviderFailure
+from lskit.errors import DimensionMismatch, InsufficientShapes, ProviderFailure
 from lskit.fmaps import FunctionalMap
 from lskit.network import (
     FMNetwork,
@@ -38,6 +38,13 @@ def test_mst_on_collinear_descriptors_is_path():
     all_edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     best = min(all_spanning_trees(4, all_edges), key=lambda tr: sum(dist[i, j] for i, j in tr))
     assert sum(dist[i, j] for i, j in best) == sum(dist[i, j] for i, j in edges)
+
+
+@pytest.mark.parametrize("kind", ["mst", "knn"])
+def test_descriptors_of_different_lengths(kind):
+    dnas = [np.arange(12.0), np.arange(10.0), np.arange(12.0)]
+    with pytest.raises(DimensionMismatch, match="shape-DNA lengths 10 and 12 differ"):
+        build_topology(dnas, kind, k_nn=1)
 
 
 def test_clique_count():
