@@ -5,11 +5,15 @@ Exit codes: 0 ok, 1 computation error, 2 usage error.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import sys
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -191,24 +195,100 @@ def _copy_mesh(ws: Workspace, src):
     return rel_mesh
 
 
-def _register_shape(ws: Workspace, manifest, shape: Shape, rel_mesh, fmt):
-    """Write a shape's spectra and record it, with its mesh, in the manifest."""
+def _write_spectra(ws: Workspace, shape: Shape):
+    """Write a shape's three spectra files. Returns the fields of its manifest
+    record that they determine, and the files' hashes."""
     sid = shape.shape_id
     arrays = {"phi": shape.basis.eigenvectors, "lam": shape.basis.eigenvalues, "dna": shape.dna()}
-    manifest["shapes"][sid] = {
-        "mesh": rel_mesh,
-        "mesh_sha256": sha256_file(ws.path(rel_mesh)),
-        "format": fmt,
+    files, hashes = {}, {}
+    for name, arr in arrays.items():
+        rel = files[name] = os.path.join("spectra", f"{sid}.{name}.lsk")
+        write_matrix(ws.path(rel), arr)
+        hashes[rel] = sha256_file(ws.path(rel))
+    record = {
         "k": shape.basis.k,
         "vertices": shape.mesh.num_vertices,
         "triangles": shape.mesh.num_triangles,
-        "files": {
-            name: ws.write_tracked_matrix(manifest, os.path.join("spectra", f"{sid}.{name}.lsk"), arr)
-            for name, arr in arrays.items()
-        },
+        "files": files,
         "clusters": [list(c) for c in shape.basis.clusters],
     }
-    manifest["hashes"][rel_mesh] = manifest["shapes"][sid]["mesh_sha256"]
+    return record, hashes
+
+
+def _record_shape(ws: Workspace, manifest, sid, rel_mesh, fmt, record, hashes):
+    """Record a shape whose spectra `_write_spectra` wrote, with its mesh copy."""
+    mesh_hash = sha256_file(ws.path(rel_mesh))
+    manifest["shapes"][sid] = {"mesh": rel_mesh, "mesh_sha256": mesh_hash, "format": fmt, **record}
+    manifest["hashes"].update(hashes)
+    manifest["hashes"][rel_mesh] = mesh_hash
+
+
+# OpenBLAS thread-count setters: the plain build's, and the prefixed ones of
+# numpy's (64-bit integer) and scipy's wheels
+BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _blas_setters():
+    """Thread-count setters of the BLAS libraries loaded in this process;
+    none where the loaded libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return []
+    setters = []
+    for path in sorted(paths):
+        name = os.path.basename(path)
+        if name.startswith("lib") and "blas" in name:
+            lib = ctypes.CDLL(path)  # already loaded: a new handle, not a second copy
+            setters += [getattr(lib, sym) for sym in BLAS_THREAD_SETTERS if hasattr(lib, sym)]
+    return setters
+
+
+def _pin_blas():
+    """Pool initializer: every loaded BLAS runs on one thread."""
+    for setter in _blas_setters():
+        setter(1)
+
+
+def _solve_shape(root, sid, src, fmt, k):
+    """Pool worker: parse a mesh from its source path, solve its spectra and
+    write them. Returns (record, hashes, None, warnings) or, when the mesh
+    fails before anything is written, (None, None, message, warnings); each
+    warning caught is (category, message, filename, lineno)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the parent's filters decide when it re-emits them
+        try:
+            shape = spectral.compute_shape(load_mesh(src, fmt or None, shape_id=sid), k)
+        except (LskitError, OSError) as exc:
+            record, hashes, error = None, None, str(exc)
+        else:
+            record, hashes = _write_spectra(Workspace(root), shape)
+            error = None
+    return record, hashes, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _solve_in_pool(ws: Workspace, stale, fmt, k):
+    """Solve the stale (sid, src) shapes in a fork pool whose workers run
+    every loaded BLAS on one thread, so each solve's bits do not depend on the
+    worker count or on the caller's BLAS threads: one worker per usable CPU,
+    at most one per shape, and one if no loaded BLAS can be pinned. Returns
+    each shape's `_solve_shape` result, or the exception it raised, in order."""
+    workers = min(len(os.sched_getaffinity(0)), len(stale)) if _blas_setters() else 1
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_pin_blas) as pool:
+        futures = [pool.submit(_solve_shape, ws.root, sid, src, fmt, k) for sid, src in stale]
+        results = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except Exception as exc:  # raised while writing, or the worker died
+                results.append(exc)
+    return results
 
 
 def cmd_spectra(args):
@@ -224,32 +304,48 @@ def cmd_spectra(args):
     )
     if not files:
         return _fail(f"no mesh files in {args.mesh_dir}")
-    failures = []
-    done = skipped = 0
+    stale = []
     for fname in files:
         sid = os.path.splitext(fname)[0]
         src = os.path.join(args.mesh_dir, fname)
-        try:
-            src_hash = sha256_file(src)
-            entry = manifest["shapes"].get(sid)
-            if entry and entry["mesh_sha256"] == src_hash and entry["k"] == cfg.k:
-                skipped += 1  # load_manifest has verified its files
-                continue
-            rel_mesh = _copy_mesh(ws, src)
-            mesh = load_mesh(ws.path(rel_mesh), args.format or None, shape_id=sid)
-            _register_shape(ws, manifest, spectral.compute_shape(mesh, cfg.k), rel_mesh, args.format or "")
-            done += 1
-        except LskitError as exc:
-            failures.append((fname, exc))
-            print(f"error: {fname}: {exc}", file=sys.stderr)
-    if done:  # the network and everything built on it used the old spectra
+        entry = manifest["shapes"].get(sid)
+        if entry and entry["mesh_sha256"] == sha256_file(src) and entry["k"] == cfg.k:
+            continue  # up to date: load_manifest has verified its files
+        stale.append((sid, src))
+    skipped = len(files) - len(stale)
+    results = _solve_in_pool(ws, stale, args.format or "", cfg.k) if stale else []
+    failures = changed = 0
+    caught = []
+    for (sid, src), result in zip(stale, results):
+        if isinstance(result, Exception):
+            # the shape's files may be half replaced: forget it, so that the
+            # next run solves it afresh
+            error = f"{type(result).__name__}: {result}"
+            if manifest["shapes"].pop(sid, None) is not None:
+                changed += 1
+        else:
+            record, hashes, error, shape_warnings = result
+            caught += shape_warnings
+            if error is None:  # copy the mesh only once its spectra are written
+                _record_shape(ws, manifest, sid, _copy_mesh(ws, src), args.format or "", record, hashes)
+                changed += 1
+        if error is not None:
+            failures += 1
+            print(f"error: {os.path.basename(src)}: {error}", file=sys.stderr)
+    if changed:  # the network and everything built on it used the old spectra
         for stage in ("fmn", "latent", "diffs"):
             manifest.pop(stage, None)
     _save_manifest(ws, manifest)
-    if skipped and not done:
-        print(f"up to date ({skipped} shapes)")
-    else:
+    # after the save, so that a warning filtered into an error leaves a saved workspace
+    for category, message, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    done = len(stale) - failures
+    if failures:
+        print(f"spectra (k={cfg.k}): {done} computed, {failures} failed, {skipped} unchanged")
+    elif done:
         print(f"computed spectra for {done} shapes (k={cfg.k}), {skipped} up to date")
+    else:
+        print(f"up to date ({skipped} shapes)")
     return 1 if failures else 0
 
 
@@ -590,7 +686,7 @@ def cmd_extend(args):
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id
-    _register_shape(ws, manifest, new_shape, _copy_mesh(ws, args.mesh), "")
+    _record_shape(ws, manifest, sid, _copy_mesh(ws, args.mesh), "", *_write_spectra(ws, new_shape))
     y_rel = ws.write_tracked_matrix(manifest, os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
     diff_rels = {
         kind: ws.write_tracked_matrix(manifest, os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)

@@ -29,8 +29,9 @@ class RankDeficientMass(LskitError):
     """Mass matrix has a non-positive diagonal entry."""
 
 
-class DimensionMismatch(LskitError):
-    """Matrix dimensions incompatible with the declared basis truncations."""
+class DimensionMismatch(LskitError, ValueError):
+    """Matrix dimensions incompatible with the declared basis truncations
+    (a ValueError too: a truncation k outside 1..n is a bad argument)."""
 
 
 class NonBijective(LskitError):

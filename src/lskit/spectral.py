@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-from .errors import DegenerateGeometry, RankDeficientMass, SolverFailure, SpectralGapWarning
+from .errors import DegenerateGeometry, DimensionMismatch, RankDeficientMass, SolverFailure, SpectralGapWarning
 from .meshes import Mesh
 
 logger = logging.getLogger(__name__)
@@ -215,7 +215,7 @@ def eigenbasis(mm: MetricMeasure, k: int) -> SpectralBasis:
     """
     n = mm.num_vertices
     if not 1 <= k <= n:
-        raise ValueError(f"k={k} must be in 1..{n}")
+        raise DimensionMismatch(f"shape '{mm.shape_id}': k={k} must be in 1..{n}")
     if np.any(mm.mass_diag <= 0):
         raise RankDeficientMass(f"mass matrix of '{mm.shape_id}' has non-positive entries")
 

@@ -1,0 +1,216 @@
+"""`spectra` solves its stale shapes in a fork pool: the worker count, the
+BLAS pin, warnings and failures across the process boundary, and failures
+that must leave the workspace usable."""
+
+import concurrent.futures
+import ctypes
+import json
+import multiprocessing
+import os
+
+import pytest
+
+from helpers import bumpy_sphere
+from lskit import cli, spectral
+from lskit.cli import main
+from lskit.errors import SpectralGapWarning
+from lskit.meshes import save_off
+from lskit.synth import chain_family, sphere_bump_family, two_cluster_family, write_family
+
+
+def manifest_of(ws):
+    return json.loads((ws / "manifest.json").read_text())
+
+
+def tree_bytes(root):
+    """Every file under `root`, by relative path."""
+    return {
+        os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+        for d, _, files in os.walk(root) for f in files
+    }
+
+
+@pytest.fixture
+def chain_dir(tmp_path):
+    fam_dir = tmp_path / "meshes"
+    write_family(chain_family(count=4, subdivisions=1).meshes, fam_dir)
+    return fam_dir
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor: records how it was built and runs
+    each task inline, so no process starts."""
+
+    built = []
+
+    def __init__(self, max_workers, mp_context, initializer):
+        self.built.append((max_workers, mp_context.get_start_method(), initializer))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_pool_size_is_clamped_to_the_stale_shapes(tmp_path, chain_dir, monkeypatch):
+    (chain_dir / "frame03.off").unlink()  # three shapes
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(FakeExecutor, "built", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert main(["spectra", str(chain_dir), "--workspace", str(tmp_path / "ws"), "--k", "8"]) == 0
+    assert FakeExecutor.built == [(3, "fork", cli._pin_blas)]
+    # with no BLAS whose threads can be pinned, one worker
+    monkeypatch.setattr(cli, "_blas_setters", lambda: [])
+    assert main(["spectra", str(chain_dir), "--workspace", str(tmp_path / "ws"), "--k", "9"]) == 0
+    assert FakeExecutor.built[1][0] == 1
+    assert sorted(manifest_of(tmp_path / "ws")["shapes"]) == ["frame00", "frame01", "frame02"]
+    assert not multiprocessing.active_children()
+
+
+def test_cache_hit_starts_no_pool(tmp_path, chain_dir, monkeypatch, capsys):
+    ws = str(tmp_path / "ws")
+    assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "8"]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a cache-hit spectra started a pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    capsys.readouterr()
+    assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "8"]) == 0
+    assert capsys.readouterr().out.strip() == "up to date (4 shapes)"
+
+
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    fam_dir = tmp_path / "meshes"
+    write_family(two_cluster_family(n_per_cluster=2, subdivisions=2).meshes, fam_dir)
+    big = bumpy_sphere(seed=5, subdivisions=4, shape_id="big")
+    save_off(big, fam_dir / "big.off")
+    k = 20
+    # one shape takes the shift-invert path, the others the dense path
+    assert big.num_vertices > spectral.DENSE_SOLVER_MAX_SIZE and 8 * (k + 1) < big.num_vertices
+    assert 162 <= spectral.DENSE_SOLVER_MAX_SIZE
+
+    sizes = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Counted)
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        ws = tmp_path / f"ws{cpus}"
+        assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", str(k)]) == 0
+        trees.append(tree_bytes(ws))
+    assert sizes == [1, 2]
+    assert len(trees[0]) == 1 + 5 * 4  # manifest, and per shape a mesh and three spectra
+    assert trees[0] == trees[1]
+    assert not multiprocessing.active_children()
+
+
+def _blas_thread_counts():
+    """Thread count of every loaded OpenBLAS, through its getter."""
+    getters = [name.replace("_set_", "_get_") for name in cli.BLAS_THREAD_SETTERS]
+    counts = []
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh})
+    for path in paths:
+        name = os.path.basename(path)
+        if name.startswith("lib") and "blas" in name:
+            lib = ctypes.CDLL(path)
+            counts += [getattr(lib, sym)() for sym in getters if hasattr(lib, sym)]
+    return counts
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    if not cli._blas_setters():
+        pytest.skip("no loaded BLAS exposes an OpenBLAS thread setter")
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=context, initializer=cli._pin_blas) as pool:
+        counts = pool.submit(_blas_thread_counts).result(timeout=60)
+    assert counts and set(counts) == {1}
+
+
+def test_gap_warning_in_a_worker_surfaces_from_main(tmp_path):
+    b0 = next(m for m in sphere_bump_family(subdivisions=3).meshes if m.shape_id == "b0")
+    assert b0.num_vertices == 642
+    fam_dir = tmp_path / "meshes"
+    write_family([b0], fam_dir)
+    # k=80 cuts the plain sphere's exactly degenerate band (relative gap 1.3e-15)
+    with pytest.warns(SpectralGapWarning, match="shape 'b0': truncation at k=80"):
+        assert main(["spectra", str(fam_dir), "--workspace", str(tmp_path / "ws"), "--k", "80"]) == 0
+
+
+def test_failing_mesh_leaves_the_workspace_usable(tmp_path, chain_dir, capsys):
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    before = manifest_of(ws)["shapes"]["frame01"]
+    copy = (ws / "meshes" / "frame01.off").read_bytes()
+    good = (chain_dir / "frame01.off").read_bytes()
+    zero_area = "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n"
+    (chain_dir / "frame01.off").write_text(zero_area)  # a changed mesh that fails
+    (chain_dir / "new.off").write_text(zero_area)  # a new mesh that fails
+    capsys.readouterr()
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 1
+    out, err = capsys.readouterr()
+    manifest = manifest_of(ws)
+    assert manifest["shapes"]["frame01"] == before
+    assert sorted(manifest["shapes"]) == ["frame00", "frame01", "frame02", "frame03"]
+    assert (ws / "meshes" / "frame01.off").read_bytes() == copy
+    assert not (ws / "meshes" / "new.off").exists()
+    assert main(["fmn", "--workspace", str(ws), "--topology", "chain", "--maps", "identity"]) == 0
+    assert "error: frame01.off:" in err and "error: new.off:" in err
+    assert "up to date" not in out
+    (chain_dir / "frame01.off").write_bytes(good)
+    (chain_dir / "new.off").unlink()
+    capsys.readouterr()
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    assert capsys.readouterr().out.strip() == "up to date (4 shapes)"
+    assert not multiprocessing.active_children()
+
+
+def test_k_beyond_a_shape_fails_only_that_shape(tmp_path, capsys):
+    fam_dir = tmp_path / "meshes"
+    fam_dir.mkdir()
+    for sid, subdivisions in (("a0", 2), ("a1", 1), ("b0", 1)):
+        save_off(bumpy_sphere(seed=len(sid) + subdivisions, subdivisions=subdivisions, shape_id=sid), fam_dir / f"{sid}.off")
+    ws = str(tmp_path / "ws")
+    assert main(["spectra", str(fam_dir), "--workspace", ws, "--k", "8"]) == 0
+    capsys.readouterr()
+    assert main(["spectra", str(fam_dir), "--workspace", ws, "--k", "100"]) == 1
+    err = capsys.readouterr().err
+    shapes = manifest_of(tmp_path / "ws")["shapes"]
+    assert {sid: entry["k"] for sid, entry in shapes.items()} == {"a0": 100, "a1": 8, "b0": 8}
+    assert main(["spectra", str(fam_dir), "--workspace", ws, "--k", "8"]) == 0, capsys.readouterr().err
+    assert {entry["k"] for entry in manifest_of(tmp_path / "ws")["shapes"].values()} == {8}
+    assert "error: a1.off: shape 'a1': k=100 must be in 1..42" in err and "error: b0.off:" in err
+
+
+def test_write_failure_forgets_the_shape(tmp_path, chain_dir, monkeypatch, capsys):
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    write_spectra = cli._write_spectra
+
+    def failing(ws_, shape):
+        if shape.shape_id == "frame02":
+            raise OSError("disk full")
+        return write_spectra(ws_, shape)
+
+    monkeypatch.setattr(cli, "_write_spectra", failing)  # the forked workers inherit it
+    capsys.readouterr()
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "9"]) == 1
+    assert "error: frame02.off: OSError: disk full" in capsys.readouterr().err
+    manifest = manifest_of(ws)
+    assert {sid: entry["k"] for sid, entry in manifest["shapes"].items()} == {"frame00": 9, "frame01": 9, "frame03": 9}
+    assert not any("frame02" in rel for rel in manifest["hashes"])
+    monkeypatch.undo()
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "9"]) == 0
+    assert manifest_of(ws)["shapes"]["frame02"]["k"] == 9
