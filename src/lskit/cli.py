@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 computation error, 2 usage error.
 
 import argparse
 import ctypes
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -36,64 +37,105 @@ def _usage_fail(msg):
     return 2
 
 
-def _load_config(ws: Workspace, args):
-    cfg_path = ws.path("config.json")
-    cfg = Config.load(cfg_path) if os.path.isfile(cfg_path) else Config()
-    for name in ("k", "m", "kind", "topology", "maps", "landmark_weight", "within_weight"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "normalized", False):
-        cfg.normalized = True
-    return cfg
+class _View:
+    """One command's view of its workspace: the config, the verified manifest,
+    and the stage artifacts that the manifest lists, built from the tracked
+    files only when the command asks for them."""
 
+    def __init__(self, args, create=False):
+        self.args = args
+        self.ws = Workspace(args.workspace)
+        self.create = create  # `spectra` starts a workspace that has no manifest
 
-def _load_shapes(ws: Workspace, manifest):
-    """Rebuild Shape bundles from tracked meshes and spectra containers."""
-    shapes = {}
-    for sid in sorted(manifest["shapes"]):
-        entry = manifest["shapes"][sid]
-        mesh = load_mesh(ws.path(entry["mesh"]), entry.get("format") or None, shape_id=sid)
-        lam = read_vector(ws.path(entry["files"]["lam"]))
-        phi = read_matrix(ws.path(entry["files"]["phi"]))
-        basis = SpectralBasis(lam, phi, sid, _eigen_clusters(lam))
-        shapes[sid] = Shape(mesh, metric_measure(mesh), basis)
-    return shapes
+    @functools.cached_property
+    def config(self):
+        cfg_path = self.ws.path("config.json")
+        cfg = Config.load(cfg_path) if os.path.isfile(cfg_path) else Config()
+        for name in ("k", "m", "kind", "topology", "maps", "landmark_weight", "within_weight"):
+            val = getattr(self.args, name, None)
+            if val is not None:
+                setattr(cfg, name, val)
+        if getattr(self.args, "normalized", False):
+            cfg.normalized = True
+        return cfg
 
+    @functools.cached_property
+    def manifest(self):
+        if self.create and not self.ws.exists():
+            return self.ws.init_manifest(self.config)
+        return self.ws.load_manifest()
 
-def _load_network(ws: Workspace, manifest, shapes):
-    fmn = manifest.get("fmn")
-    if not fmn:
-        raise ManifestError("no functional map network in this workspace; run `fmn` first")
-    edges = {}
-    for src, tgt, rel in fmn["edges"]:
-        edges[(src, tgt)] = fmaps.FunctionalMap(read_matrix(ws.path(rel)), src, tgt)
-    # only the nodes the network was built over (extensions live outside it)
-    ordered = [shapes[sid] for sid in fmn["nodes"]]
-    return network.FMNetwork(ordered, edges, fmn["topology"])
+    @functools.cached_property
+    def shapes(self):
+        """Shape bundles rebuilt from the tracked meshes and spectra."""
+        shapes = {}
+        for sid, entry in sorted(self.manifest["shapes"].items()):
+            mesh = load_mesh(self.ws.path(entry["mesh"]), shape_id=sid)
+            lam = read_vector(self.ws.path(entry["files"]["lam"]))
+            phi = read_matrix(self.ws.path(entry["files"]["phi"]))
+            basis = SpectralBasis(lam, phi, sid, _eigen_clusters(lam))
+            shapes[sid] = Shape(mesh, metric_measure(mesh), basis)
+        return shapes
 
+    @functools.cached_property
+    def network(self):
+        fmn = self.manifest.get("fmn")
+        if not fmn:
+            raise ManifestError("no functional map network in this workspace; run `fmn` first")
+        shapes = self.shapes
+        edges = {
+            (src, tgt): fmaps.FunctionalMap(read_matrix(self.ws.path(rel)), src, tgt)
+            for src, tgt, rel in fmn["edges"]
+        }
+        # only the nodes the network was built over (extensions live outside it)
+        return network.FMNetwork([shapes[sid] for sid in fmn["nodes"]], edges, fmn["topology"])
 
-def _load_clb(ws: Workspace, manifest):
-    lat = manifest.get("latent")
-    if not lat:
-        raise ManifestError("no latent artifacts in this workspace; run `latent` first")
-    order = tuple(lat["order"])
-    Y = {sid: read_matrix(ws.path(lat["Y"][sid])) for sid in lat["Y"]}
-    clb = latent_mod.ConsistentLatentBasis(
-        Y, lat["m"], order, lat["canonical"], lat["consistency_residual"]
-    )
-    spectrum = read_vector(ws.path(lat["lambda0"]))
-    return clb, latent_mod.LatentShape(spectrum, clb)
+    @functools.cached_property
+    def latent(self):
+        """The canonical latent basis and the latent shape."""
+        lat = self.manifest.get("latent")
+        if not lat:
+            raise ManifestError("no latent artifacts in this workspace; run `latent` first")
+        Y = {sid: read_matrix(self.ws.path(rel)) for sid, rel in lat["Y"].items()}
+        clb = latent_mod.ConsistentLatentBasis(
+            Y, lat["m"], tuple(lat["order"]), lat["canonical"], lat["consistency_residual"]
+        )
+        spectrum = read_vector(self.ws.path(lat["lambda0"]))
+        return clb, latent_mod.LatentShape(spectrum, clb)
 
+    def diffs(self, kind):
+        diffs = self.manifest.get("diffs", {})
+        if kind not in diffs.get("kinds", []):
+            raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
+        return {
+            sid: latent_mod.LatentDifference(read_matrix(self.ws.path(rel)), kind, sid, diffs["normalized"])
+            for sid, rel in diffs["files"][kind].items()
+        }
 
-def _load_diffs(ws: Workspace, manifest, kind):
-    diffs = manifest.get("diffs", {})
-    if kind not in diffs.get("kinds", []):
-        raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
-    return {
-        sid: latent_mod.LatentDifference(read_matrix(ws.path(rel)), kind, sid, diffs["normalized"])
-        for sid, rel in diffs["files"][kind].items()
-    }
+    def record_shape(self, sid, src, record, hashes):
+        """Copy a mesh into meshes/ (unless it is already there) and record it
+        with the spectra that `_write_spectra` wrote for it."""
+        rel_mesh = os.path.join("meshes", os.path.basename(src))
+        os.makedirs(self.ws.path("meshes"), exist_ok=True)
+        if os.path.abspath(src) != self.ws.path(rel_mesh):
+            shutil.copyfile(src, self.ws.path(rel_mesh))
+        self.manifest["shapes"][sid] = {"mesh": rel_mesh, **record}
+        self.manifest["hashes"].update(hashes)
+        self.manifest["hashes"][rel_mesh] = sha256_file(self.ws.path(rel_mesh))
+
+    def save(self, *consumed):
+        """Record the config fields that this stage consumed, save the
+        manifest tracking exactly the files its stage records list, then
+        delete the files it no longer tracks."""
+        manifest = self.manifest
+        manifest["config"].update({name: getattr(self.config, name) for name in consumed})
+        listed = set().union(*(_stage_files(manifest, stage) for stage in ("shapes", "fmn", "latent", "diffs")))
+        dropped = [rel for rel in manifest["hashes"] if rel not in listed]
+        for rel in dropped:
+            del manifest["hashes"][rel]
+        self.ws.save_manifest(manifest)
+        for rel in dropped:  # each exists: load_manifest verified it, or this command wrote it
+            os.remove(self.ws.path(rel))
 
 
 def _stage_files(manifest, stage):
@@ -109,18 +151,6 @@ def _stage_files(manifest, stage):
         extended = (rel for ext in rec["extended"].values() for rel in (ext["Y"], *ext["diffs"].values()))
         return {*rec["Y"].values(), rec["lambda0"], *extended}
     return {rel for files in rec["files"].values() for rel in files.values()}  # diffs
-
-
-def _save_manifest(ws: Workspace, manifest):
-    """Save the manifest tracking exactly the files its stage records list,
-    then delete the files it no longer tracks."""
-    listed = set().union(*(_stage_files(manifest, stage) for stage in ("shapes", "fmn", "latent", "diffs")))
-    dropped = [rel for rel in manifest["hashes"] if rel not in listed]
-    for rel in dropped:
-        del manifest["hashes"][rel]
-    ws.save_manifest(manifest)
-    for rel in dropped:  # each exists: load_manifest verified it, or this command wrote it
-        os.remove(ws.path(rel))
 
 
 def _read_partition(path):
@@ -147,30 +177,19 @@ def _ground_truth_pairing(path):
 
 
 def cmd_synth(args):
+    make, ground_truth, names = {
+        "sphere-bump": (synth.sphere_bump_family, synth.sphere_bump_ground_truth,
+                        ("horizontal_height", "vertical_heights", "n_per_cluster", "subdivisions", "seed")),
+        "chain": (synth.chain_family, synth.chain_ground_truth, ("count", "cycle", "subdivisions", "seed")),
+        "two-cluster": (synth.two_cluster_family, synth.two_cluster_ground_truth,
+                        ("n_per_cluster", "intra_spread", "inter_gap", "subdivisions", "seed")),
+    }[args.family]
+    given = dict(vars(args))  # only the flags given: the family signatures hold the defaults
+    if "vertical_height" in given:
+        given["vertical_heights"] = (given["vertical_height"], 0.0)
+    fam = make(**{name: given[name] for name in names if name in given})
+    truth = ground_truth(fam)
     out = args.out
-    if args.family == "sphere-bump":
-        fam = synth.sphere_bump_family(
-            horizontal_height=args.horizontal_height,
-            vertical_heights=(args.vertical_height, 0.0),
-            n_per_cluster=args.per_cluster,
-            subdivisions=args.subdivisions,
-            seed=args.seed,
-        )
-        truth = synth.sphere_bump_ground_truth(fam)
-    elif args.family == "chain":
-        fam = synth.chain_family(
-            count=args.count, cycle=not args.no_cycle, subdivisions=args.subdivisions, seed=args.seed
-        )
-        truth = synth.chain_ground_truth(fam)
-    else:
-        fam = synth.two_cluster_family(
-            n_per_cluster=args.per_cluster,
-            intra_spread=args.intra_spread,
-            inter_gap=args.inter_gap,
-            seed=args.seed,
-            subdivisions=args.subdivisions,
-        )
-        truth = synth.two_cluster_ground_truth(fam)
     synth.write_family(fam.meshes, out, truth)
     pairs = synth.family_pairs(truth)
     synth.write_identity_correspondences(fam.meshes, pairs, os.path.join(out, "correspondences"))
@@ -185,21 +204,11 @@ def cmd_synth(args):
 # spectra
 
 
-def _copy_mesh(ws: Workspace, src):
-    """Copy a mesh file into the workspace's meshes/ (unless it is already
-    there); returns its workspace-relative path."""
-    rel_mesh = os.path.join("meshes", os.path.basename(src))
-    os.makedirs(ws.path("meshes"), exist_ok=True)
-    if os.path.abspath(src) != os.path.abspath(ws.path(rel_mesh)):
-        shutil.copyfile(src, ws.path(rel_mesh))
-    return rel_mesh
-
-
 def _write_spectra(ws: Workspace, shape: Shape):
-    """Write a shape's three spectra files. Returns the fields of its manifest
+    """Write a shape's spectra files. Returns the fields of its manifest
     record that they determine, and the files' hashes."""
     sid = shape.shape_id
-    arrays = {"phi": shape.basis.eigenvectors, "lam": shape.basis.eigenvalues, "dna": shape.dna()}
+    arrays = {"phi": shape.basis.eigenvectors, "lam": shape.basis.eigenvalues}
     files, hashes = {}, {}
     for name, arr in arrays.items():
         rel = files[name] = os.path.join("spectra", f"{sid}.{name}.lsk")
@@ -213,14 +222,6 @@ def _write_spectra(ws: Workspace, shape: Shape):
         "clusters": [list(c) for c in shape.basis.clusters],
     }
     return record, hashes
-
-
-def _record_shape(ws: Workspace, manifest, sid, rel_mesh, fmt, record, hashes):
-    """Record a shape whose spectra `_write_spectra` wrote, with its mesh copy."""
-    mesh_hash = sha256_file(ws.path(rel_mesh))
-    manifest["shapes"][sid] = {"mesh": rel_mesh, "mesh_sha256": mesh_hash, "format": fmt, **record}
-    manifest["hashes"].update(hashes)
-    manifest["hashes"][rel_mesh] = mesh_hash
 
 
 # OpenBLAS thread-count setters: the plain build's, and the prefixed ones of
@@ -256,7 +257,7 @@ def _pin_blas():
         setter(1)
 
 
-def _solve_shape(root, sid, src, fmt, k):
+def _solve_shape(root, sid, src, k):
     """Pool worker: parse a mesh from its source path, solve its spectra and
     write them. Returns (record, hashes, None, warnings) or, when the mesh
     fails before anything is written, (None, None, message, warnings); each
@@ -264,7 +265,7 @@ def _solve_shape(root, sid, src, fmt, k):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the parent's filters decide when it re-emits them
         try:
-            shape = spectral.compute_shape(load_mesh(src, fmt or None, shape_id=sid), k)
+            shape = spectral.compute_shape(load_mesh(src, shape_id=sid), k)
         except (LskitError, OSError) as exc:
             record, hashes, error = None, None, str(exc)
         else:
@@ -273,7 +274,7 @@ def _solve_shape(root, sid, src, fmt, k):
     return record, hashes, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
-def _solve_in_pool(ws: Workspace, stale, fmt, k):
+def _solve_in_pool(ws: Workspace, stale, k):
     """Solve the stale (sid, src) shapes in a fork pool whose workers run
     every loaded BLAS on one thread, so each solve's bits do not depend on the
     worker count or on the caller's BLAS threads: one worker per usable CPU,
@@ -281,7 +282,7 @@ def _solve_in_pool(ws: Workspace, stale, fmt, k):
     each shape's `_solve_shape` result, or the exception it raised, in order."""
     workers = min(len(os.sched_getaffinity(0)), len(stale)) if _blas_setters() else 1
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_pin_blas) as pool:
-        futures = [pool.submit(_solve_shape, ws.root, sid, src, fmt, k) for sid, src in stale]
+        futures = [pool.submit(_solve_shape, ws.root, sid, src, k) for sid, src in stale]
         results = []
         for future in futures:
             try:
@@ -292,28 +293,30 @@ def _solve_in_pool(ws: Workspace, stale, fmt, k):
 
 
 def cmd_spectra(args):
-    ws = Workspace(args.workspace)
-    cfg = _load_config(ws, args)
-    manifest = ws.load_manifest() if ws.exists() else ws.init_manifest(cfg)
-    manifest["config"] = cfg.effective()
+    view = _View(args, create=True)
+    cfg, manifest = view.config, view.manifest
 
-    fmt = args.format or cfg.mesh_format or None
-    patterns = (f".{fmt}",) if fmt else MESH_EXTENSIONS
+    patterns = (f".{args.format}",) if args.format else MESH_EXTENSIONS
     files = sorted(
         f for f in os.listdir(args.mesh_dir) if os.path.splitext(f)[1].lower() in patterns
     )
     if not files:
         return _fail(f"no mesh files in {args.mesh_dir}")
-    stale = []
-    for fname in files:
+    named = {}
+    for fname in files:  # two workers must not write one shape's files
         sid = os.path.splitext(fname)[0]
+        if sid in named:
+            raise LskitError(f"{named[sid]} and {fname} in {args.mesh_dir} are both shape {sid!r}")
+        named[sid] = fname
+    stale = []
+    for sid, fname in named.items():
         src = os.path.join(args.mesh_dir, fname)
         entry = manifest["shapes"].get(sid)
-        if entry and entry["mesh_sha256"] == sha256_file(src) and entry["k"] == cfg.k:
+        if entry and manifest["hashes"][entry["mesh"]] == sha256_file(src) and entry["k"] == cfg.k:
             continue  # up to date: load_manifest has verified its files
         stale.append((sid, src))
     skipped = len(files) - len(stale)
-    results = _solve_in_pool(ws, stale, args.format or "", cfg.k) if stale else []
+    results = _solve_in_pool(view.ws, stale, cfg.k) if stale else []
     failures = changed = 0
     caught = []
     for (sid, src), result in zip(stale, results):
@@ -327,7 +330,7 @@ def cmd_spectra(args):
             record, hashes, error, shape_warnings = result
             caught += shape_warnings
             if error is None:  # copy the mesh only once its spectra are written
-                _record_shape(ws, manifest, sid, _copy_mesh(ws, src), args.format or "", record, hashes)
+                view.record_shape(sid, src, record, hashes)
                 changed += 1
         if error is not None:
             failures += 1
@@ -335,7 +338,7 @@ def cmd_spectra(args):
     if changed:  # the network and everything built on it used the old spectra
         for stage in ("fmn", "latent", "diffs"):
             manifest.pop(stage, None)
-    _save_manifest(ws, manifest)
+    view.save("k")
     # after the save, so that a warning filtered into an error leaves a saved workspace
     for category, message, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno)
@@ -380,10 +383,8 @@ def _fmn_lineage(manifest):
 
 
 def cmd_fmn(args):
-    ws = Workspace(args.workspace)
-    cfg = _load_config(ws, args)
-    manifest = ws.load_manifest()
-    shapes = _load_shapes(ws, manifest)
+    view = _View(args)
+    cfg, manifest, shapes = view.config, view.manifest, view.shapes
     ids = sorted(shapes)
     dnas = [shapes[sid].dna() for sid in ids]
 
@@ -415,7 +416,7 @@ def cmd_fmn(args):
 
     consumed = _fmn_lineage(manifest)
     edge_entries = [
-        [src, tgt, ws.write_tracked_matrix(manifest, os.path.join("maps", f"{src}__{tgt}.lsk"), fm.matrix)]
+        [src, tgt, view.ws.write_tracked_matrix(manifest, os.path.join("maps", f"{src}__{tgt}.lsk"), fm.matrix)]
         for (src, tgt), fm in sorted(net.edges.items())
     ]
     manifest["fmn"] = {
@@ -425,11 +426,12 @@ def cmd_fmn(args):
         "edges": edge_entries,
         "cross_edges": [[ids[i], ids[j]] for i, j in cross_pairs],
     }
+    if cfg.maps == "landmarks":
+        manifest["fmn"]["landmark_weight"] = cfg.landmark_weight
     if _fmn_lineage(manifest) != consumed:  # latent results describe another network
         manifest.pop("latent", None)
         manifest.pop("diffs", None)
-    manifest["config"] = cfg.effective()
-    _save_manifest(ws, manifest)
+    view.save("topology", "maps", "landmark_weight")
 
     report = network.consistency_report(net)
     print(
@@ -444,11 +446,9 @@ def cmd_fmn(args):
 
 
 def cmd_latent(args):
-    ws = Workspace(args.workspace)
-    cfg = _load_config(ws, args)
-    manifest = ws.load_manifest()
-    shapes = _load_shapes(ws, manifest)
-    net = _load_network(ws, manifest, shapes)
+    view = _View(args)
+    cfg, net = view.config, view.network
+    ws, manifest = view.ws, view.manifest
     k_min = min(s.basis.k for s in net.shapes)
     if cfg.m > k_min:
         return _usage_fail(f"--m {cfg.m} exceeds the smallest basis truncation {k_min}")
@@ -465,7 +465,7 @@ def cmd_latent(args):
     lam0_rel = os.path.join("latent", "lambda0.lsk")
     ws.write_tracked_matrix(manifest, lam0_rel, latent_shape.spectrum)
     collection = hashlib.sha256(
-        "\n".join(f"{sid}:{manifest['shapes'][sid]['mesh_sha256']}" for sid in canonical.order).encode()
+        "\n".join(f"{sid}:{manifest['hashes'][manifest['shapes'][sid]['mesh']]}" for sid in canonical.order).encode()
     ).hexdigest()
     manifest["latent"] = {
         "m": cfg.m,
@@ -487,8 +487,7 @@ def cmd_latent(args):
             for sid, D in diffs.items()
         }
     manifest["diffs"] = {"kinds": kinds, "normalized": cfg.normalized, "files": diff_files}
-    manifest["config"] = cfg.effective()
-    _save_manifest(ws, manifest)
+    view.save("m", "kind", "normalized")
 
     head = ", ".join(f"{v:.6g}" for v in latent_shape.spectrum[: min(6, cfg.m)])
     print(f"latent: m={cfg.m}, consistency residual {canonical.consistency_residual:.6e}")
@@ -502,10 +501,9 @@ def cmd_latent(args):
 
 
 def cmd_variability(args):
-    ws = Workspace(args.workspace)
-    cfg = _load_config(ws, args)
-    manifest = ws.load_manifest()
-    diffs = _load_diffs(ws, manifest, args.diff_kind)
+    view = _View(args)
+    cfg, diffs = view.config, view.diffs(args.diff_kind)
+    ws = view.ws
 
     if args.mode == "cross":
         if not args.partition:
@@ -539,8 +537,8 @@ def cmd_variability(args):
     write_text(csv_path, "shape_id,pc1,pc2\n" + rows)
 
     if args.emit_fields:
-        clb, _ = _load_clb(ws, manifest)
-        shapes = _load_shapes(ws, manifest)
+        clb, _ = view.latent
+        shapes = view.shapes
         bundle = {"mode": args.mode, "shapes": {}}
         for sid in clb.order:
             raw, norm = variability.transfer_to_shape(funcs[0], shapes[sid], clb.Y[sid])
@@ -575,12 +573,11 @@ def _write_expression(ws, name, expr):
 
 
 def cmd_ops(args):
-    ws = Workspace(args.workspace)
-    manifest = ws.load_manifest()
-    kind = args.diff_kind
+    view = _View(args)
+    ws, kind = view.ws, args.diff_kind
 
     if args.action == "descriptors":
-        diffs = _load_diffs(ws, manifest, kind)
+        diffs = view.diffs(kind)
         doc = {sid: opalg.lssd_spectrum_descriptor(D).tolist() for sid, D in sorted(diffs.items())}
         path = ws.path("ops", f"descriptors.{kind}.json")
         write_json(path, doc)
@@ -591,8 +588,7 @@ def cmd_ops(args):
         if not args.partition:
             return _usage_fail("ops align requires --partition")
         part = _read_partition(args.partition)
-        shapes = _load_shapes(ws, manifest)
-        net = _load_network(ws, manifest, shapes)
+        manifest, shapes, net = view.manifest, view.shapes, view.network
         descs = {}
         for name, cluster in (("a", part.cluster_a), ("b", part.cluster_b)):
             members = [shapes[sid] for sid in sorted(cluster)]
@@ -616,7 +612,7 @@ def cmd_ops(args):
             print(f"pairing accuracy vs ground truth: {hits}/{len(truth)} ({hits / len(truth):.0%})")
         return 0
 
-    diffs = _load_diffs(ws, manifest, kind)
+    diffs = view.diffs(kind)
     if args.action == "analogy":
         A, B, C = diffs.get(args.a), diffs.get(args.b), diffs.get(args.c)
         if None in (A, B, C):
@@ -639,8 +635,8 @@ def cmd_ops(args):
             return _fail("mix operands must be shape ids with stored differences")
         with open(args.region, "r", encoding="utf-8") as fh:
             region_doc = json.load(fh)
-        shapes = _load_shapes(ws, manifest)
-        clb, latent_shape = _load_clb(ws, manifest)
+        shapes = view.shapes
+        clb, latent_shape = view.latent
         host = shapes.get(region_doc.get("shape"))
         if host is None:
             raise UnknownShape(f"region shape {region_doc.get('shape')!r} is not in the workspace")
@@ -657,11 +653,10 @@ def cmd_ops(args):
 
 
 def cmd_extend(args):
-    ws = Workspace(args.workspace)
-    manifest = ws.load_manifest()
-    shapes = _load_shapes(ws, manifest)
-    net = _load_network(ws, manifest, shapes)
-    _, latent_shape = _load_clb(ws, manifest)
+    view = _View(args)
+    shapes, net = view.shapes, view.network
+    _, latent_shape = view.latent
+    ws, manifest = view.ws, view.manifest
     # the k the network's shapes were computed at (fmn compares their
     # k-long shape-DNA, so they share it); config.k may be a later default
     k = net.shapes[0].basis.k
@@ -686,7 +681,7 @@ def cmd_extend(args):
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id
-    _record_shape(ws, manifest, sid, _copy_mesh(ws, args.mesh), "", *_write_spectra(ws, new_shape))
+    view.record_shape(sid, args.mesh, *_write_spectra(ws, new_shape))
     y_rel = ws.write_tracked_matrix(manifest, os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
     diff_rels = {
         kind: ws.write_tracked_matrix(manifest, os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
@@ -700,7 +695,7 @@ def cmd_extend(args):
         "diffs": diff_rels,
         "extended": True,
     }
-    _save_manifest(ws, manifest)
+    view.save()
     print(f"extended collection with {sid!r} via neighbor {neighbor!r}")
     return 0
 
@@ -713,21 +708,21 @@ def build_parser():
     p = argparse.ArgumentParser(prog="lskit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", help="generate a synthetic test family")
+    sp = sub.add_parser("synth", help="generate a synthetic test family", argument_default=argparse.SUPPRESS)
     sp.add_argument("family", choices=["sphere-bump", "chain", "two-cluster"])
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--subdivisions", type=int, default=None)
-    sp.add_argument("--per-cluster", type=int, default=None)
-    sp.add_argument("--count", type=int, default=23)
-    sp.add_argument("--no-cycle", action="store_true")
-    sp.add_argument("--horizontal-height", type=float, default=0.5)
-    sp.add_argument("--vertical-height", type=float, default=0.25)
-    sp.add_argument("--intra-spread", type=float, default=0.15)
-    sp.add_argument("--inter-gap", type=float, default=0.4)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--subdivisions", type=int)
+    sp.add_argument("--per-cluster", type=int, dest="n_per_cluster", metavar="PER_CLUSTER")
+    sp.add_argument("--count", type=int)
+    sp.add_argument("--no-cycle", action="store_false", dest="cycle")
+    sp.add_argument("--horizontal-height", type=float)
+    sp.add_argument("--vertical-height", type=float)
+    sp.add_argument("--intra-spread", type=float)
+    sp.add_argument("--inter-gap", type=float)
     sp.set_defaults(func=cmd_synth)
 
-    sp = sub.add_parser("spectra", help="per-shape stiffness/mass/eigenbasis/DNA")
+    sp = sub.add_parser("spectra", help="per-shape stiffness/mass/eigenbasis")
     sp.add_argument("mesh_dir")
     sp.add_argument("--workspace", required=True)
     sp.add_argument("--k", type=int, default=None)
@@ -795,13 +790,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    defaults = {"subdivisions": {"sphere-bump": 3, "chain": 2, "two-cluster": 2},
-                "per_cluster": {"sphere-bump": 2, "two-cluster": 3}}
-    if args.command == "synth":
-        if args.subdivisions is None:
-            args.subdivisions = defaults["subdivisions"][args.family]
-        if getattr(args, "per_cluster", None) is None and args.family in defaults["per_cluster"]:
-            args.per_cluster = defaults["per_cluster"][args.family]
     try:
         return args.func(args)
     except (LskitError, ValueError, OSError) as exc:

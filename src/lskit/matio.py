@@ -91,8 +91,9 @@ def sha256_file(path):
 
 @dataclass
 class Config:
-    """Pipeline knobs echoed into the manifest (tolerances are recorded too,
-    via `effective`, so a workspace documents exactly what produced it)."""
+    """Pipeline knobs. A new manifest records them all, tolerances included
+    (`effective`); each stage then records the fields it consumed, so a
+    workspace documents exactly what produced it."""
 
     k: int = 50
     m: int = 40
@@ -102,7 +103,6 @@ class Config:
     maps: str = "correspondence"  # "correspondence" | "landmarks" | "identity"
     landmark_weight: float = 1e-3
     within_weight: float = 1.0
-    mesh_format: str = ""
 
     def effective(self):
         from . import fmaps, latent, opalg, spectral, variability

@@ -6,6 +6,7 @@ explicit segment-intersection geometry.
 """
 
 import itertools
+import os
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -203,3 +204,11 @@ def random_orthonormal(rng, m, p=None):
 def random_spd(rng, m, scale=1.0):
     A = rng.standard_normal((m, m))
     return scale * (A @ A.T) / m + 0.1 * np.eye(m)
+
+
+def tree_bytes(root):
+    """Every file under `root`, by relative path."""
+    return {
+        os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+        for d, _, files in os.walk(root) for f in files
+    }

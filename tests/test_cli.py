@@ -1,8 +1,11 @@
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from helpers import tree_bytes
 from lskit.cli import main
 from lskit.matio import read_matrix
 from lskit.meshes import save_off
@@ -531,3 +534,68 @@ def test_fmn_on_mixed_k_names_both_lengths(tmp_path, capsys):
     capsys.readouterr()
     assert main(["fmn", "--maps", "identity"] + ws) == 1
     assert "shape-DNA lengths 10 and 12 differ" in capsys.readouterr().err
+
+
+def test_manifest_config_records_what_each_stage_consumed(tmp_path, family_dir):
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(family_dir), "--workspace", str(ws), "--k", "20"]) == 0
+    assert main(["fmn", "--workspace", str(ws), "--topology", "clique", "--maps", "identity"]) == 0
+    assert main(["latent", "--workspace", str(ws), "--m", "8"]) == 0
+    manifest = manifest_of(ws)
+    config = manifest["config"]
+    assert (config["k"], config["m"], config["topology"], config["maps"]) == (20, 8, "clique", "identity")
+    assert "landmark_weight" not in manifest["fmn"]
+    marks = tmp_path / "landmarks"
+    marks.mkdir()
+    for a, b in (("a0", "a1"), ("a1", "b0"), ("b0", "b1")):
+        for src, tgt in ((a, b), (b, a)):
+            (marks / f"{src}__{tgt}.txt").write_text("".join(f"{i} {i}\n" for i in range(42)))
+    assert main([
+        "fmn", "--workspace", str(ws), "--topology", "chain", "--maps", "landmarks",
+        "--corr-dir", str(marks), "--landmark-weight", "0.01",
+    ]) == 0
+    manifest = manifest_of(ws)
+    assert manifest["fmn"]["landmark_weight"] == 0.01
+    assert manifest["config"] == {**config, "topology": "chain", "maps": "landmarks", "landmark_weight": 0.01}
+
+
+def test_workspace_in_the_earlier_layout_still_works(tmp_path, capsys):
+    # earlier manifests recorded each shape's mesh format and mesh hash, and
+    # tracked a shape-DNA file, bit-identical to the eigenvalue file
+    fam_dir = tmp_path / "meshes"
+    write_family(two_cluster_family(n_per_cluster=2, subdivisions=1).meshes, fam_dir)
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "10"]) == 0
+    manifest = manifest_of(ws)
+    for sid, entry in manifest["shapes"].items():
+        dna = entry["files"]["dna"] = f"spectra/{sid}.dna.lsk"
+        shutil.copyfile(ws / entry["files"]["lam"], ws / dna)
+        manifest["hashes"][dna] = manifest["hashes"][entry["files"]["lam"]]
+        entry["format"], entry["mesh_sha256"] = "", manifest["hashes"][entry["mesh"]]
+    manifest["config"]["mesh_format"] = ""
+    (ws / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "10"]) == 0
+    assert capsys.readouterr().out.strip() == "up to date (4 shapes)"
+    assert main(["fmn", "--workspace", str(ws), "--topology", "clique", "--maps", "identity"]) == 0
+    assert main(["latent", "--workspace", str(ws), "--m", "6"]) == 0
+    ids = sorted(manifest["shapes"])
+    lines = "\n".join(f"{sid}:{manifest['shapes'][sid]['mesh_sha256']}" for sid in ids)
+    assert manifest_of(ws)["latent"]["collection_hash"] == hashlib.sha256(lines.encode()).hexdigest()
+    assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    manifest = manifest_of(ws)
+    assert not [rel for rel in manifest["hashes"] if rel.endswith(".dna.lsk")]
+    assert not list((ws / "spectra").glob("*.dna.lsk"))
+    assert all({"format", "mesh_sha256"}.isdisjoint(entry) for entry in manifest["shapes"].values())
+
+
+@pytest.mark.parametrize("family, defaults", [
+    ("sphere-bump", ["--subdivisions", "3", "--per-cluster", "2", "--horizontal-height", "0.5", "--vertical-height", "0.25"]),
+    ("chain", ["--subdivisions", "2", "--count", "23"]),
+    ("two-cluster", ["--subdivisions", "2", "--per-cluster", "3", "--intra-spread", "0.15", "--inter-gap", "0.4"]),
+])
+def test_synth_defaults_are_the_family_defaults(tmp_path, family, defaults):
+    plain, explicit = tmp_path / "plain", tmp_path / "explicit"
+    assert main(["synth", family, "--out", str(plain)]) == 0
+    assert main(["synth", family, "--out", str(explicit), "--seed", "0", *defaults]) == 0
+    assert tree_bytes(plain) == tree_bytes(explicit)

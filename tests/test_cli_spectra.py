@@ -10,24 +10,16 @@ import os
 
 import pytest
 
-from helpers import bumpy_sphere
+from helpers import bumpy_sphere, tree_bytes
 from lskit import cli, spectral
 from lskit.cli import main
 from lskit.errors import SpectralGapWarning
-from lskit.meshes import save_off
+from lskit.meshes import load_mesh, save_off
 from lskit.synth import chain_family, sphere_bump_family, two_cluster_family, write_family
 
 
 def manifest_of(ws):
     return json.loads((ws / "manifest.json").read_text())
-
-
-def tree_bytes(root):
-    """Every file under `root`, by relative path."""
-    return {
-        os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
-        for d, _, files in os.walk(root) for f in files
-    }
 
 
 @pytest.fixture
@@ -111,7 +103,7 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
         assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", str(k)]) == 0
         trees.append(tree_bytes(ws))
     assert sizes == [1, 2]
-    assert len(trees[0]) == 1 + 5 * 4  # manifest, and per shape a mesh and three spectra
+    assert len(trees[0]) == 1 + 5 * 3  # manifest, and per shape a mesh and two spectra
     assert trees[0] == trees[1]
     assert not multiprocessing.active_children()
 
@@ -214,3 +206,24 @@ def test_write_failure_forgets_the_shape(tmp_path, chain_dir, monkeypatch, capsy
     monkeypatch.undo()
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "9"]) == 0
     assert manifest_of(ws)["shapes"]["frame02"]["k"] == 9
+
+
+def test_two_meshes_of_one_shape_fail_before_any_solve(tmp_path, chain_dir, monkeypatch, capsys):
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    before = tree_bytes(ws)
+    mesh = load_mesh(chain_dir / "frame01.off")
+    header = ["ply", "format ascii 1.0", f"element vertex {mesh.num_vertices}", "property float x",
+              "property float y", "property float z", f"element face {mesh.num_triangles}",
+              "property list uchar int vertex_indices", "end_header"]
+    body = [" ".join(repr(float(x)) for x in v) for v in mesh.vertices] + [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    (chain_dir / "frame01.ply").write_text("\n".join(header + body) + "\n")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("spectra started a pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    capsys.readouterr()
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "9"]) == 1
+    assert "frame01.off and frame01.ply" in capsys.readouterr().err
+    assert tree_bytes(ws) == before
