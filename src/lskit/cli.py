@@ -5,13 +5,13 @@ Exit codes: 0 ok, 1 computation error, 2 usage error.
 """
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import hashlib
 import json
 import multiprocessing
 import os
-import shutil
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +20,9 @@ import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
 from .errors import LskitError, ManifestError, ProviderFailure, UnknownShape
-from .matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text
+from .matio import (
+    Config, Workspace, _atomic_write, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text,
+)
 from .meshes import load_mesh
 from .spectral import Shape, SpectralBasis, _eigen_clusters, metric_measure
 
@@ -113,15 +115,17 @@ class _View:
         }
 
     def record_shape(self, sid, src, record, hashes):
-        """Copy a mesh into meshes/ (unless it is already there) and record it
-        with the spectra that `_write_spectra` wrote for it."""
+        """Copy a mesh into meshes/ (unless the copy there already holds its
+        bytes) and record it with the spectra that `_write_spectra` wrote."""
         rel_mesh = os.path.join("meshes", os.path.basename(src))
-        os.makedirs(self.ws.path("meshes"), exist_ok=True)
-        if os.path.abspath(src) != self.ws.path(rel_mesh):
-            shutil.copyfile(src, self.ws.path(rel_mesh))
+        with open(src, "rb") as fh:
+            data = fh.read()
+        digest = hashlib.sha256(data).hexdigest()
+        if self.manifest["hashes"].get(rel_mesh) != digest:
+            _atomic_write(self.ws.path(rel_mesh), data)
         self.manifest["shapes"][sid] = {"mesh": rel_mesh, **record}
         self.manifest["hashes"].update(hashes)
-        self.manifest["hashes"][rel_mesh] = sha256_file(self.ws.path(rel_mesh))
+        self.manifest["hashes"][rel_mesh] = digest
 
     def save(self, *consumed):
         """Record the config fields that this stage consumed, save the
@@ -212,8 +216,7 @@ def _write_spectra(ws: Workspace, shape: Shape):
     files, hashes = {}, {}
     for name, arr in arrays.items():
         rel = files[name] = os.path.join("spectra", f"{sid}.{name}.lsk")
-        write_matrix(ws.path(rel), arr)
-        hashes[rel] = sha256_file(ws.path(rel))
+        hashes[rel] = write_matrix(ws.path(rel), arr)
     record = {
         "k": shape.basis.k,
         "vertices": shape.mesh.num_vertices,
@@ -234,27 +237,49 @@ BLAS_THREAD_SETTERS = (
 )
 
 
-def _blas_setters():
-    """Thread-count setters of the BLAS libraries loaded in this process;
-    none where the loaded libraries cannot be listed."""
+def _blas_setters(verb="set"):
+    """Thread-count setters of the BLAS libraries loaded in this process, or
+    with verb "get" their getters, in the same order; none where the loaded
+    libraries cannot be listed."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh}
     except OSError:
         return []
-    setters = []
+    argtypes, restype = ((ctypes.c_int,), None) if verb == "set" else ((), ctypes.c_int)
+    funcs = []
     for path in sorted(paths):
         name = os.path.basename(path)
         if name.startswith("lib") and "blas" in name:
             lib = ctypes.CDLL(path)  # already loaded: a new handle, not a second copy
-            setters += [getattr(lib, sym) for sym in BLAS_THREAD_SETTERS if hasattr(lib, sym)]
-    return setters
+            for sym in BLAS_THREAD_SETTERS:
+                sym = sym.replace("_set_", f"_{verb}_")
+                if hasattr(lib, sym):
+                    func = getattr(lib, sym)
+                    func.argtypes, func.restype = argtypes, restype
+                    funcs.append(func)
+    return funcs
 
 
 def _pin_blas():
     """Pool initializer: every loaded BLAS runs on one thread."""
     for setter in _blas_setters():
         setter(1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded BLAS runs on one thread inside the block, as in `spectra`'s
+    pool workers, so an in-process solve has their bits; each gets its
+    previous thread count back on exit."""
+    setters, counts = _blas_setters(), [get() for get in _blas_setters("get")]
+    for setter in setters:
+        setter(1)
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, counts):
+            setter(count)
 
 
 def _solve_shape(root, sid, src, k):
@@ -316,29 +341,40 @@ def cmd_spectra(args):
             continue  # up to date: load_manifest has verified its files
         stale.append((sid, src))
     skipped = len(files) - len(stale)
-    results = _solve_in_pool(view.ws, stale, cfg.k) if stale else []
     failures = changed = 0
     caught = []
-    for (sid, src), result in zip(stale, results):
-        if isinstance(result, Exception):
-            # the shape's files may be half replaced: forget it, so that the
-            # next run solves it afresh
-            error = f"{type(result).__name__}: {result}"
-            if manifest["shapes"].pop(sid, None) is not None:
-                changed += 1
-        else:
-            record, hashes, error, shape_warnings = result
-            caught += shape_warnings
-            if error is None:  # copy the mesh only once its spectra are written
-                view.record_shape(sid, src, record, hashes)
-                changed += 1
-        if error is not None:
-            failures += 1
-            print(f"error: {os.path.basename(src)}: {error}", file=sys.stderr)
-    if changed:  # the network and everything built on it used the old spectra
-        for stage in ("fmn", "latent", "diffs"):
-            manifest.pop(stage, None)
-    view.save("k")
+    unsettled = {sid for sid, _ in stale}  # shapes whose files a worker may have replaced
+    try:
+        results = _solve_in_pool(view.ws, stale, cfg.k) if stale else []
+        for (sid, src), result in zip(stale, results):
+            if isinstance(result, Exception):
+                # the shape's files may be half replaced: forget it, so that
+                # the next run solves it afresh
+                error = f"{type(result).__name__}: {result}"
+                if manifest["shapes"].pop(sid, None) is not None:
+                    changed += 1
+            else:
+                record, hashes, error, shape_warnings = result
+                caught += shape_warnings
+                if error is None:  # copy the mesh only once its spectra are written
+                    view.record_shape(sid, src, record, hashes)
+                    changed += 1
+            unsettled.discard(sid)
+            if error is not None:
+                failures += 1
+                print(f"error: {os.path.basename(src)}: {error}", file=sys.stderr)
+    except BaseException:
+        # interrupted: forget the unsettled shapes, so that the saved manifest
+        # matches the files and the next run solves them afresh
+        for sid in unsettled:
+            manifest["shapes"].pop(sid, None)
+        changed += len(unsettled)
+        raise
+    finally:
+        if changed:  # the network and everything built on it used the old spectra
+            for stage in ("fmn", "latent", "diffs"):
+                manifest.pop(stage, None)
+        view.save("k")
     # after the save, so that a warning filtered into an error leaves a saved workspace
     for category, message, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno)
@@ -666,7 +702,8 @@ def cmd_extend(args):
         return _fail(f"shape id {mesh.shape_id!r} already in the collection")
     if args.neighbor != "auto" and args.neighbor not in shapes:
         return _fail(f"unknown --neighbor {args.neighbor!r}")
-    new_shape = spectral.compute_shape(mesh, k)
+    with _one_blas_thread():
+        new_shape = spectral.compute_shape(mesh, k)
     corr = fmaps.load_correspondence(args.corr)
 
     def provider(src: Shape, tgt: Shape):

@@ -38,15 +38,24 @@ def _atomic_write(path, data: bytes):
         raise
 
 
-def write_matrix(path, array):
-    """Write a 1D or 2D float64 array (vectors are stored as one column)."""
+def _container(array):
+    """The container bytes of a 1D or 2D float64 array (vectors are stored as
+    one column)."""
     arr = np.asarray(array, dtype="<f8")
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"container stores 2D matrices, got ndim={arr.ndim}")
     header = _HEADER.pack(MAGIC, _DTYPE_F64, arr.shape[0], arr.shape[1])
-    _atomic_write(path, header + np.ascontiguousarray(arr).tobytes())
+    return header + np.ascontiguousarray(arr).tobytes()
+
+
+def write_matrix(path, array):
+    """Write an array's container, or container bytes that `_container` made.
+    Returns the sha256 of the bytes written."""
+    data = array if isinstance(array, bytes) else _container(array)
+    _atomic_write(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_text(path, text):
@@ -187,10 +196,13 @@ class Workspace:
                     f"hash mismatch for {rel!r}: manifest {digest[:12]}..., file {actual[:12]}..."
                 )
 
-    def track(self, manifest, relpath):
-        manifest.setdefault("hashes", {})[relpath] = sha256_file(self.path(relpath))
-
     def write_tracked_matrix(self, manifest, relpath, array):
-        write_matrix(self.path(relpath), array)
-        self.track(manifest, relpath)
+        """Write a matrix to a tracked file and record its hash, unless the
+        file already holds these bytes: a recorded hash is exact, since
+        `load_manifest` verified every tracked file and the workspace has a
+        single writer."""
+        data = _container(array)
+        recorded = manifest["hashes"].get(relpath)
+        if recorded is None or recorded != hashlib.sha256(data).hexdigest():
+            manifest["hashes"][relpath] = write_matrix(self.path(relpath), data)
         return relpath

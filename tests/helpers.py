@@ -7,6 +7,7 @@ explicit segment-intersection geometry.
 
 import itertools
 import os
+import pathlib
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -209,6 +210,6 @@ def random_spd(rng, m, scale=1.0):
 def tree_bytes(root):
     """Every file under `root`, by relative path."""
     return {
-        os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+        os.path.relpath(os.path.join(d, f), root): pathlib.Path(d, f).read_bytes()
         for d, _, files in os.walk(root) for f in files
     }

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import tree_bytes
 from lskit.cli import main
-from lskit.matio import read_matrix
+from lskit.matio import read_matrix, sha256_file
 from lskit.meshes import save_off
 from lskit.synth import sphere_bump_family, sphere_bump_ground_truth, two_cluster_family, two_cluster_ground_truth, write_family
 
@@ -290,7 +293,7 @@ def test_config_file_supplies_defaults(tmp_path, family_dir):
 
 
 def test_ops_analogy_ill_conditioned_exits_1(tmp_path, family_dir, capsys):
-    from lskit.matio import Workspace, write_matrix
+    from lskit.matio import Workspace
 
     ws = tmp_path / "ws"
     assert main(["spectra", str(family_dir), "--workspace", str(ws), "--k", "12"]) == 0
@@ -300,8 +303,7 @@ def test_ops_analogy_ill_conditioned_exits_1(tmp_path, family_dir, capsys):
     wsp = Workspace(ws)
     manifest = wsp.load_manifest()
     rel = manifest["diffs"]["files"]["area"]["a0"]
-    write_matrix(wsp.path(rel), np.diag([1.0] + [1e-14] * 7))
-    wsp.track(manifest, rel)
+    wsp.write_tracked_matrix(manifest, rel, np.diag([1.0] + [1e-14] * 7))
     wsp.save_manifest(manifest)
     assert main(["ops", "analogy", "a0", "a1", "b0", "--workspace", str(ws)]) == 1
     assert "condition" in capsys.readouterr().err
@@ -599,3 +601,92 @@ def test_synth_defaults_are_the_family_defaults(tmp_path, family, defaults):
     assert main(["synth", family, "--out", str(plain)]) == 0
     assert main(["synth", family, "--out", str(explicit), "--seed", "0", *defaults]) == 0
     assert tree_bytes(plain) == tree_bytes(explicit)
+
+
+def backdate_tracked(ws):
+    """Set every tracked file's times far in the past, so that any rewrite
+    shows in its mtime even where the file system reuses the inode number;
+    returns each one's (inode, mtime)."""
+    stats = {}
+    for rel in manifest_of(ws)["hashes"]:
+        os.utime(ws / rel, ns=(10**18, 10**18))
+        st = os.stat(ws / rel)
+        stats[rel] = (st.st_ino, st.st_mtime_ns)
+    return stats
+
+
+def rewritten(ws, stats):
+    """The files of `stats` that are tracked now and were replaced since."""
+    now = {rel: os.stat(ws / rel) for rel in manifest_of(ws)["hashes"] if rel in stats}
+    return {rel for rel, st in now.items() if (st.st_ino, st.st_mtime_ns) != stats[rel]}
+
+
+def test_unchanged_rerun_rewrites_no_tracked_file(tmp_path, family_dir):
+    ws = tmp_path / "ws"
+    fmn = ["fmn", "--workspace", str(ws), "--topology", "clique", "--maps", "identity"]
+    latent = ["latent", "--workspace", str(ws), "--m", "6", "--kind", "both"]
+    for argv in (["spectra", str(family_dir), "--workspace", str(ws), "--k", "10"], fmn, latent):
+        assert main(argv) == 0
+    stats, manifest = backdate_tracked(ws), (ws / "manifest.json").read_bytes()
+    for argv in (fmn, latent, fmn):
+        assert main(argv) == 0
+        assert not rewritten(ws, stats) and set(manifest_of(ws)["hashes"]) == set(stats)
+        assert (ws / "manifest.json").read_bytes() == manifest
+
+
+def test_rerun_rewrites_exactly_the_files_whose_bytes_change(tmp_path):
+    data = tmp_path / "chain"
+    assert main(["synth", "chain", "--out", str(data), "--count", "4", "--subdivisions", "1"]) == 0
+    corr = tmp_path / "corr"
+    shutil.copytree(data / "correspondences", corr)
+    perm = np.random.default_rng(0).permutation(42)  # another bijection: another map
+    (corr / "frame01__frame02.txt").write_text("".join(f"{i} {j}\n" for i, j in enumerate(perm)))
+    ws = tmp_path / "ws"
+    for argv in (
+        ["spectra", str(data), "--k", "10"],
+        ["fmn", "--topology", "chain", "--maps", "identity"],
+        ["latent", "--m", "6"],
+    ):
+        assert main(argv + ["--workspace", str(ws)]) == 0
+    spectra_files = {rel for entry in manifest_of(ws)["shapes"].values() for rel in entry["files"].values()}
+    for argv, changed in (
+        # the correspondence maps of the other pairs are bit-identical to the identity maps
+        (["fmn", "--topology", "chain", "--maps", "correspondence", "--corr-dir", str(corr)],
+         {os.path.join("maps", "frame01__frame02.lsk")}),
+        # a new k changes every spectra file and no mesh copy
+        (["spectra", str(data), "--k", "8"], spectra_files),
+    ):
+        before = manifest_of(ws)
+        stats = backdate_tracked(ws)
+        assert main(argv + ["--workspace", str(ws)]) == 0
+        manifest = manifest_of(ws)
+        assert rewritten(ws, stats) == changed, argv
+        assert all(manifest["hashes"][rel] != before["hashes"][rel] for rel in changed)
+        assert all(sha256_file(ws / rel) == digest for rel, digest in manifest["hashes"].items())
+        assert "latent" not in manifest
+
+
+def test_corrupted_map_fails_the_rerun_before_any_write(tmp_path, family_dir, capsys):
+    ws = tmp_path / "ws"
+    fmn = ["fmn", "--workspace", str(ws), "--topology", "clique", "--maps", "identity"]
+    assert main(["spectra", str(family_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    assert main(fmn) == 0
+    victim = ws / manifest_of(ws)["fmn"]["edges"][0][2]
+    with open(victim, "r+b") as fh:
+        fh.seek(40)
+        fh.write(b"\x01")
+    stats, before = backdate_tracked(ws), tree_bytes(ws)
+    capsys.readouterr()
+    assert main(fmn) == 1
+    assert "hash mismatch" in capsys.readouterr().err
+    assert tree_bytes(ws) == before and not rewritten(ws, stats)
+
+
+def test_python_m_lskit_runs_from_the_source_tree(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lskit", "--help"], cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: lskit ")

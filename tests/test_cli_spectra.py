@@ -14,7 +14,7 @@ from helpers import bumpy_sphere, tree_bytes
 from lskit import cli, spectral
 from lskit.cli import main
 from lskit.errors import SpectralGapWarning
-from lskit.meshes import load_mesh, save_off
+from lskit.meshes import Mesh, load_mesh, save_off
 from lskit.synth import chain_family, sphere_bump_family, two_cluster_family, write_family
 
 
@@ -227,3 +227,79 @@ def test_two_meshes_of_one_shape_fail_before_any_solve(tmp_path, chain_dir, monk
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "9"]) == 1
     assert "frame01.off and frame01.ply" in capsys.readouterr().err
     assert tree_bytes(ws) == before
+
+
+@pytest.mark.parametrize("fault", ["interrupt", "copy-fails"])
+def test_interrupted_spectra_leaves_a_usable_workspace(tmp_path, chain_dir, monkeypatch, capsys, fault):
+    ws = str(tmp_path / "ws")
+    assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "8"]) == 0
+    assert main(["fmn", "--workspace", ws, "--topology", "chain", "--maps", "identity"]) == 0
+    mesh = load_mesh(chain_dir / "frame01.off")
+    save_off(Mesh(1.1 * mesh.vertices, mesh.triangles, "frame01"), chain_dir / "frame01.off")  # its copy is rewritten
+    if fault == "interrupt":  # after the workers wrote every shape's files, and frame00 is recorded
+        record_shape = cli._View.record_shape
+
+        def interrupted(view, sid, *args):
+            if sid == "frame01":
+                raise KeyboardInterrupt
+            return record_shape(view, sid, *args)
+
+        monkeypatch.setattr(cli._View, "record_shape", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"])
+    else:
+        atomic_write = cli._atomic_write
+
+        def failing(path, data):
+            if os.path.basename(path) == "frame01.off":
+                raise OSError("disk full")
+            return atomic_write(path, data)
+
+        monkeypatch.setattr(cli, "_atomic_write", failing)
+        assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"]) == 1
+        assert "disk full" in capsys.readouterr().err
+    monkeypatch.undo()
+    manifest = manifest_of(tmp_path / "ws")
+    assert {sid: entry["k"] for sid, entry in manifest["shapes"].items()} == {"frame00": 10}
+    assert not {"fmn", "latent", "diffs"} & set(manifest)
+    on_disk = {f"{sub}/{p.name}" for sub in ("meshes", "spectra", "maps") for p in (tmp_path / "ws" / sub).glob("*")}
+    assert set(manifest["hashes"]) == on_disk  # the forgotten shapes' files and the maps are gone
+    capsys.readouterr()
+    assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out.strip() == "computed spectra for 3 shapes (k=10), 1 up to date"
+    assert (tmp_path / "ws" / "meshes" / "frame01.off").read_bytes() == (chain_dir / "frame01.off").read_bytes()
+    assert main(["fmn", "--workspace", ws, "--topology", "chain", "--maps", "identity"]) == 0
+
+
+def test_extend_solves_as_spectra_does_and_restores_the_blas_threads(tmp_path):
+    previous = _blas_thread_counts()
+    if not previous:
+        pytest.skip("no loaded BLAS exposes an OpenBLAS thread setter")
+    fam_dir, solo = tmp_path / "meshes", tmp_path / "solo"
+    write_family(two_cluster_family(n_per_cluster=2, subdivisions=2).meshes, fam_dir)
+    x0 = two_cluster_family(n_per_cluster=2, subdivisions=2, seed=4).meshes[0].with_id("x0")
+    solo.mkdir()
+    save_off(x0, solo / "x0.off")
+    corr = tmp_path / "corr.txt"
+    corr.write_text("".join(f"{i} {i}\n" for i in range(x0.num_vertices)))
+    ws, ws_solo = tmp_path / "ws", tmp_path / "ws_solo"
+    for argv in (
+        ["spectra", str(fam_dir), "--k", "20"],
+        ["fmn", "--topology", "clique", "--maps", "identity"],
+        ["latent", "--m", "6"],
+    ):
+        assert main(argv + ["--workspace", str(ws)]) == 0
+    try:
+        for setter in cli._blas_setters():  # the caller runs BLAS on two threads
+            setter(2)
+        if set(_blas_thread_counts()) != {2}:
+            pytest.skip("the loaded BLAS cannot run on two threads")
+        assert main(["extend", "--workspace", str(ws), "--mesh", str(solo / "x0.off"), "--corr", str(corr)]) == 0
+        assert set(_blas_thread_counts()) == {2}
+    finally:
+        for setter, count in zip(cli._blas_setters(), previous):
+            setter(count)
+    assert main(["spectra", str(solo), "--workspace", str(ws_solo), "--k", "20"]) == 0
+    for name in ("phi", "lam"):
+        rel = os.path.join("spectra", f"x0.{name}.lsk")
+        assert (ws / rel).read_bytes() == (ws_solo / rel).read_bytes(), name

@@ -58,8 +58,7 @@ def test_container_errors(tmp_path):
 def test_manifest_verify_aborts_on_tamper(tmp_path):
     ws = Workspace(tmp_path)
     manifest = ws.init_manifest(Config())
-    write_matrix(ws.path("a.lsk"), np.eye(2))
-    ws.track(manifest, "a.lsk")
+    ws.write_tracked_matrix(manifest, "a.lsk", np.eye(2))
     ws.save_manifest(manifest)
     ws.load_manifest()  # clean: fine
     with open(ws.path("a.lsk"), "r+b") as fh:
@@ -97,3 +96,20 @@ def test_text_and_json_writers_create_their_directory(tmp_path):
     assert (tmp_path / "a" / "doc.json").read_text() == json.dumps({"a": 0.1, "b": [1, 2]}, indent=2)
     assert (tmp_path / "c" / "rows.txt").read_text() == "0 1.5\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "c", "doc.json", "rows.txt"]  # no temporaries
+
+
+def test_tracked_matrix_is_written_only_when_its_bytes_change(tmp_path):
+    ws = Workspace(tmp_path)
+    manifest = ws.init_manifest(Config())
+    path = ws.path("m", "a.lsk")
+    assert ws.write_tracked_matrix(manifest, "m/a.lsk", np.eye(3)) == "m/a.lsk"
+    assert manifest["hashes"]["m/a.lsk"] == sha256_file(path)
+    os.utime(path, ns=(10**18, 10**18))
+    stat = os.stat(path)
+    ws.write_tracked_matrix(manifest, "m/a.lsk", np.eye(3))  # the same bytes: nothing written
+    assert (os.stat(path).st_ino, os.stat(path).st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+    ws.write_tracked_matrix(manifest, "m/a.lsk", 2 * np.eye(3))
+    assert os.stat(path).st_mtime_ns != stat.st_mtime_ns
+    assert manifest["hashes"]["m/a.lsk"] == sha256_file(path)
+    assert np.array_equal(read_matrix(path), 2 * np.eye(3))
+    assert write_matrix(tmp_path / "b.lsk", np.arange(5.0)) == sha256_file(tmp_path / "b.lsk")
