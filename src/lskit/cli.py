@@ -20,9 +20,7 @@ import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
 from .errors import LskitError, ManifestError, ProviderFailure, UnknownShape
-from .matio import (
-    Config, Workspace, _atomic_write, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text,
-)
+from .matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text
 from .meshes import load_mesh
 from .spectral import Shape, SpectralBasis, _eigen_clusters, metric_measure
 
@@ -115,31 +113,29 @@ class _View:
         }
 
     def record_shape(self, sid, src, record, hashes):
-        """Copy a mesh into meshes/ (unless the copy there already holds its
-        bytes) and record it with the spectra that `_write_spectra` wrote."""
-        rel_mesh = os.path.join("meshes", os.path.basename(src))
+        """Copy a mesh into meshes/ and record it with the spectra that
+        `_write_spectra` wrote."""
         with open(src, "rb") as fh:
             data = fh.read()
-        digest = hashlib.sha256(data).hexdigest()
-        if self.manifest["hashes"].get(rel_mesh) != digest:
-            _atomic_write(self.ws.path(rel_mesh), data)
+        rel_mesh = self.ws.write_tracked(self.manifest, os.path.join("meshes", os.path.basename(src)), data)
         self.manifest["shapes"][sid] = {"mesh": rel_mesh, **record}
         self.manifest["hashes"].update(hashes)
-        self.manifest["hashes"][rel_mesh] = digest
 
     def save(self, *consumed):
         """Record the config fields that this stage consumed, save the
         manifest tracking exactly the files its stage records list, then
-        delete the files it no longer tracks."""
+        delete every other file in the stage directories: the ones it no
+        longer lists, and any that a failed or interrupted command left."""
         manifest = self.manifest
         manifest["config"].update({name: getattr(self.config, name) for name in consumed})
         listed = set().union(*(_stage_files(manifest, stage) for stage in ("shapes", "fmn", "latent", "diffs")))
-        dropped = [rel for rel in manifest["hashes"] if rel not in listed]
-        for rel in dropped:
-            del manifest["hashes"][rel]
+        manifest["hashes"] = {rel: digest for rel, digest in manifest["hashes"].items() if rel in listed}
         self.ws.save_manifest(manifest)
-        for rel in dropped:  # each exists: load_manifest verified it, or this command wrote it
-            os.remove(self.ws.path(rel))
+        for sub in ("meshes", "spectra", "maps", "latent", "diffs"):
+            if os.path.isdir(self.ws.path(sub)):
+                for entry in os.scandir(self.ws.path(sub)):
+                    if os.path.join(sub, entry.name) not in listed and not entry.is_dir():
+                        os.remove(entry.path)
 
 
 def _stage_files(manifest, stage):
@@ -183,15 +179,20 @@ def _ground_truth_pairing(path):
 def cmd_synth(args):
     make, ground_truth, names = {
         "sphere-bump": (synth.sphere_bump_family, synth.sphere_bump_ground_truth,
-                        ("horizontal_height", "vertical_heights", "n_per_cluster", "subdivisions", "seed")),
+                        ("horizontal_height", "vertical_height", "n_per_cluster", "subdivisions", "seed")),
         "chain": (synth.chain_family, synth.chain_ground_truth, ("count", "cycle", "subdivisions", "seed")),
         "two-cluster": (synth.two_cluster_family, synth.two_cluster_ground_truth,
                         ("n_per_cluster", "intra_spread", "inter_gap", "subdivisions", "seed")),
     }[args.family]
-    given = dict(vars(args))  # only the flags given: the family signatures hold the defaults
+    # only the flags given: the family signatures hold the defaults
+    given = {name: val for name, val in vars(args).items() if name not in ("command", "family", "out", "func")}
+    flags = {"n_per_cluster": "--per-cluster", "cycle": "--no-cycle"}
+    extra = [flags.get(name, "--" + name.replace("_", "-")) for name in sorted(set(given) - set(names))]
+    if extra:
+        return _usage_fail(f"synth {args.family} takes no {', '.join(extra)}")
     if "vertical_height" in given:
-        given["vertical_heights"] = (given["vertical_height"], 0.0)
-    fam = make(**{name: given[name] for name in names if name in given})
+        given["vertical_heights"] = (given.pop("vertical_height"), 0.0)
+    fam = make(**given)
     truth = ground_truth(fam)
     out = args.out
     synth.write_family(fam.meshes, out, truth)
@@ -212,11 +213,11 @@ def _write_spectra(ws: Workspace, shape: Shape):
     """Write a shape's spectra files. Returns the fields of its manifest
     record that they determine, and the files' hashes."""
     sid = shape.shape_id
-    arrays = {"phi": shape.basis.eigenvectors, "lam": shape.basis.eigenvalues}
-    files, hashes = {}, {}
-    for name, arr in arrays.items():
-        rel = files[name] = os.path.join("spectra", f"{sid}.{name}.lsk")
-        hashes[rel] = write_matrix(ws.path(rel), arr)
+    written = {"hashes": {}}
+    files = {
+        name: ws.write_tracked_matrix(written, os.path.join("spectra", f"{sid}.{name}.lsk"), arr)
+        for name, arr in (("phi", shape.basis.eigenvectors), ("lam", shape.basis.eigenvalues))
+    }
     record = {
         "k": shape.basis.k,
         "vertices": shape.mesh.num_vertices,
@@ -224,7 +225,7 @@ def _write_spectra(ws: Workspace, shape: Shape):
         "files": files,
         "clusters": [list(c) for c in shape.basis.clusters],
     }
-    return record, hashes
+    return record, written["hashes"]
 
 
 # OpenBLAS thread-count setters: the plain build's, and the prefixed ones of
@@ -343,33 +344,23 @@ def cmd_spectra(args):
     skipped = len(files) - len(stale)
     failures = changed = 0
     caught = []
-    unsettled = {sid for sid, _ in stale}  # shapes whose files a worker may have replaced
     try:
+        # a stale shape that is not recorded (its mesh failed, its worker
+        # raised or died, or the command was interrupted) keeps its old
+        # record and files: the workers wrote new files under new names
         results = _solve_in_pool(view.ws, stale, cfg.k) if stale else []
         for (sid, src), result in zip(stale, results):
             if isinstance(result, Exception):
-                # the shape's files may be half replaced: forget it, so that
-                # the next run solves it afresh
                 error = f"{type(result).__name__}: {result}"
-                if manifest["shapes"].pop(sid, None) is not None:
-                    changed += 1
             else:
                 record, hashes, error, shape_warnings = result
                 caught += shape_warnings
                 if error is None:  # copy the mesh only once its spectra are written
                     view.record_shape(sid, src, record, hashes)
                     changed += 1
-            unsettled.discard(sid)
             if error is not None:
                 failures += 1
                 print(f"error: {os.path.basename(src)}: {error}", file=sys.stderr)
-    except BaseException:
-        # interrupted: forget the unsettled shapes, so that the saved manifest
-        # matches the files and the next run solves them afresh
-        for sid in unsettled:
-            manifest["shapes"].pop(sid, None)
-        changed += len(unsettled)
-        raise
     finally:
         if changed:  # the network and everything built on it used the old spectra
             for stage in ("fmn", "latent", "diffs"):
@@ -412,12 +403,6 @@ def _file_provider(directory, cfg):
     return provider
 
 
-def _fmn_lineage(manifest):
-    """What the latent stage consumed from `fmn`: its record and the hashes of
-    the maps it lists."""
-    return manifest.get("fmn"), {rel: manifest["hashes"].get(rel) for rel in _stage_files(manifest, "fmn")}
-
-
 def cmd_fmn(args):
     view = _View(args)
     cfg, manifest, shapes = view.config, view.manifest, view.shapes
@@ -450,7 +435,7 @@ def cmd_fmn(args):
     ordered = [shapes[sid] for sid in ids]
     net = network.attach_maps(ordered, edges, provider, topology)
 
-    consumed = _fmn_lineage(manifest)
+    consumed = manifest.get("fmn")  # what latent was built on: the map names carry their contents
     edge_entries = [
         [src, tgt, view.ws.write_tracked_matrix(manifest, os.path.join("maps", f"{src}__{tgt}.lsk"), fm.matrix)]
         for (src, tgt), fm in sorted(net.edges.items())
@@ -464,7 +449,7 @@ def cmd_fmn(args):
     }
     if cfg.maps == "landmarks":
         manifest["fmn"]["landmark_weight"] = cfg.landmark_weight
-    if _fmn_lineage(manifest) != consumed:  # latent results describe another network
+    if manifest["fmn"] != consumed:  # latent results describe another network
         manifest.pop("latent", None)
         manifest.pop("diffs", None)
     view.save("topology", "maps", "landmark_weight")
@@ -498,8 +483,7 @@ def cmd_latent(args):
         sid: ws.write_tracked_matrix(manifest, os.path.join("latent", f"Y.{sid}.lsk"), canonical.Y[sid])
         for sid in canonical.order
     }
-    lam0_rel = os.path.join("latent", "lambda0.lsk")
-    ws.write_tracked_matrix(manifest, lam0_rel, latent_shape.spectrum)
+    lam0_rel = ws.write_tracked_matrix(manifest, os.path.join("latent", "lambda0.lsk"), latent_shape.spectrum)
     collection = hashlib.sha256(
         "\n".join(f"{sid}:{manifest['hashes'][manifest['shapes'][sid]['mesh']]}" for sid in canonical.order).encode()
     ).hexdigest()

@@ -3,8 +3,8 @@
 The matrix container is a fixed little-endian binary layout (magic
 "LSKMAT01", dtype code, dimensions, row-major float64 payload) so artifacts
 round-trip bit-exactly across platforms. A collection workspace is a single
-directory whose manifest.json is the source of truth: every referenced file
-carries a sha256 that is verified before any computation builds on it.
+directory whose manifest.json is the source of truth: every tracked file is
+named by its sha256, which is verified before any computation builds on it.
 """
 
 import hashlib
@@ -181,6 +181,11 @@ class Workspace:
         return manifest
 
     def save_manifest(self, manifest):
+        """Write manifest.json, unless it already holds this manifest."""
+        if self.exists():
+            with open(self.manifest_path, "r", encoding="utf-8") as fh:
+                if json.load(fh) == manifest:
+                    return
         data = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n"
         _atomic_write(self.manifest_path, data)
 
@@ -196,13 +201,19 @@ class Workspace:
                     f"hash mismatch for {rel!r}: manifest {digest[:12]}..., file {actual[:12]}..."
                 )
 
+    def write_tracked(self, manifest, relpath, data):
+        """Track bytes under `relpath`'s stem, the first 16 hex digits of their
+        sha256 and `relpath`'s extension, and return that name. The file is
+        written only when the manifest does not track the name yet, so no
+        command replaces a file that a saved manifest lists."""
+        digest = hashlib.sha256(data).hexdigest()
+        stem, ext = os.path.splitext(relpath)
+        name = f"{stem}.{digest[:16]}{ext}"
+        if manifest["hashes"].get(name) != digest:
+            _atomic_write(self.path(name), data)
+            manifest["hashes"][name] = digest
+        return name
+
     def write_tracked_matrix(self, manifest, relpath, array):
-        """Write a matrix to a tracked file and record its hash, unless the
-        file already holds these bytes: a recorded hash is exact, since
-        `load_manifest` verified every tracked file and the workspace has a
-        single writer."""
-        data = _container(array)
-        recorded = manifest["hashes"].get(relpath)
-        if recorded is None or recorded != hashlib.sha256(data).hexdigest():
-            manifest["hashes"][relpath] = write_matrix(self.path(relpath), data)
-        return relpath
+        """`write_tracked` for a matrix's container bytes."""
+        return self.write_tracked(manifest, relpath, _container(array))

@@ -6,8 +6,10 @@ explicit segment-intersection geometry.
 """
 
 import itertools
+import json
 import os
 import pathlib
+import re
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -213,3 +215,15 @@ def tree_bytes(root):
         os.path.relpath(os.path.join(d, f), root): pathlib.Path(d, f).read_bytes()
         for d, _, files in os.walk(root) for f in files
     }
+
+
+def tracked(ws, rel):
+    """The name under which the manifest of workspace `ws` tracks `rel`'s
+    content: `rel`'s stem, 16 hex digits of the file's sha256 and `rel`'s
+    extension; None when it tracks no such file."""
+    stem, ext = os.path.splitext(rel)
+    pattern = re.compile(re.escape(stem) + r"\.[0-9a-f]{16}" + re.escape(ext))
+    hashes = json.loads(pathlib.Path(ws, "manifest.json").read_text())["hashes"]
+    names = [name for name in hashes if pattern.fullmatch(name)]
+    assert len(names) <= 1, names
+    return names[0] if names else None

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import tree_bytes
+from helpers import tracked, tree_bytes
+from lskit import matio
 from lskit.cli import main
 from lskit.matio import read_matrix, sha256_file
 from lskit.meshes import save_off
@@ -302,8 +303,9 @@ def test_ops_analogy_ill_conditioned_exits_1(tmp_path, family_dir, capsys):
     # overwrite one stored operator with a near-singular matrix, keep hashes valid
     wsp = Workspace(ws)
     manifest = wsp.load_manifest()
-    rel = manifest["diffs"]["files"]["area"]["a0"]
-    wsp.write_tracked_matrix(manifest, rel, np.diag([1.0] + [1e-14] * 7))
+    manifest["diffs"]["files"]["area"]["a0"] = wsp.write_tracked_matrix(
+        manifest, os.path.join("diffs", "a0.area.lsk"), np.diag([1.0] + [1e-14] * 7)
+    )
     wsp.save_manifest(manifest)
     assert main(["ops", "analogy", "a0", "a1", "b0", "--workspace", str(ws)]) == 1
     assert "condition" in capsys.readouterr().err
@@ -491,9 +493,21 @@ def listed_files(manifest):
     return listed
 
 
-def test_manifest_tracks_exactly_the_listed_files(tmp_path, capsys):
+def test_manifest_tracks_exactly_the_listed_files(tmp_path, monkeypatch, capsys):
     fam_dir, extend = _family_and_outsider(tmp_path)
     ws = tmp_path / "ws"
+    replaced, atomic_write = tmp_path / "replaced.txt", matio._atomic_write
+
+    def watched(path, data):  # the forked spectra workers inherit it, so it reports through a file
+        rel = os.path.relpath(path, ws)
+        if (ws / "manifest.json").is_file():
+            digest = manifest_of(ws)["hashes"].get(rel)
+            if digest not in (None, hashlib.sha256(data).hexdigest()):
+                with open(replaced, "a", encoding="utf-8") as fh:
+                    fh.write(rel + "\n")
+        return atomic_write(path, data)
+
+    monkeypatch.setattr(matio, "_atomic_write", watched)
     fmn = ["fmn", "--topology", "clique", "--maps", "identity"]
     built, latent = {"fmn"}, {"fmn", "latent", "diffs"}
     sequence = [  # each command, and the stage records it leaves
@@ -519,6 +533,7 @@ def test_manifest_tracks_exactly_the_listed_files(tmp_path, capsys):
             if (ws / sub).is_dir() for p in (ws / sub).iterdir()
         }
         assert set(manifest["hashes"]) == listed_files(manifest) == on_disk, argv
+        assert not replaced.exists(), (argv, replaced.read_text())  # no write replaced a listed file
     assert "x0" in manifest["fmn"]["nodes"]
 
 
@@ -603,6 +618,18 @@ def test_synth_defaults_are_the_family_defaults(tmp_path, family, defaults):
     assert tree_bytes(plain) == tree_bytes(explicit)
 
 
+@pytest.mark.parametrize("family, flags, named", [
+    ("sphere-bump", ["--count", "9", "--no-cycle"], "--count, --no-cycle"),
+    ("chain", ["--per-cluster", "2"], "--per-cluster"),
+    ("two-cluster", ["--count", "3"], "--count"),
+])
+def test_synth_rejects_a_flag_its_family_does_not_take(tmp_path, capsys, family, flags, named):
+    out = tmp_path / "out"
+    assert main(["synth", family, "--out", str(out), "--seed", "3", *flags]) == 2
+    assert f"usage error: synth {family} takes no {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def backdate_tracked(ws):
     """Set every tracked file's times far in the past, so that any rewrite
     shows in its mtime even where the file system reuses the inode number;
@@ -623,15 +650,20 @@ def rewritten(ws, stats):
 
 def test_unchanged_rerun_rewrites_no_tracked_file(tmp_path, family_dir):
     ws = tmp_path / "ws"
+    spectra = ["spectra", str(family_dir), "--workspace", str(ws), "--k", "10"]
     fmn = ["fmn", "--workspace", str(ws), "--topology", "clique", "--maps", "identity"]
     latent = ["latent", "--workspace", str(ws), "--m", "6", "--kind", "both"]
-    for argv in (["spectra", str(family_dir), "--workspace", str(ws), "--k", "10"], fmn, latent):
+    for argv in (spectra, fmn, latent):
         assert main(argv) == 0
     stats, manifest = backdate_tracked(ws), (ws / "manifest.json").read_bytes()
-    for argv in (fmn, latent, fmn):
+    os.utime(ws / "manifest.json", ns=(10**18, 10**18))
+    saved = os.stat(ws / "manifest.json")
+    for argv in (fmn, latent, fmn, spectra):
         assert main(argv) == 0
         assert not rewritten(ws, stats) and set(manifest_of(ws)["hashes"]) == set(stats)
         assert (ws / "manifest.json").read_bytes() == manifest
+        now = os.stat(ws / "manifest.json")  # not even rewritten with the same bytes
+        assert (now.st_ino, now.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns), argv
 
 
 def test_rerun_rewrites_exactly_the_files_whose_bytes_change(tmp_path):
@@ -648,7 +680,7 @@ def test_rerun_rewrites_exactly_the_files_whose_bytes_change(tmp_path):
         ["latent", "--m", "6"],
     ):
         assert main(argv + ["--workspace", str(ws)]) == 0
-    spectra_files = {rel for entry in manifest_of(ws)["shapes"].values() for rel in entry["files"].values()}
+    spectra_files = {os.path.join("spectra", f"frame0{i}.{name}.lsk") for i in range(4) for name in ("phi", "lam")}
     for argv, changed in (
         # the correspondence maps of the other pairs are bit-identical to the identity maps
         (["fmn", "--topology", "chain", "--maps", "correspondence", "--corr-dir", str(corr)],
@@ -660,10 +692,71 @@ def test_rerun_rewrites_exactly_the_files_whose_bytes_change(tmp_path):
         stats = backdate_tracked(ws)
         assert main(argv + ["--workspace", str(ws)]) == 0
         manifest = manifest_of(ws)
-        assert rewritten(ws, stats) == changed, argv
-        assert all(manifest["hashes"][rel] != before["hashes"][rel] for rel in changed)
+        # the changed files are written under new names, and no tracked file is replaced
+        assert set(manifest["hashes"]) - set(before["hashes"]) == {tracked(ws, rel) for rel in changed}, argv
+        assert not rewritten(ws, stats)
+        assert not [rel for rel in before["hashes"] if rel not in manifest["hashes"] and (ws / rel).exists()]
         assert all(sha256_file(ws / rel) == digest for rel, digest in manifest["hashes"].items())
         assert "latent" not in manifest
+
+
+def test_failed_fmn_rerun_leaves_the_previous_network_usable(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "chain"
+    assert main(["synth", "chain", "--out", str(data), "--count", "4", "--subdivisions", "1"]) == 0
+    corr = tmp_path / "corr"
+    corr.mkdir()
+    rng = np.random.default_rng(0)
+    for path in sorted((data / "correspondences").iterdir()):  # other bijections: other maps
+        (corr / path.name).write_text("".join(f"{i} {j}\n" for i, j in enumerate(rng.permutation(42))))
+    ws = ["--workspace", str(tmp_path / "ws")]
+    identity = ["fmn", "--topology", "chain", "--maps", "identity"]
+    for argv in (["spectra", str(data), "--k", "10"], identity, ["latent", "--m", "6"]):
+        assert main(argv + ws) == 0
+    before = manifest_of(tmp_path / "ws")
+    atomic_write, calls = matio._atomic_write, []
+
+    def failing(path, data):
+        calls.append(path)
+        if len(calls) == 2:  # the second map write
+            raise OSError("disk full")
+        return atomic_write(path, data)
+
+    monkeypatch.setattr(matio, "_atomic_write", failing)
+    assert main(["fmn", "--topology", "chain", "--maps", "correspondence", "--corr-dir", str(corr)] + ws) == 1
+    monkeypatch.undo()
+    assert "disk full" in capsys.readouterr().err and manifest_of(tmp_path / "ws") == before
+    for argv in (["latent", "--m", "6"], ["variability", "--mode", "global"], identity, ["spectra", str(data), "--k", "10"]):
+        assert main(argv + ws) == 0, (argv, capsys.readouterr().err)
+        manifest = manifest_of(tmp_path / "ws")
+        assert manifest["fmn"] == before["fmn"], argv  # the old maps are still listed
+    on_disk = {f"maps/{p.name}" for p in (tmp_path / "ws" / "maps").iterdir()}
+    assert on_disk == {rel for *_, rel in manifest["fmn"]["edges"]}  # the map the failed run wrote is gone
+
+
+def test_interrupted_latent_rerun_leaves_the_previous_basis_usable(tmp_path, family_dir, monkeypatch):
+    ws = ["--workspace", str(tmp_path / "ws")]
+    for argv in (["spectra", str(family_dir), "--k", "8"], ["fmn", "--topology", "clique", "--maps", "identity"],
+                 ["latent", "--m", "6"]):
+        assert main(argv + ws) == 0
+    before = manifest_of(tmp_path / "ws")
+    atomic_write, calls = matio._atomic_write, []
+
+    def interrupted(path, data):  # Ctrl-C after two writes
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        calls.append(path)
+        return atomic_write(path, data)
+
+    monkeypatch.setattr(matio, "_atomic_write", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["latent", "--m", "5"] + ws)
+    monkeypatch.undo()
+    assert len(calls) == 2 and manifest_of(tmp_path / "ws") == before
+    assert main(["variability", "--mode", "global"] + ws) == 0
+    top = json.loads((tmp_path / "ws" / "variability" / "global.json").read_text())["functions"][0]
+    assert len(top["alpha"]) == 6  # on the previous latent basis
+    assert main(["latent", "--m", "5"] + ws) == 0
+    assert manifest_of(tmp_path / "ws")["latent"]["m"] == 5
 
 
 def test_corrupted_map_fails_the_rerun_before_any_write(tmp_path, family_dir, capsys):

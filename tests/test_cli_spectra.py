@@ -10,8 +10,8 @@ import os
 
 import pytest
 
-from helpers import bumpy_sphere, tree_bytes
-from lskit import cli, spectral
+from helpers import bumpy_sphere, tracked, tree_bytes
+from lskit import cli, matio, spectral
 from lskit.cli import main
 from lskit.errors import SpectralGapWarning
 from lskit.meshes import Mesh, load_mesh, save_off
@@ -145,7 +145,7 @@ def test_failing_mesh_leaves_the_workspace_usable(tmp_path, chain_dir, capsys):
     ws = tmp_path / "ws"
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
     before = manifest_of(ws)["shapes"]["frame01"]
-    copy = (ws / "meshes" / "frame01.off").read_bytes()
+    copy = (ws / tracked(ws, "meshes/frame01.off")).read_bytes()
     good = (chain_dir / "frame01.off").read_bytes()
     zero_area = "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n"
     (chain_dir / "frame01.off").write_text(zero_area)  # a changed mesh that fails
@@ -156,8 +156,8 @@ def test_failing_mesh_leaves_the_workspace_usable(tmp_path, chain_dir, capsys):
     manifest = manifest_of(ws)
     assert manifest["shapes"]["frame01"] == before
     assert sorted(manifest["shapes"]) == ["frame00", "frame01", "frame02", "frame03"]
-    assert (ws / "meshes" / "frame01.off").read_bytes() == copy
-    assert not (ws / "meshes" / "new.off").exists()
+    assert (ws / tracked(ws, "meshes/frame01.off")).read_bytes() == copy
+    assert not list((ws / "meshes").glob("new.*"))
     assert main(["fmn", "--workspace", str(ws), "--topology", "chain", "--maps", "identity"]) == 0
     assert "error: frame01.off:" in err and "error: new.off:" in err
     assert "up to date" not in out
@@ -186,26 +186,62 @@ def test_k_beyond_a_shape_fails_only_that_shape(tmp_path, capsys):
     assert "error: a1.off: shape 'a1': k=100 must be in 1..42" in err and "error: b0.off:" in err
 
 
-def test_write_failure_forgets_the_shape(tmp_path, chain_dir, monkeypatch, capsys):
+def listed_and_on_disk(ws):
+    """The files that the manifest tracks, and the files in its stage directories."""
+    on_disk = {f"{sub}/{p.name}" for sub in ("meshes", "spectra", "maps", "latent", "diffs")
+               if (ws / sub).is_dir() for p in (ws / sub).iterdir()}
+    return set(manifest_of(ws)["hashes"]), on_disk
+
+
+def test_write_failure_keeps_the_shapes_old_record(tmp_path, chain_dir, monkeypatch, capsys):
     ws = tmp_path / "ws"
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
-    write_spectra = cli._write_spectra
+    before = manifest_of(ws)["shapes"]["frame02"]
+    atomic_write = matio._atomic_write
 
-    def failing(ws_, shape):
-        if shape.shape_id == "frame02":
+    def failing(path, data):  # after the worker wrote frame02's eigenvectors
+        if os.path.basename(path).startswith("frame02.lam"):
             raise OSError("disk full")
-        return write_spectra(ws_, shape)
+        return atomic_write(path, data)
 
-    monkeypatch.setattr(cli, "_write_spectra", failing)  # the forked workers inherit it
+    monkeypatch.setattr(matio, "_atomic_write", failing)  # the forked workers inherit it
     capsys.readouterr()
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "9"]) == 1
     assert "error: frame02.off: OSError: disk full" in capsys.readouterr().err
     manifest = manifest_of(ws)
-    assert {sid: entry["k"] for sid, entry in manifest["shapes"].items()} == {"frame00": 9, "frame01": 9, "frame03": 9}
-    assert not any("frame02" in rel for rel in manifest["hashes"])
+    assert {sid: entry["k"] for sid, entry in manifest["shapes"].items()} == {
+        "frame00": 9, "frame01": 9, "frame02": 8, "frame03": 9,
+    }
+    assert manifest["shapes"]["frame02"] == before
+    listed, on_disk = listed_and_on_disk(ws)
+    assert listed == on_disk  # the eigenvectors written at k=9 are gone
     monkeypatch.undo()
+    capsys.readouterr()
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "9"]) == 0
+    assert capsys.readouterr().out.strip() == "computed spectra for 1 shapes (k=9), 3 up to date"
     assert manifest_of(ws)["shapes"]["frame02"]["k"] == 9
+
+
+def test_a_new_shape_that_is_not_recorded_leaves_no_file(tmp_path, chain_dir, monkeypatch):
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    (chain_dir / "zz.off").write_bytes((chain_dir / "frame00.off").read_bytes())
+    record_shape = cli._View.record_shape
+
+    def interrupted(view, sid, *args):  # after the workers wrote every shape's files
+        if sid == "zz":
+            raise KeyboardInterrupt
+        return record_shape(view, sid, *args)
+
+    monkeypatch.setattr(cli._View, "record_shape", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "10"])
+    monkeypatch.undo()
+    assert {sid: entry["k"] for sid, entry in manifest_of(ws)["shapes"].items()} == {
+        "frame00": 10, "frame01": 10, "frame02": 10, "frame03": 10,
+    }
+    listed, on_disk = listed_and_on_disk(ws)
+    assert listed == on_disk and not [rel for rel in on_disk if "zz" in rel]
 
 
 def test_two_meshes_of_one_shape_fail_before_any_solve(tmp_path, chain_dir, monkeypatch, capsys):
@@ -234,8 +270,9 @@ def test_interrupted_spectra_leaves_a_usable_workspace(tmp_path, chain_dir, monk
     ws = str(tmp_path / "ws")
     assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "8"]) == 0
     assert main(["fmn", "--workspace", ws, "--topology", "chain", "--maps", "identity"]) == 0
+    before = manifest_of(tmp_path / "ws")["shapes"]
     mesh = load_mesh(chain_dir / "frame01.off")
-    save_off(Mesh(1.1 * mesh.vertices, mesh.triangles, "frame01"), chain_dir / "frame01.off")  # its copy is rewritten
+    save_off(Mesh(1.1 * mesh.vertices, mesh.triangles, "frame01"), chain_dir / "frame01.off")  # its copy changes
     if fault == "interrupt":  # after the workers wrote every shape's files, and frame00 is recorded
         record_shape = cli._View.record_shape
 
@@ -248,26 +285,31 @@ def test_interrupted_spectra_leaves_a_usable_workspace(tmp_path, chain_dir, monk
         with pytest.raises(KeyboardInterrupt):
             main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"])
     else:
-        atomic_write = cli._atomic_write
+        atomic_write = matio._atomic_write
 
         def failing(path, data):
-            if os.path.basename(path) == "frame01.off":
+            if os.path.basename(path).startswith("frame01.") and path.endswith(".off"):
                 raise OSError("disk full")
             return atomic_write(path, data)
 
-        monkeypatch.setattr(cli, "_atomic_write", failing)
+        monkeypatch.setattr(matio, "_atomic_write", failing)
         assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"]) == 1
         assert "disk full" in capsys.readouterr().err
     monkeypatch.undo()
     manifest = manifest_of(tmp_path / "ws")
-    assert {sid: entry["k"] for sid, entry in manifest["shapes"].items()} == {"frame00": 10}
+    # the shapes not recorded keep their old records
+    assert {sid: entry["k"] for sid, entry in manifest["shapes"].items()} == {
+        "frame00": 10, "frame01": 8, "frame02": 8, "frame03": 8,
+    }
+    assert all(manifest["shapes"][sid] == before[sid] for sid in ("frame01", "frame02", "frame03"))
     assert not {"fmn", "latent", "diffs"} & set(manifest)
-    on_disk = {f"{sub}/{p.name}" for sub in ("meshes", "spectra", "maps") for p in (tmp_path / "ws" / sub).glob("*")}
-    assert set(manifest["hashes"]) == on_disk  # the forgotten shapes' files and the maps are gone
+    listed, on_disk = listed_and_on_disk(tmp_path / "ws")
+    assert listed == on_disk  # the maps, and the files written for the shapes not recorded, are gone
     capsys.readouterr()
     assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"]) == 0, capsys.readouterr().err
     assert capsys.readouterr().out.strip() == "computed spectra for 3 shapes (k=10), 1 up to date"
-    assert (tmp_path / "ws" / "meshes" / "frame01.off").read_bytes() == (chain_dir / "frame01.off").read_bytes()
+    copy = tmp_path / "ws" / tracked(tmp_path / "ws", "meshes/frame01.off")
+    assert copy.read_bytes() == (chain_dir / "frame01.off").read_bytes()
     assert main(["fmn", "--workspace", ws, "--topology", "chain", "--maps", "identity"]) == 0
 
 
@@ -301,5 +343,6 @@ def test_extend_solves_as_spectra_does_and_restores_the_blas_threads(tmp_path):
             setter(count)
     assert main(["spectra", str(solo), "--workspace", str(ws_solo), "--k", "20"]) == 0
     for name in ("phi", "lam"):
-        rel = os.path.join("spectra", f"x0.{name}.lsk")
+        rel = tracked(ws, f"spectra/x0.{name}.lsk")
+        assert rel == tracked(ws_solo, f"spectra/x0.{name}.lsk")
         assert (ws / rel).read_bytes() == (ws_solo / rel).read_bytes(), name

@@ -58,15 +58,15 @@ def test_container_errors(tmp_path):
 def test_manifest_verify_aborts_on_tamper(tmp_path):
     ws = Workspace(tmp_path)
     manifest = ws.init_manifest(Config())
-    ws.write_tracked_matrix(manifest, "a.lsk", np.eye(2))
+    rel = ws.write_tracked_matrix(manifest, "a.lsk", np.eye(2))
     ws.save_manifest(manifest)
     ws.load_manifest()  # clean: fine
-    with open(ws.path("a.lsk"), "r+b") as fh:
+    with open(ws.path(rel), "r+b") as fh:
         fh.seek(40)
         fh.write(b"\xff")
     with pytest.raises(ManifestError, match="hash mismatch"):
         ws.load_manifest()
-    os.unlink(ws.path("a.lsk"))
+    os.unlink(ws.path(rel))
     with pytest.raises(ManifestError, match="missing artifact"):
         ws.load_manifest()
 
@@ -101,15 +101,21 @@ def test_text_and_json_writers_create_their_directory(tmp_path):
 def test_tracked_matrix_is_written_only_when_its_bytes_change(tmp_path):
     ws = Workspace(tmp_path)
     manifest = ws.init_manifest(Config())
-    path = ws.path("m", "a.lsk")
-    assert ws.write_tracked_matrix(manifest, "m/a.lsk", np.eye(3)) == "m/a.lsk"
-    assert manifest["hashes"]["m/a.lsk"] == sha256_file(path)
-    os.utime(path, ns=(10**18, 10**18))
-    stat = os.stat(path)
-    ws.write_tracked_matrix(manifest, "m/a.lsk", np.eye(3))  # the same bytes: nothing written
-    assert (os.stat(path).st_ino, os.stat(path).st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
-    ws.write_tracked_matrix(manifest, "m/a.lsk", 2 * np.eye(3))
-    assert os.stat(path).st_mtime_ns != stat.st_mtime_ns
-    assert manifest["hashes"]["m/a.lsk"] == sha256_file(path)
-    assert np.array_equal(read_matrix(path), 2 * np.eye(3))
+    rel = ws.write_tracked_matrix(manifest, os.path.join("m", "a.lsk"), np.eye(3))
+    digest = sha256_file(ws.path(rel))
+    assert rel == os.path.join("m", f"a.{digest[:16]}.lsk") and manifest["hashes"] == {rel: digest}
+    os.utime(ws.path(rel), ns=(10**18, 10**18))
+    stat = os.stat(ws.path(rel))
+    # the same bytes: nothing written
+    assert ws.write_tracked_matrix(manifest, os.path.join("m", "a.lsk"), np.eye(3)) == rel
+    assert (os.stat(ws.path(rel)).st_ino, os.stat(ws.path(rel)).st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+    # other bytes: another file, and the tracked one is left as it is
+    other = ws.write_tracked_matrix(manifest, os.path.join("m", "a.lsk"), 2 * np.eye(3))
+    assert other != rel and manifest["hashes"][other] == sha256_file(ws.path(other))
+    assert np.array_equal(read_matrix(ws.path(other)), 2 * np.eye(3))
+    assert (os.stat(ws.path(rel)).st_ino, os.stat(ws.path(rel)).st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+    assert np.array_equal(read_matrix(ws.path(rel)), np.eye(3))
+    # bytes of any kind, such as a mesh copy, are named the same way
+    mesh = ws.write_tracked(manifest, os.path.join("meshes", "x.off"), b"OFF\n0 0 0\n")
+    assert mesh == os.path.join("meshes", f"x.{sha256_file(ws.path(mesh))[:16]}.off")
     assert write_matrix(tmp_path / "b.lsk", np.arange(5.0)) == sha256_file(tmp_path / "b.lsk")
