@@ -38,9 +38,9 @@ def _usage_fail(msg):
 
 
 class _View:
-    """One command's view of its workspace: the config, the verified manifest,
-    and the stage artifacts that the manifest lists, built from the tracked
-    files only when the command asks for them."""
+    """One command's view of its workspace: the config, the manifest, and the
+    stage artifacts that the manifest lists, built from the tracked files only
+    when the command asks for them, each file verified before it is parsed."""
 
     def __init__(self, args, create=False):
         self.args = args
@@ -65,14 +65,18 @@ class _View:
             return self.ws.init_manifest(self.config)
         return self.ws.load_manifest()
 
+    def file(self, rel):
+        """The path of a tracked file, verified against the manifest."""
+        return self.ws.verified(self.manifest, rel)
+
     @functools.cached_property
     def shapes(self):
         """Shape bundles rebuilt from the tracked meshes and spectra."""
         shapes = {}
         for sid, entry in sorted(self.manifest["shapes"].items()):
-            mesh = load_mesh(self.ws.path(entry["mesh"]), shape_id=sid)
-            lam = read_vector(self.ws.path(entry["files"]["lam"]))
-            phi = read_matrix(self.ws.path(entry["files"]["phi"]))
+            mesh = load_mesh(self.file(entry["mesh"]), shape_id=sid)
+            lam = read_vector(self.file(entry["files"]["lam"]))
+            phi = read_matrix(self.file(entry["files"]["phi"]))
             basis = SpectralBasis(lam, phi, sid, _eigen_clusters(lam))
             shapes[sid] = Shape(mesh, metric_measure(mesh), basis)
         return shapes
@@ -84,7 +88,7 @@ class _View:
             raise ManifestError("no functional map network in this workspace; run `fmn` first")
         shapes = self.shapes
         edges = {
-            (src, tgt): fmaps.FunctionalMap(read_matrix(self.ws.path(rel)), src, tgt)
+            (src, tgt): fmaps.FunctionalMap(read_matrix(self.file(rel)), src, tgt)
             for src, tgt, rel in fmn["edges"]
         }
         # only the nodes the network was built over (extensions live outside it)
@@ -96,20 +100,23 @@ class _View:
         lat = self.manifest.get("latent")
         if not lat:
             raise ManifestError("no latent artifacts in this workspace; run `latent` first")
-        Y = {sid: read_matrix(self.ws.path(rel)) for sid, rel in lat["Y"].items()}
+        Y = {sid: read_matrix(self.file(rel)) for sid, rel in lat["Y"].items()}
         clb = latent_mod.ConsistentLatentBasis(
             Y, lat["m"], tuple(lat["order"]), lat["canonical"], lat["consistency_residual"]
         )
-        spectrum = read_vector(self.ws.path(lat["lambda0"]))
+        spectrum = read_vector(self.file(lat["lambda0"]))
         return clb, latent_mod.LatentShape(spectrum, clb)
 
-    def diffs(self, kind):
+    def diffs(self, kind, ids=None):
+        """The stored differences of one kind: every shape's, or those of the
+        shapes in `ids` that have them."""
         diffs = self.manifest.get("diffs", {})
         if kind not in diffs.get("kinds", []):
             raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
+        files = diffs["files"][kind]
         return {
-            sid: latent_mod.LatentDifference(read_matrix(self.ws.path(rel)), kind, sid, diffs["normalized"])
-            for sid, rel in diffs["files"][kind].items()
+            sid: latent_mod.LatentDifference(read_matrix(self.file(files[sid])), kind, sid, diffs["normalized"])
+            for sid in (files if ids is None else files.keys() & ids)
         }
 
     def record_shape(self, sid, src, record, hashes):
@@ -339,7 +346,9 @@ def cmd_spectra(args):
         src = os.path.join(args.mesh_dir, fname)
         entry = manifest["shapes"].get(sid)
         if entry and manifest["hashes"][entry["mesh"]] == sha256_file(src) and entry["k"] == cfg.k:
-            continue  # up to date: load_manifest has verified its files
+            for rel in (entry["mesh"], *entry["files"].values()):  # up to date: it keeps these files
+                view.file(rel)
+            continue
         stale.append((sid, src))
     skipped = len(files) - len(stale)
     failures = changed = 0
@@ -365,7 +374,8 @@ def cmd_spectra(args):
         if changed:  # the network and everything built on it used the old spectra
             for stage in ("fmn", "latent", "diffs"):
                 manifest.pop(stage, None)
-        view.save("k")
+        at_k = any(entry["k"] == cfg.k for entry in manifest["shapes"].values())
+        view.save(*(("k",) if at_k else ()))  # k once some shape is recorded at it
     # after the save, so that a warning filtered into an error leaves a saved workspace
     for category, message, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno)
@@ -632,7 +642,7 @@ def cmd_ops(args):
             print(f"pairing accuracy vs ground truth: {hits}/{len(truth)} ({hits / len(truth):.0%})")
         return 0
 
-    diffs = view.diffs(kind)
+    diffs = view.diffs(kind, (args.a, args.b, getattr(args, "c", None)))  # only the operands
     if args.action == "analogy":
         A, B, C = diffs.get(args.a), diffs.get(args.b), diffs.get(args.c)
         if None in (A, B, C):

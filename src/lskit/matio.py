@@ -4,7 +4,9 @@ The matrix container is a fixed little-endian binary layout (magic
 "LSKMAT01", dtype code, dimensions, row-major float64 payload) so artifacts
 round-trip bit-exactly across platforms. A collection workspace is a single
 directory whose manifest.json is the source of truth: every tracked file is
-named by its sha256, which is verified before any computation builds on it.
+named by its sha256. A command verifies a tracked file when it reads it, or
+keeps it in place of a write (`Workspace.verified`), and no other file;
+`Workspace.verify` checks them all.
 """
 
 import hashlib
@@ -170,15 +172,14 @@ class Workspace:
         }
 
     def load_manifest(self):
+        """The saved manifest, parsed; no tracked file is read (`verified`)."""
         if not self.exists():
             raise ManifestError(f"no manifest at {self.manifest_path}")
         with open(self.manifest_path, "r", encoding="utf-8") as fh:
             try:
-                manifest = json.load(fh)
+                return json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"malformed manifest: {exc}") from exc
-        self.verify(manifest)
-        return manifest
 
     def save_manifest(self, manifest):
         """Write manifest.json, unless it already holds this manifest."""
@@ -189,27 +190,34 @@ class Workspace:
         data = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n"
         _atomic_write(self.manifest_path, data)
 
+    def verified(self, manifest, rel):
+        """The path of tracked file `rel`; ManifestError when it is missing or
+        its sha256 is not the one that the manifest records."""
+        full, digest = self.path(rel), manifest["hashes"].get(rel)
+        if digest is None or not os.path.isfile(full):
+            raise ManifestError(f"missing artifact {rel!r}")
+        actual = sha256_file(full)
+        if actual != digest:
+            raise ManifestError(f"hash mismatch for {rel!r}: manifest {digest[:12]}..., file {actual[:12]}...")
+        return full
+
     def verify(self, manifest):
         """Abort (ManifestError) when any tracked file is missing or altered."""
-        for rel, digest in manifest.get("hashes", {}).items():
-            full = self.path(rel)
-            if not os.path.isfile(full):
-                raise ManifestError(f"missing artifact {rel!r}")
-            actual = sha256_file(full)
-            if actual != digest:
-                raise ManifestError(
-                    f"hash mismatch for {rel!r}: manifest {digest[:12]}..., file {actual[:12]}..."
-                )
+        for rel in manifest.get("hashes", {}):
+            self.verified(manifest, rel)
 
     def write_tracked(self, manifest, relpath, data):
         """Track bytes under `relpath`'s stem, the first 16 hex digits of their
         sha256 and `relpath`'s extension, and return that name. The file is
         written only when the manifest does not track the name yet, so no
-        command replaces a file that a saved manifest lists."""
+        command replaces a file that a saved manifest lists; a listed file
+        that it keeps instead is verified."""
         digest = hashlib.sha256(data).hexdigest()
         stem, ext = os.path.splitext(relpath)
         name = f"{stem}.{digest[:16]}{ext}"
-        if manifest["hashes"].get(name) != digest:
+        if manifest["hashes"].get(name) == digest:
+            self.verified(manifest, name)
+        else:
             _atomic_write(self.path(name), data)
             manifest["hashes"][name] = digest
         return name

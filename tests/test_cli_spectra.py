@@ -244,6 +244,25 @@ def test_a_new_shape_that_is_not_recorded_leaves_no_file(tmp_path, chain_dir, mo
     assert listed == on_disk and not [rel for rel in on_disk if "zz" in rel]
 
 
+@pytest.mark.parametrize("fault", ["all-failed", "interrupted"])
+def test_config_k_stays_until_a_shape_is_recorded_at_the_new_k(tmp_path, chain_dir, monkeypatch, fault):
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    if fault == "all-failed":  # each chain member has 42 vertices
+        assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "100"]) == 1
+    else:
+        def interrupted(view, sid, *args):  # before the first shape is recorded
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli._View, "record_shape", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "10"])
+        monkeypatch.undo()
+    manifest = manifest_of(ws)
+    assert manifest["config"]["k"] == 8
+    assert {entry["k"] for entry in manifest["shapes"].values()} == {8}
+
+
 def test_two_meshes_of_one_shape_fail_before_any_solve(tmp_path, chain_dir, monkeypatch, capsys):
     ws = tmp_path / "ws"
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from lskit import matio
 from lskit.errors import ManifestError, ParseError
 from lskit.matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text
 
@@ -65,10 +66,42 @@ def test_manifest_verify_aborts_on_tamper(tmp_path):
         fh.seek(40)
         fh.write(b"\xff")
     with pytest.raises(ManifestError, match="hash mismatch"):
-        ws.load_manifest()
+        ws.verify(ws.load_manifest())
     os.unlink(ws.path(rel))
     with pytest.raises(ManifestError, match="missing artifact"):
-        ws.load_manifest()
+        ws.verify(ws.load_manifest())
+
+
+def test_verified_hashes_only_the_file_it_is_asked_for(tmp_path, monkeypatch):
+    ws = Workspace(tmp_path)
+    manifest = ws.init_manifest(Config())
+    kept, other = (ws.write_tracked_matrix(manifest, name, np.eye(n)) for name, n in (("a.lsk", 2), ("b.lsk", 3)))
+    with open(ws.path(other), "r+b") as fh:  # damaged, but not asked for
+        fh.seek(40)
+        fh.write(b"\xff")
+    hashed = []
+    monkeypatch.setattr(matio, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
+    assert ws.verified(manifest, kept) == ws.path(kept) and hashed == [ws.path(kept)]
+    with pytest.raises(ManifestError, match=f"hash mismatch for {other!r}"):
+        ws.verified(manifest, other)
+    os.unlink(ws.path(kept))
+    with pytest.raises(ManifestError, match="missing artifact"):
+        ws.verified(manifest, kept)
+    with pytest.raises(ManifestError, match="missing artifact"):
+        ws.verified(manifest, "c.lsk")  # the manifest does not track it
+
+
+def test_a_kept_tracked_file_is_verified_and_not_rewritten(tmp_path):
+    ws = Workspace(tmp_path)
+    manifest = ws.init_manifest(Config())
+    rel = ws.write_tracked_matrix(manifest, "a.lsk", np.eye(2))
+    with open(ws.path(rel), "r+b") as fh:
+        fh.seek(40)
+        fh.write(b"\xff")
+    damaged = (tmp_path / rel).read_bytes()
+    with pytest.raises(ManifestError, match="hash mismatch"):
+        ws.write_tracked_matrix(manifest, "a.lsk", np.eye(2))
+    assert (tmp_path / rel).read_bytes() == damaged
 
 
 def test_config_roundtrip(tmp_path):
