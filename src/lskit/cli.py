@@ -20,7 +20,8 @@ import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
 from .errors import LskitError, ManifestError, ProviderFailure, UnknownShape
-from .matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text
+from .matio import Config, Workspace, digest, listed, read_matrix, read_vector, sha256_file
+from .matio import write_json, write_matrix, write_text
 from .meshes import load_mesh
 from .spectral import Shape, SpectralBasis, _eigen_clusters, metric_measure
 
@@ -119,64 +120,43 @@ class _View:
             for sid in (files if ids is None else files.keys() & ids)
         }
 
-    def record_shape(self, sid, src, record, hashes):
+    def record_shape(self, sid, src, record):
         """Copy a mesh into meshes/ and record it with the spectra that
         `_write_spectra` wrote."""
         with open(src, "rb") as fh:
-            data = fh.read()
-        rel_mesh = self.ws.write_tracked(self.manifest, os.path.join("meshes", os.path.basename(src)), data)
+            rel_mesh = self.ws.write_tracked(os.path.join("meshes", os.path.basename(src)), fh.read())
         self.manifest["shapes"][sid] = {"mesh": rel_mesh, **record}
-        self.manifest["hashes"].update(hashes)
 
     def save(self, *consumed):
-        """Record the config fields that this stage consumed, save the
-        manifest tracking exactly the files its stage records list, then
-        delete every other file in the stage directories: the ones it no
-        longer lists, and any that a failed or interrupted command left."""
-        manifest = self.manifest
-        manifest["config"].update({name: getattr(self.config, name) for name in consumed})
-        listed = set().union(*(_stage_files(manifest, stage) for stage in ("shapes", "fmn", "latent", "diffs")))
-        manifest["hashes"] = {rel: digest for rel, digest in manifest["hashes"].items() if rel in listed}
-        self.ws.save_manifest(manifest)
+        """Record the config fields that this stage consumed, save the manifest,
+        then delete the files in the stage directories that it does not list:
+        ones it no longer lists, and any a failed or interrupted command left."""
+        self.manifest["config"].update({name: getattr(self.config, name) for name in consumed})
+        self.ws.save_manifest(self.manifest)
+        files = listed(self.manifest)
         for sub in ("meshes", "spectra", "maps", "latent", "diffs"):
             if os.path.isdir(self.ws.path(sub)):
                 for entry in os.scandir(self.ws.path(sub)):
-                    if os.path.join(sub, entry.name) not in listed and not entry.is_dir():
+                    if os.path.join(sub, entry.name) not in files and not entry.is_dir():
                         os.remove(entry.path)
 
 
-def _stage_files(manifest, stage):
-    """The workspace files that one stage record lists."""
-    rec = manifest.get(stage)
-    if not rec:
-        return set()
-    if stage == "shapes":
-        return {rel for entry in rec.values() for rel in (entry["mesh"], *entry["files"].values())}
-    if stage == "fmn":
-        return {rel for *_, rel in rec["edges"]}
-    if stage == "latent":
-        extended = (rel for ext in rec["extended"].values() for rel in (ext["Y"], *ext["diffs"].values()))
-        return {*rec["Y"].values(), rec["lambda0"], *extended}
-    return {rel for files in rec["files"].values() for rel in files.values()}  # diffs
+def _read_input(path, what, **lists):
+    """The JSON object of a --partition or --region file (a partition may sit
+    under "partition", as in ground_truth.json), each key of `lists` holding a
+    list of the type given; ManifestError naming the file otherwise."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc = doc.get("partition", doc) if what == "partition" and isinstance(doc, dict) else doc
+    for key, kind in lists.items():
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), list) or {type(x) for x in doc[key]} - {kind}:
+            raise ManifestError(f"{what} file {path}: {key!r} must be a list of {kind.__name__}")
+    return doc
 
 
 def _read_partition(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "partition" in doc:
-        doc = doc["partition"]
-    try:
-        return variability.Partition(doc["cluster_a"], doc["cluster_b"])
-    except KeyError as exc:
-        raise ManifestError(f"partition file lacks key {exc}") from exc
-
-
-def _ground_truth_pairing(path):
-    """Optional ground-truth pairing carried by a family sidecar."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    pairing = doc.get("pairing")
-    return [tuple(p) for p in pairing] if pairing else None
+    doc = _read_input(path, "partition", cluster_a=str, cluster_b=str)
+    return variability.Partition(doc["cluster_a"], doc["cluster_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +198,19 @@ def cmd_synth(args):
 
 def _write_spectra(ws: Workspace, shape: Shape):
     """Write a shape's spectra files. Returns the fields of its manifest
-    record that they determine, and the files' hashes."""
+    record that they determine."""
     sid = shape.shape_id
-    written = {"hashes": {}}
     files = {
-        name: ws.write_tracked_matrix(written, os.path.join("spectra", f"{sid}.{name}.lsk"), arr)
+        name: ws.write_tracked_matrix(os.path.join("spectra", f"{sid}.{name}.lsk"), arr)
         for name, arr in (("phi", shape.basis.eigenvectors), ("lam", shape.basis.eigenvalues))
     }
-    record = {
+    return {
         "k": shape.basis.k,
         "vertices": shape.mesh.num_vertices,
         "triangles": shape.mesh.num_triangles,
         "files": files,
         "clusters": [list(c) for c in shape.basis.clusters],
     }
-    return record, written["hashes"]
 
 
 # OpenBLAS thread-count setters: the plain build's, and the prefixed ones of
@@ -292,19 +270,19 @@ def _one_blas_thread():
 
 def _solve_shape(root, sid, src, k):
     """Pool worker: parse a mesh from its source path, solve its spectra and
-    write them. Returns (record, hashes, None, warnings) or, when the mesh
-    fails before anything is written, (None, None, message, warnings); each
-    warning caught is (category, message, filename, lineno)."""
+    write them. Returns (record, None, warnings) or, when the mesh fails
+    before anything is written, (None, message, warnings); each warning
+    caught is (category, message, filename, lineno). The record names the
+    files written, and each name carries its file's digest."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the parent's filters decide when it re-emits them
         try:
             shape = spectral.compute_shape(load_mesh(src, shape_id=sid), k)
         except (LskitError, OSError) as exc:
-            record, hashes, error = None, None, str(exc)
+            record, error = None, str(exc)
         else:
-            record, hashes = _write_spectra(Workspace(root), shape)
-            error = None
-    return record, hashes, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+            record, error = _write_spectra(Workspace(root), shape), None
+    return record, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def _solve_in_pool(ws: Workspace, stale, k):
@@ -345,7 +323,7 @@ def cmd_spectra(args):
     for sid, fname in named.items():
         src = os.path.join(args.mesh_dir, fname)
         entry = manifest["shapes"].get(sid)
-        if entry and manifest["hashes"][entry["mesh"]] == sha256_file(src) and entry["k"] == cfg.k:
+        if entry and digest(manifest, entry["mesh"]) == sha256_file(src) and entry["k"] == cfg.k:
             for rel in (entry["mesh"], *entry["files"].values()):  # up to date: it keeps these files
                 view.file(rel)
             continue
@@ -362,10 +340,10 @@ def cmd_spectra(args):
             if isinstance(result, Exception):
                 error = f"{type(result).__name__}: {result}"
             else:
-                record, hashes, error, shape_warnings = result
+                record, error, shape_warnings = result
                 caught += shape_warnings
                 if error is None:  # copy the mesh only once its spectra are written
-                    view.record_shape(sid, src, record, hashes)
+                    view.record_shape(sid, src, record)
                     changed += 1
             if error is not None:
                 failures += 1
@@ -447,7 +425,7 @@ def cmd_fmn(args):
 
     consumed = manifest.get("fmn")  # what latent was built on: the map names carry their contents
     edge_entries = [
-        [src, tgt, view.ws.write_tracked_matrix(manifest, os.path.join("maps", f"{src}__{tgt}.lsk"), fm.matrix)]
+        [src, tgt, view.ws.write_tracked_matrix(os.path.join("maps", f"{src}__{tgt}.lsk"), fm.matrix)]
         for (src, tgt), fm in sorted(net.edges.items())
     ]
     manifest["fmn"] = {
@@ -490,12 +468,12 @@ def cmd_latent(args):
     ortho, offdiag = latent_mod.canonical_residuals(canonical, spectra)
 
     y_files = {
-        sid: ws.write_tracked_matrix(manifest, os.path.join("latent", f"Y.{sid}.lsk"), canonical.Y[sid])
+        sid: ws.write_tracked_matrix(os.path.join("latent", f"Y.{sid}.lsk"), canonical.Y[sid])
         for sid in canonical.order
     }
-    lam0_rel = ws.write_tracked_matrix(manifest, os.path.join("latent", "lambda0.lsk"), latent_shape.spectrum)
+    lam0_rel = ws.write_tracked_matrix(os.path.join("latent", "lambda0.lsk"), latent_shape.spectrum)
     collection = hashlib.sha256(
-        "\n".join(f"{sid}:{manifest['hashes'][manifest['shapes'][sid]['mesh']]}" for sid in canonical.order).encode()
+        "\n".join(f"{sid}:{digest(manifest, manifest['shapes'][sid]['mesh'])}" for sid in canonical.order).encode()
     ).hexdigest()
     manifest["latent"] = {
         "m": cfg.m,
@@ -513,7 +491,7 @@ def cmd_latent(args):
     for kind in kinds:
         diffs = latent_mod.latent_differences(canonical, spectra, latent_shape, kind, cfg.normalized)
         diff_files[kind] = {
-            sid: ws.write_tracked_matrix(manifest, os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
+            sid: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
             for sid, D in diffs.items()
         }
     manifest["diffs"] = {"kinds": kinds, "normalized": cfg.normalized, "files": diff_files}
@@ -544,6 +522,8 @@ def cmd_variability(args):
         )
     else:
         funcs = variability.global_variability(diffs, count=args.count)
+    if args.emit_fields:  # read and verify them before the first write
+        (clb, _), shapes = view.latent, view.shapes
 
     doc = {
         "mode": args.mode,
@@ -567,8 +547,6 @@ def cmd_variability(args):
     write_text(csv_path, "shape_id,pc1,pc2\n" + rows)
 
     if args.emit_fields:
-        clb, _ = view.latent
-        shapes = view.shapes
         bundle = {"mode": args.mode, "shapes": {}}
         for sid in clb.order:
             raw, norm = variability.transfer_to_shape(funcs[0], shapes[sid], clb.Y[sid])
@@ -636,7 +614,8 @@ def cmd_ops(args):
         pairing = opalg.align_by_descriptor(descs["a"], descs["b"])
         for ida, idb in sorted(pairing.items()):
             print(f"{ida} -> {idb}")
-        truth = _ground_truth_pairing(args.partition)
+        with open(args.partition, "r", encoding="utf-8") as fh:
+            truth = json.load(fh).get("pairing")  # a family's ground_truth.json carries one
         if truth:
             hits = sum(pairing.get(a) == b for a, b in truth)
             print(f"pairing accuracy vs ground truth: {hits}/{len(truth)} ({hits / len(truth):.0%})")
@@ -663,11 +642,10 @@ def cmd_ops(args):
         A, B = diffs.get(args.a), diffs.get(args.b)
         if None in (A, B):
             return _fail("mix operands must be shape ids with stored differences")
-        with open(args.region, "r", encoding="utf-8") as fh:
-            region_doc = json.load(fh)
+        region_doc = _read_input(args.region, "region", vertices=int)
         shapes = view.shapes
         clb, latent_shape = view.latent
-        host = shapes.get(region_doc.get("shape"))
+        host = shapes.get(region_doc.get("shape")) if isinstance(region_doc.get("shape"), str) else None
         if host is None:
             raise UnknownShape(f"region shape {region_doc.get('shape')!r} is not in the workspace")
         F = opalg.localized_basis(latent_shape, clb, host, region_doc["vertices"])
@@ -712,10 +690,10 @@ def cmd_extend(args):
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id
-    view.record_shape(sid, args.mesh, *_write_spectra(ws, new_shape))
-    y_rel = ws.write_tracked_matrix(manifest, os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
+    view.record_shape(sid, args.mesh, _write_spectra(ws, new_shape))
+    y_rel = ws.write_tracked_matrix(os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
     diff_rels = {
-        kind: ws.write_tracked_matrix(manifest, os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
+        kind: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
         for kind, D in diffs.items()
     }
     for kind in manifest["diffs"]["kinds"]:  # extend_to_shape returns both kinds

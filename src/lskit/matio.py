@@ -3,15 +3,16 @@
 The matrix container is a fixed little-endian binary layout (magic
 "LSKMAT01", dtype code, dimensions, row-major float64 payload) so artifacts
 round-trip bit-exactly across platforms. A collection workspace is a single
-directory whose manifest.json is the source of truth: every tracked file is
-named by its sha256. A command verifies a tracked file when it reads it, or
-keeps it in place of a write (`Workspace.verified`), and no other file;
-`Workspace.verify` checks them all.
+directory whose manifest.json is the source of truth: its stage records list
+the tracked files, each named `<stem>.<sha256><ext>`. A command verifies a
+tracked file when it reads it, or keeps it in place of a write
+(`Workspace.verified`), and no other file; `Workspace.verify` checks them all.
 """
 
 import hashlib
 import json
 import os
+import re
 import struct
 import tempfile
 from dataclasses import asdict, dataclass
@@ -24,6 +25,7 @@ from .errors import ManifestError, ParseError
 MAGIC = b"LSKMAT01"
 _DTYPE_F64 = 1
 _HEADER = struct.Struct("<8sQQQ")  # magic, dtype code, rows, cols
+_NAMED = re.compile(r"\.([0-9a-f]{64})(\.[^./]*)?$")  # the digest in a tracked file's name
 
 
 def _atomic_write(path, data: bytes):
@@ -53,9 +55,8 @@ def _container(array):
 
 
 def write_matrix(path, array):
-    """Write an array's container, or container bytes that `_container` made.
-    Returns the sha256 of the bytes written."""
-    data = array if isinstance(array, bytes) else _container(array)
+    """Write an array's container. Returns the sha256 of the bytes written."""
+    data = _container(array)
     _atomic_write(path, data)
     return hashlib.sha256(data).hexdigest()
 
@@ -98,6 +99,26 @@ def sha256_file(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def listed(manifest):
+    """The workspace files that the manifest's stage records list."""
+    files = {rel for entry in manifest["shapes"].values() for rel in (entry["mesh"], *entry["files"].values())}
+    if manifest.get("fmn"):
+        files.update(rel for *_, rel in manifest["fmn"]["edges"])
+    if manifest.get("latent"):
+        lat = manifest["latent"]
+        files.update((*lat["Y"].values(), lat["lambda0"]))
+        files.update(rel for ext in lat["extended"].values() for rel in (ext["Y"], *ext["diffs"].values()))
+    if manifest.get("diffs"):
+        files.update(rel for kind in manifest["diffs"]["files"].values() for rel in kind.values())
+    return files
+
+
+def digest(manifest, rel):
+    """The sha256 of tracked file `rel`: its name's, or an earlier layout's `hashes` entry (or None)."""
+    named = _NAMED.search(rel)
+    return named[1] if named else manifest.get("hashes", {}).get(rel)
 
 
 @dataclass
@@ -168,7 +189,6 @@ class Workspace:
             "version": __version__,
             "config": config.effective(),
             "shapes": {},
-            "hashes": {},
         }
 
     def load_manifest(self):
@@ -182,7 +202,12 @@ class Workspace:
                 raise ManifestError(f"malformed manifest: {exc}") from exc
 
     def save_manifest(self, manifest):
-        """Write manifest.json, unless it already holds this manifest."""
+        """Write manifest.json, unless it already holds this manifest; an earlier
+        layout's `hashes` keeps only the listed files whose names lack a digest."""
+        hashes = manifest.pop("hashes", {})
+        legacy = {rel: hashes[rel] for rel in listed(manifest) & hashes.keys() if digest({}, rel) is None}
+        if legacy:
+            manifest["hashes"] = legacy
         if self.exists():
             with open(self.manifest_path, "r", encoding="utf-8") as fh:
                 if json.load(fh) == manifest:
@@ -192,36 +217,33 @@ class Workspace:
 
     def verified(self, manifest, rel):
         """The path of tracked file `rel`; ManifestError when it is missing or
-        its sha256 is not the one that the manifest records."""
-        full, digest = self.path(rel), manifest["hashes"].get(rel)
-        if digest is None or not os.path.isfile(full):
+        its sha256 is not its `digest`."""
+        full, expected = self.path(rel), digest(manifest, rel)
+        if expected is None or not os.path.isfile(full):
             raise ManifestError(f"missing artifact {rel!r}")
         actual = sha256_file(full)
-        if actual != digest:
-            raise ManifestError(f"hash mismatch for {rel!r}: manifest {digest[:12]}..., file {actual[:12]}...")
+        if actual != expected:
+            raise ManifestError(f"hash mismatch for {rel!r}: expected {expected[:12]}..., file {actual[:12]}...")
         return full
 
     def verify(self, manifest):
-        """Abort (ManifestError) when any tracked file is missing or altered."""
-        for rel in manifest.get("hashes", {}):
+        """Abort (ManifestError) when any listed file is missing or altered."""
+        for rel in sorted(listed(manifest)):
             self.verified(manifest, rel)
 
-    def write_tracked(self, manifest, relpath, data):
-        """Track bytes under `relpath`'s stem, the first 16 hex digits of their
-        sha256 and `relpath`'s extension, and return that name. The file is
-        written only when the manifest does not track the name yet, so no
-        command replaces a file that a saved manifest lists; a listed file
-        that it keeps instead is verified."""
-        digest = hashlib.sha256(data).hexdigest()
+    def write_tracked(self, relpath, data):
+        """Track bytes under `relpath`'s stem, their sha256 and `relpath`'s
+        extension, and return that name. A file of that name is verified and
+        kept, so no command replaces a file that a saved manifest lists;
+        otherwise the bytes are written."""
         stem, ext = os.path.splitext(relpath)
-        name = f"{stem}.{digest[:16]}{ext}"
-        if manifest["hashes"].get(name) == digest:
-            self.verified(manifest, name)
+        name = f"{stem}.{hashlib.sha256(data).hexdigest()}{ext}"
+        if os.path.isfile(self.path(name)):
+            self.verified({}, name)
         else:
             _atomic_write(self.path(name), data)
-            manifest["hashes"][name] = digest
         return name
 
-    def write_tracked_matrix(self, manifest, relpath, array):
+    def write_tracked_matrix(self, relpath, array):
         """`write_tracked` for a matrix's container bytes."""
-        return self.write_tracked(manifest, relpath, _container(array))
+        return self.write_tracked(relpath, _container(array))

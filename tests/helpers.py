@@ -217,13 +217,39 @@ def tree_bytes(root):
     }
 
 
+def listed_files(manifest):
+    """Every file that a stage record of the manifest names."""
+    listed = set()
+    for entry in manifest["shapes"].values():
+        listed.add(entry["mesh"])
+        listed.update(entry["files"].values())
+    for _, _, rel in manifest.get("fmn", {}).get("edges", []):
+        listed.add(rel)
+    if "latent" in manifest:
+        listed.update(manifest["latent"]["Y"].values())
+        listed.add(manifest["latent"]["lambda0"])
+        for ext in manifest["latent"]["extended"].values():
+            listed.add(ext["Y"])
+            listed.update(ext["diffs"].values())
+    for files in manifest.get("diffs", {}).get("files", {}).values():
+        listed.update(files.values())
+    return listed
+
+
+def name_digest(rel):
+    """The 64 hex digits of a sha256 that a tracked file's name carries
+    between its stem and its extension; None when it carries none."""
+    named = re.fullmatch(r".+\.([0-9a-f]{64})(\.[^.]*)?", os.path.basename(rel))
+    return named[1] if named else None
+
+
 def tracked(ws, rel):
-    """The name under which the manifest of workspace `ws` tracks `rel`'s
-    content: `rel`'s stem, 16 hex digits of the file's sha256 and `rel`'s
-    extension; None when it tracks no such file."""
+    """The name under which the manifest of workspace `ws` lists `rel`'s
+    content: `rel`'s stem, the 64 hex digits of the file's sha256 and `rel`'s
+    extension; None when it lists no such file."""
     stem, ext = os.path.splitext(rel)
-    pattern = re.compile(re.escape(stem) + r"\.[0-9a-f]{16}" + re.escape(ext))
-    hashes = json.loads(pathlib.Path(ws, "manifest.json").read_text())["hashes"]
-    names = [name for name in hashes if pattern.fullmatch(name)]
+    pattern = re.compile(re.escape(stem) + r"\.[0-9a-f]{64}" + re.escape(ext))
+    names = [name for name in listed_files(json.loads(pathlib.Path(ws, "manifest.json").read_text()))
+             if pattern.fullmatch(name)]
     assert len(names) <= 1, names
     return names[0] if names else None

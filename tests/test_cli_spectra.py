@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from helpers import bumpy_sphere, tracked, tree_bytes
+from helpers import bumpy_sphere, listed_files, tracked, tree_bytes
 from lskit import cli, matio, spectral
 from lskit.cli import main
 from lskit.errors import SpectralGapWarning
@@ -190,7 +190,7 @@ def listed_and_on_disk(ws):
     """The files that the manifest tracks, and the files in its stage directories."""
     on_disk = {f"{sub}/{p.name}" for sub in ("meshes", "spectra", "maps", "latent", "diffs")
                if (ws / sub).is_dir() for p in (ws / sub).iterdir()}
-    return set(manifest_of(ws)["hashes"]), on_disk
+    return listed_files(manifest_of(ws)), on_disk
 
 
 def test_write_failure_keeps_the_shapes_old_record(tmp_path, chain_dir, monkeypatch, capsys):

@@ -59,7 +59,8 @@ def test_container_errors(tmp_path):
 def test_manifest_verify_aborts_on_tamper(tmp_path):
     ws = Workspace(tmp_path)
     manifest = ws.init_manifest(Config())
-    rel = ws.write_tracked_matrix(manifest, "a.lsk", np.eye(2))
+    rel = ws.write_tracked_matrix("a.lsk", np.eye(2))
+    manifest["shapes"]["a"] = {"mesh": ws.write_tracked("a.off", b"OFF\n0 0 0\n"), "files": {"phi": rel}}
     ws.save_manifest(manifest)
     ws.load_manifest()  # clean: fine
     with open(ws.path(rel), "r+b") as fh:
@@ -75,7 +76,7 @@ def test_manifest_verify_aborts_on_tamper(tmp_path):
 def test_verified_hashes_only_the_file_it_is_asked_for(tmp_path, monkeypatch):
     ws = Workspace(tmp_path)
     manifest = ws.init_manifest(Config())
-    kept, other = (ws.write_tracked_matrix(manifest, name, np.eye(n)) for name, n in (("a.lsk", 2), ("b.lsk", 3)))
+    kept, other = (ws.write_tracked_matrix(name, np.eye(n)) for name, n in (("a.lsk", 2), ("b.lsk", 3)))
     with open(ws.path(other), "r+b") as fh:  # damaged, but not asked for
         fh.seek(40)
         fh.write(b"\xff")
@@ -88,19 +89,18 @@ def test_verified_hashes_only_the_file_it_is_asked_for(tmp_path, monkeypatch):
     with pytest.raises(ManifestError, match="missing artifact"):
         ws.verified(manifest, kept)
     with pytest.raises(ManifestError, match="missing artifact"):
-        ws.verified(manifest, "c.lsk")  # the manifest does not track it
+        ws.verified(manifest, "c.lsk")  # neither its name nor the manifest holds a digest
 
 
 def test_a_kept_tracked_file_is_verified_and_not_rewritten(tmp_path):
     ws = Workspace(tmp_path)
-    manifest = ws.init_manifest(Config())
-    rel = ws.write_tracked_matrix(manifest, "a.lsk", np.eye(2))
+    rel = ws.write_tracked_matrix("a.lsk", np.eye(2))
     with open(ws.path(rel), "r+b") as fh:
         fh.seek(40)
         fh.write(b"\xff")
     damaged = (tmp_path / rel).read_bytes()
     with pytest.raises(ManifestError, match="hash mismatch"):
-        ws.write_tracked_matrix(manifest, "a.lsk", np.eye(2))
+        ws.write_tracked_matrix("a.lsk", np.eye(2))
     assert (tmp_path / rel).read_bytes() == damaged
 
 
@@ -133,22 +133,40 @@ def test_text_and_json_writers_create_their_directory(tmp_path):
 
 def test_tracked_matrix_is_written_only_when_its_bytes_change(tmp_path):
     ws = Workspace(tmp_path)
-    manifest = ws.init_manifest(Config())
-    rel = ws.write_tracked_matrix(manifest, os.path.join("m", "a.lsk"), np.eye(3))
-    digest = sha256_file(ws.path(rel))
-    assert rel == os.path.join("m", f"a.{digest[:16]}.lsk") and manifest["hashes"] == {rel: digest}
+    rel = ws.write_tracked_matrix(os.path.join("m", "a.lsk"), np.eye(3))
+    assert rel == os.path.join("m", f"a.{sha256_file(ws.path(rel))}.lsk")
     os.utime(ws.path(rel), ns=(10**18, 10**18))
     stat = os.stat(ws.path(rel))
     # the same bytes: nothing written
-    assert ws.write_tracked_matrix(manifest, os.path.join("m", "a.lsk"), np.eye(3)) == rel
+    assert ws.write_tracked_matrix(os.path.join("m", "a.lsk"), np.eye(3)) == rel
     assert (os.stat(ws.path(rel)).st_ino, os.stat(ws.path(rel)).st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
     # other bytes: another file, and the tracked one is left as it is
-    other = ws.write_tracked_matrix(manifest, os.path.join("m", "a.lsk"), 2 * np.eye(3))
-    assert other != rel and manifest["hashes"][other] == sha256_file(ws.path(other))
+    other = ws.write_tracked_matrix(os.path.join("m", "a.lsk"), 2 * np.eye(3))
+    assert other == os.path.join("m", f"a.{sha256_file(ws.path(other))}.lsk") != rel
     assert np.array_equal(read_matrix(ws.path(other)), 2 * np.eye(3))
     assert (os.stat(ws.path(rel)).st_ino, os.stat(ws.path(rel)).st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
     assert np.array_equal(read_matrix(ws.path(rel)), np.eye(3))
     # bytes of any kind, such as a mesh copy, are named the same way
-    mesh = ws.write_tracked(manifest, os.path.join("meshes", "x.off"), b"OFF\n0 0 0\n")
-    assert mesh == os.path.join("meshes", f"x.{sha256_file(ws.path(mesh))[:16]}.off")
+    mesh = ws.write_tracked(os.path.join("meshes", "x.off"), b"OFF\n0 0 0\n")
+    assert mesh == os.path.join("meshes", f"x.{sha256_file(ws.path(mesh))}.off")
     assert write_matrix(tmp_path / "b.lsk", np.arange(5.0)) == sha256_file(tmp_path / "b.lsk")
+
+
+def test_an_earlier_layouts_hashes_keep_only_the_listed_names_without_a_digest(tmp_path):
+    ws = Workspace(tmp_path)
+    manifest = ws.init_manifest(Config())
+    assert "hashes" not in manifest
+    phi = ws.write_tracked_matrix(os.path.join("spectra", "a.phi.lsk"), np.eye(2))
+    (tmp_path / "meshes").mkdir()
+    (tmp_path / "meshes" / "a.0123456789abcdef.off").write_bytes(b"OFF\n0 0 0\n")  # 16 hex digits
+    mesh = os.path.join("meshes", "a.0123456789abcdef.off")
+    manifest["shapes"]["a"] = {"mesh": mesh, "files": {"phi": phi}}
+    manifest["hashes"] = {mesh: sha256_file(tmp_path / mesh), phi: sha256_file(ws.path(phi)), "maps/gone.lsk": "0" * 64}
+    ws.save_manifest(manifest)
+    assert ws.load_manifest()["hashes"] == {mesh: sha256_file(tmp_path / mesh)}
+    assert matio.digest(manifest, mesh) == sha256_file(tmp_path / mesh)
+    assert matio.digest({}, phi) == sha256_file(ws.path(phi)) and matio.digest({}, mesh) is None
+    ws.verify(ws.load_manifest())
+    manifest["shapes"]["a"]["mesh"] = ws.write_tracked(os.path.join("meshes", "a.off"), b"OFF\n0 0 0\n")
+    ws.save_manifest(manifest)
+    assert "hashes" not in ws.load_manifest()
