@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
 from .errors import LskitError, ManifestError, ProviderFailure, UnknownShape
-from .matio import Config, Workspace, digest, listed, read_matrix, read_vector, sha256_file
+from .matio import Workspace, digest, listed, read_matrix, read_vector, sha256_file
 from .matio import write_json, write_matrix, write_text
 from .meshes import load_mesh
 from .spectral import Shape, SpectralBasis, _eigen_clusters, metric_measure
@@ -39,31 +39,23 @@ def _usage_fail(msg):
 
 
 class _View:
-    """One command's view of its workspace: the config, the manifest, and the
-    stage artifacts that the manifest lists, built from the tracked files only
-    when the command asks for them, each file verified before it is parsed."""
+    """One command's view of its workspace: the manifest, and the stage
+    artifacts that it lists, built from the tracked files only when the
+    command asks for them, each file verified before it is parsed. Settings
+    come from the command's flags alone, and each stage records those it
+    consumed in its own manifest record."""
 
     def __init__(self, args, create=False):
-        self.args = args
         self.ws = Workspace(args.workspace)
         self.create = create  # `spectra` starts a workspace that has no manifest
-
-    @functools.cached_property
-    def config(self):
-        cfg_path = self.ws.path("config.json")
-        cfg = Config.load(cfg_path) if os.path.isfile(cfg_path) else Config()
-        for name in ("k", "m", "kind", "topology", "maps", "landmark_weight", "within_weight"):
-            val = getattr(self.args, name, None)
-            if val is not None:
-                setattr(cfg, name, val)
-        if getattr(self.args, "normalized", False):
-            cfg.normalized = True
-        return cfg
+        stale = self.ws.path("config.json")  # an earlier settings file: refuse it rather than ignore it
+        if os.path.exists(stale):
+            raise ManifestError(f"{stale} is no longer read; pass its settings as flags and remove it")
 
     @functools.cached_property
     def manifest(self):
         if self.create and not self.ws.exists():
-            return self.ws.init_manifest(self.config)
+            return self.ws.init_manifest()
         return self.ws.load_manifest()
 
     def file(self, rel):
@@ -127,11 +119,10 @@ class _View:
             rel_mesh = self.ws.write_tracked(os.path.join("meshes", os.path.basename(src)), fh.read())
         self.manifest["shapes"][sid] = {"mesh": rel_mesh, **record}
 
-    def save(self, *consumed):
-        """Record the config fields that this stage consumed, save the manifest,
-        then delete the files in the stage directories that it does not list:
-        ones it no longer lists, and any a failed or interrupted command left."""
-        self.manifest["config"].update({name: getattr(self.config, name) for name in consumed})
+    def save(self):
+        """Save the manifest, then delete the files in the stage directories
+        that it does not list: ones it no longer lists, and any a failed or
+        interrupted command left."""
         self.ws.save_manifest(self.manifest)
         files = listed(self.manifest)
         for sub in ("meshes", "spectra", "maps", "latent", "diffs"):
@@ -142,21 +133,28 @@ class _View:
 
 
 def _read_input(path, what, **lists):
-    """The JSON object of a --partition or --region file (a partition may sit
-    under "partition", as in ground_truth.json), each key of `lists` holding a
-    list of the type given; ManifestError naming the file otherwise."""
+    """The JSON object of a --partition or --region file, each key of `lists`
+    holding a list of the type given (in a partition file, in the object under
+    "partition" when there is one, as in ground_truth.json); ManifestError
+    naming the file otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc = doc.get("partition", doc) if what == "partition" and isinstance(doc, dict) else doc
+    held = doc.get("partition", doc) if what == "partition" and isinstance(doc, dict) else doc
     for key, kind in lists.items():
-        if not isinstance(doc, dict) or not isinstance(doc.get(key), list) or {type(x) for x in doc[key]} - {kind}:
+        if not isinstance(held, dict) or not isinstance(held.get(key), list) or {type(x) for x in held[key]} - {kind}:
             raise ManifestError(f"{what} file {path}: {key!r} must be a list of {kind.__name__}")
     return doc
 
 
 def _read_partition(path):
+    """A --partition file's partition, and its "pairing" of shape ids (None
+    when it has none; a family's ground_truth.json has one)."""
     doc = _read_input(path, "partition", cluster_a=str, cluster_b=str)
-    return variability.Partition(doc["cluster_a"], doc["cluster_b"])
+    part, pairing = doc.get("partition", doc), doc.get("pairing")
+    if pairing is not None and not (isinstance(pairing, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and {type(x) for x in pair} == {str} for pair in pairing)):
+        raise ManifestError(f"partition file {path}: 'pairing' must be a list of two-string lists")
+    return variability.Partition(part["cluster_a"], part["cluster_b"]), pairing
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +303,9 @@ def _solve_in_pool(ws: Workspace, stale, k):
 
 def cmd_spectra(args):
     view = _View(args, create=True)
-    cfg, manifest = view.config, view.manifest
+    manifest = view.manifest
 
-    patterns = (f".{args.format}",) if args.format else MESH_EXTENSIONS
-    files = sorted(
-        f for f in os.listdir(args.mesh_dir) if os.path.splitext(f)[1].lower() in patterns
-    )
+    files = sorted(f for f in os.listdir(args.mesh_dir) if os.path.splitext(f)[1].lower() in MESH_EXTENSIONS)
     if not files:
         return _fail(f"no mesh files in {args.mesh_dir}")
     named = {}
@@ -323,7 +318,7 @@ def cmd_spectra(args):
     for sid, fname in named.items():
         src = os.path.join(args.mesh_dir, fname)
         entry = manifest["shapes"].get(sid)
-        if entry and digest(manifest, entry["mesh"]) == sha256_file(src) and entry["k"] == cfg.k:
+        if entry and digest(manifest, entry["mesh"]) == sha256_file(src) and entry["k"] == args.k:
             for rel in (entry["mesh"], *entry["files"].values()):  # up to date: it keeps these files
                 view.file(rel)
             continue
@@ -335,7 +330,7 @@ def cmd_spectra(args):
         # a stale shape that is not recorded (its mesh failed, its worker
         # raised or died, or the command was interrupted) keeps its old
         # record and files: the workers wrote new files under new names
-        results = _solve_in_pool(view.ws, stale, cfg.k) if stale else []
+        results = _solve_in_pool(view.ws, stale, args.k) if stale else []
         for (sid, src), result in zip(stale, results):
             if isinstance(result, Exception):
                 error = f"{type(result).__name__}: {result}"
@@ -352,16 +347,15 @@ def cmd_spectra(args):
         if changed:  # the network and everything built on it used the old spectra
             for stage in ("fmn", "latent", "diffs"):
                 manifest.pop(stage, None)
-        at_k = any(entry["k"] == cfg.k for entry in manifest["shapes"].values())
-        view.save(*(("k",) if at_k else ()))  # k once some shape is recorded at it
+        view.save()
     # after the save, so that a warning filtered into an error leaves a saved workspace
     for category, message, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno)
     done = len(stale) - failures
     if failures:
-        print(f"spectra (k={cfg.k}): {done} computed, {failures} failed, {skipped} unchanged")
+        print(f"spectra (k={args.k}): {done} computed, {failures} failed, {skipped} unchanged")
     elif done:
-        print(f"computed spectra for {done} shapes (k={cfg.k}), {skipped} up to date")
+        print(f"computed spectra for {done} shapes (k={args.k}), {skipped} up to date")
     else:
         print(f"up to date ({skipped} shapes)")
     return 1 if failures else 0
@@ -371,21 +365,21 @@ def cmd_spectra(args):
 # fmn
 
 
-def _file_provider(directory, cfg):
-    """Maps from <src>__<tgt>.txt vertex-pair files: full correspondences, or
-    sparse landmarks (--maps landmarks)."""
-    if not directory:
-        raise ManifestError(f"--maps {cfg.maps} requires --corr-dir")
-    landmarks = cfg.maps == "landmarks"
+def _file_provider(args):
+    """Maps from the <src>__<tgt>.txt vertex-pair files in --corr-dir: full
+    correspondences, or sparse landmarks (--maps landmarks)."""
+    if not args.corr_dir:
+        raise ManifestError(f"--maps {args.maps} requires --corr-dir")
+    landmarks = args.maps == "landmarks"
 
     def provider(src: Shape, tgt: Shape):
-        path = fmaps.correspondence_path(directory, src.shape_id, tgt.shape_id)
+        path = fmaps.correspondence_path(args.corr_dir, src.shape_id, tgt.shape_id)
         if not os.path.isfile(path):
             what = "landmark" if landmarks else "correspondence"
             raise ProviderFailure((src.shape_id, tgt.shape_id), f"missing {what} file {path}")
         if landmarks:
             marks = fmaps.load_correspondence(path, kind="sparse_landmarks")
-            return fmaps.fmap_from_landmarks(src, tgt, marks, cfg.landmark_weight)
+            return fmaps.fmap_from_landmarks(src, tgt, marks, args.landmark_weight)
         return fmaps.fmap_from_correspondence(src, tgt, fmaps.load_correspondence(path))
 
     return provider
@@ -393,11 +387,11 @@ def _file_provider(directory, cfg):
 
 def cmd_fmn(args):
     view = _View(args)
-    cfg, manifest, shapes = view.config, view.manifest, view.shapes
+    manifest, shapes = view.manifest, view.shapes
     ids = sorted(shapes)
     dnas = [shapes[sid].dna() for sid in ids]
 
-    topology = cfg.topology
+    topology = args.topology
     cross_pairs = []
     if topology.startswith("knn"):
         k_nn = int(topology.split(":", 1)[1]) if ":" in topology else 10
@@ -405,7 +399,7 @@ def cmd_fmn(args):
     elif topology == "two-cluster":
         if not args.partition:
             return _usage_fail("--topology two-cluster requires --partition")
-        part = _read_partition(args.partition)
+        part, _ = _read_partition(args.partition)
         if set(part.cluster_a) | set(part.cluster_b) != set(ids):
             return _fail("partition must cover exactly the workspace shapes")
         labels = [0 if sid in part.cluster_a else 1 for sid in ids]
@@ -413,12 +407,7 @@ def cmd_fmn(args):
     else:
         edges = network.build_topology(dnas, topology)
 
-    if cfg.maps == "identity":
-        provider = network.identity_map_provider
-    elif cfg.maps in ("correspondence", "landmarks"):
-        provider = _file_provider(args.corr_dir, cfg)
-    else:
-        return _fail(f"unknown maps mode {cfg.maps!r}")
+    provider = network.identity_map_provider if args.maps == "identity" else _file_provider(args)
 
     ordered = [shapes[sid] for sid in ids]
     net = network.attach_maps(ordered, edges, provider, topology)
@@ -430,17 +419,17 @@ def cmd_fmn(args):
     ]
     manifest["fmn"] = {
         "topology": topology,
-        "maps": cfg.maps,
+        "maps": args.maps,
         "nodes": ids,
         "edges": edge_entries,
         "cross_edges": [[ids[i], ids[j]] for i, j in cross_pairs],
     }
-    if cfg.maps == "landmarks":
-        manifest["fmn"]["landmark_weight"] = cfg.landmark_weight
+    if args.maps == "landmarks":
+        manifest["fmn"]["landmark_weight"] = args.landmark_weight
     if manifest["fmn"] != consumed:  # latent results describe another network
         manifest.pop("latent", None)
         manifest.pop("diffs", None)
-    view.save("topology", "maps", "landmark_weight")
+    view.save()
 
     report = network.consistency_report(net)
     print(
@@ -456,13 +445,12 @@ def cmd_fmn(args):
 
 def cmd_latent(args):
     view = _View(args)
-    cfg, net = view.config, view.network
-    ws, manifest = view.ws, view.manifest
+    ws, manifest, net = view.ws, view.manifest, view.network
     k_min = min(s.basis.k for s in net.shapes)
-    if cfg.m > k_min:
-        return _usage_fail(f"--m {cfg.m} exceeds the smallest basis truncation {k_min}")
+    if args.m > k_min:
+        return _usage_fail(f"--m {args.m} exceeds the smallest basis truncation {k_min}")
 
-    clb = latent_mod.consistent_latent_basis(net, cfg.m)
+    clb = latent_mod.consistent_latent_basis(net, args.m)
     spectra = net.spectra()
     canonical, latent_shape = latent_mod.canonicalize(clb, spectra)
     ortho, offdiag = latent_mod.canonical_residuals(canonical, spectra)
@@ -476,7 +464,7 @@ def cmd_latent(args):
         "\n".join(f"{sid}:{digest(manifest, manifest['shapes'][sid]['mesh'])}" for sid in canonical.order).encode()
     ).hexdigest()
     manifest["latent"] = {
-        "m": cfg.m,
+        "m": args.m,
         "canonical": True,
         "order": list(canonical.order),
         "collection_hash": collection,
@@ -486,19 +474,19 @@ def cmd_latent(args):
         "extended": {},
     }
 
-    kinds = ["area", "conformal"] if cfg.kind == "both" else [cfg.kind]
+    kinds = ["area", "conformal"] if args.kind == "both" else [args.kind]
     diff_files = {}
     for kind in kinds:
-        diffs = latent_mod.latent_differences(canonical, spectra, latent_shape, kind, cfg.normalized)
+        diffs = latent_mod.latent_differences(canonical, spectra, latent_shape, kind, args.normalized)
         diff_files[kind] = {
             sid: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
             for sid, D in diffs.items()
         }
-    manifest["diffs"] = {"kinds": kinds, "normalized": cfg.normalized, "files": diff_files}
-    view.save("m", "kind", "normalized")
+    manifest["diffs"] = {"kinds": kinds, "normalized": args.normalized, "files": diff_files}
+    view.save()
 
-    head = ", ".join(f"{v:.6g}" for v in latent_shape.spectrum[: min(6, cfg.m)])
-    print(f"latent: m={cfg.m}, consistency residual {canonical.consistency_residual:.6e}")
+    head = ", ".join(f"{v:.6g}" for v in latent_shape.spectrum[: min(6, args.m)])
+    print(f"latent: m={args.m}, consistency residual {canonical.consistency_residual:.6e}")
     print(f"latent spectrum head: [{head}]")
     print(f"canonical residuals: orthonormality {ortho:.3e}, off-diagonal mass {offdiag:.3e}")
     return 0
@@ -509,17 +497,16 @@ def cmd_latent(args):
 
 
 def cmd_variability(args):
+    if args.count < 1:
+        return _usage_fail(f"--count must be at least 1, got {args.count}")
     view = _View(args)
-    cfg, diffs = view.config, view.diffs(args.diff_kind)
-    ws = view.ws
+    ws, diffs = view.ws, view.diffs(args.diff_kind)
 
     if args.mode == "cross":
         if not args.partition:
             return _usage_fail("--mode cross requires --partition")
-        part = _read_partition(args.partition)
-        funcs = variability.cross_collection_variability(
-            diffs, part, count=args.count, within_weight=cfg.within_weight
-        )
+        part, _ = _read_partition(args.partition)
+        funcs = variability.cross_collection_variability(diffs, part, count=args.count)
     else:
         funcs = variability.global_variability(diffs, count=args.count)
     if args.emit_fields:  # read and verify them before the first write
@@ -595,7 +582,7 @@ def cmd_ops(args):
     if args.action == "align":
         if not args.partition:
             return _usage_fail("ops align requires --partition")
-        part = _read_partition(args.partition)
+        part, truth = _read_partition(args.partition)
         manifest, shapes, net = view.manifest, view.shapes, view.network
         descs = {}
         for name, cluster in (("a", part.cluster_a), ("b", part.cluster_b)):
@@ -614,8 +601,6 @@ def cmd_ops(args):
         pairing = opalg.align_by_descriptor(descs["a"], descs["b"])
         for ida, idb in sorted(pairing.items()):
             print(f"{ida} -> {idb}")
-        with open(args.partition, "r", encoding="utf-8") as fh:
-            truth = json.load(fh).get("pairing")  # a family's ground_truth.json carries one
         if truth:
             hits = sum(pairing.get(a) == b for a, b in truth)
             print(f"pairing accuracy vs ground truth: {hits}/{len(truth)} ({hits / len(truth):.0%})")
@@ -665,8 +650,8 @@ def cmd_extend(args):
     shapes, net = view.shapes, view.network
     _, latent_shape = view.latent
     ws, manifest = view.ws, view.manifest
-    # the k the network's shapes were computed at (fmn compares their
-    # k-long shape-DNA, so they share it); config.k may be a later default
+    # the k the network's shapes were computed at: fmn compares their k-long
+    # shape-DNA, so they share it
     k = net.shapes[0].basis.k
 
     mesh = load_mesh(args.mesh)
@@ -734,23 +719,22 @@ def build_parser():
     sp = sub.add_parser("spectra", help="per-shape stiffness/mass/eigenbasis")
     sp.add_argument("mesh_dir")
     sp.add_argument("--workspace", required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--format", choices=["off", "obj", "ply"], default=None)
+    sp.add_argument("--k", type=int, default=50)
     sp.set_defaults(func=cmd_spectra)
 
     sp = sub.add_parser("fmn", help="build topology and functional maps")
     sp.add_argument("--workspace", required=True)
-    sp.add_argument("--topology", default=None, help="mst | knn:K | clique | chain | two-cluster")
-    sp.add_argument("--maps", choices=["correspondence", "landmarks", "identity"], default=None)
+    sp.add_argument("--topology", default="mst", help="mst | knn:K | clique | chain | two-cluster")
+    sp.add_argument("--maps", choices=["correspondence", "landmarks", "identity"], default="correspondence")
     sp.add_argument("--corr-dir", default=None)
     sp.add_argument("--partition", default=None)
-    sp.add_argument("--landmark-weight", type=float, default=None, dest="landmark_weight")
+    sp.add_argument("--landmark-weight", type=float, default=1e-3, dest="landmark_weight")
     sp.set_defaults(func=cmd_fmn)
 
     sp = sub.add_parser("latent", help="consistent latent basis and differences")
     sp.add_argument("--workspace", required=True)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--kind", choices=["area", "conformal", "both"], default=None)
+    sp.add_argument("--m", type=int, default=40)
+    sp.add_argument("--kind", choices=["area", "conformal", "both"], default="area")
     sp.add_argument("--normalized", action="store_true")
     sp.set_defaults(func=cmd_latent)
 

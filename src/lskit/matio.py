@@ -1,4 +1,4 @@
-"""Persistence: portable matrix container, workspace manifest, config.
+"""Persistence: portable matrix container and workspace manifest.
 
 The matrix container is a fixed little-endian binary layout (magic
 "LSKMAT01", dtype code, dimensions, row-major float64 payload) so artifacts
@@ -15,7 +15,6 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,49 +120,6 @@ def digest(manifest, rel):
     return named[1] if named else manifest.get("hashes", {}).get(rel)
 
 
-@dataclass
-class Config:
-    """Pipeline knobs. A new manifest records them all, tolerances included
-    (`effective`); each stage then records the fields it consumed, so a
-    workspace documents exactly what produced it."""
-
-    k: int = 50
-    m: int = 40
-    kind: str = "area"  # "area" | "conformal" | "both"
-    normalized: bool = False
-    topology: str = "mst"
-    maps: str = "correspondence"  # "correspondence" | "landmarks" | "identity"
-    landmark_weight: float = 1e-3
-    within_weight: float = 1.0
-
-    def effective(self):
-        from . import fmaps, latent, opalg, spectral, variability
-
-        doc = asdict(self)
-        doc["tolerances"] = {
-            "pinv_rel_tol": fmaps.PINV_REL_TOL,
-            "tikhonov_floor": fmaps.TIKHONOV_FLOOR,
-            "landmark_radius_factor": fmaps.LANDMARK_RADIUS_FACTOR,
-            "dense_solver_max_size": spectral.DENSE_SOLVER_MAX_SIZE,
-            "cluster_gap_tol": spectral.CLUSTER_GAP_TOL,
-            "spectral_gap_warn_tol": latent.GAP_WARN_TOL,
-            "orthonormal_tol": variability.ORTHONORMAL_TOL,
-            "condition_limit": opalg.CONDITION_LIMIT,
-        }
-        return doc
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc.pop("tolerances", None)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ManifestError(f"unknown config keys {sorted(unknown)}")
-        return cls(**doc)
-
-
 class Workspace:
     """Single-writer collection directory with manifest integrity checks."""
 
@@ -182,14 +138,23 @@ class Workspace:
     def exists(self):
         return os.path.isfile(self.manifest_path)
 
-    def init_manifest(self, config: Config):
-        """A manifest with no shapes; nothing is written until it is saved."""
-        return {
-            "tool": "lskit",
-            "version": __version__,
-            "config": config.effective(),
-            "shapes": {},
+    def init_manifest(self):
+        """A manifest with no shapes; nothing is written until it is saved.
+        It records the tolerances compiled into the library, which no stage
+        record holds; each stage records the settings it consumed."""
+        from . import fmaps, latent, opalg, spectral, variability
+
+        tolerances = {
+            "pinv_rel_tol": fmaps.PINV_REL_TOL,
+            "tikhonov_floor": fmaps.TIKHONOV_FLOOR,
+            "landmark_radius_factor": fmaps.LANDMARK_RADIUS_FACTOR,
+            "dense_solver_max_size": spectral.DENSE_SOLVER_MAX_SIZE,
+            "cluster_gap_tol": spectral.CLUSTER_GAP_TOL,
+            "spectral_gap_warn_tol": latent.GAP_WARN_TOL,
+            "orthonormal_tol": variability.ORTHONORMAL_TOL,
+            "condition_limit": opalg.CONDITION_LIMIT,
         }
+        return {"tool": "lskit", "version": __version__, "tolerances": tolerances, "shapes": {}}
 
     def load_manifest(self):
         """The saved manifest, parsed; no tracked file is read (`verified`)."""

@@ -284,34 +284,27 @@ def _parse_ply(text):
     return verts, tris
 
 
-_PARSERS = {"off": _parse_off, "obj": _parse_obj, "ply": _parse_ply}
-_EXTENSIONS = {".off": "off", ".obj": "obj", ".ply": "ply"}
+_PARSERS = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply}
 
 
-def load_mesh(path, fmt=None, shape_id=None):
-    """Load and validate a mesh from OFF, OBJ or ASCII-PLY.
+def load_mesh(path, shape_id=None):
+    """Load and validate a mesh from OFF, OBJ or ASCII-PLY; the file's
+    extension names the format.
 
     Parameters
     ----------
     path : str or Path
-    fmt : {'off', 'obj', 'ply'}, optional
-        Inferred from the file extension when omitted.
     shape_id : str, optional
         Defaults to the file name without extension.
     """
     path = os.fspath(path)
-    if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        if ext not in _EXTENSIONS:
-            raise ParseError(f"cannot infer mesh format from extension {ext!r}")
-        fmt = _EXTENSIONS[ext]
-    fmt = fmt.lower()
-    if fmt not in _PARSERS:
-        raise ParseError(f"unsupported mesh format {fmt!r}")
+    ext = os.path.splitext(path)[1].lower()
+    if ext not in _PARSERS:
+        raise ParseError(f"cannot infer mesh format from extension {ext!r}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        verts, tris = _PARSERS[fmt](text)
+        verts, tris = _PARSERS[ext](text)
     except (ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if shape_id is None:

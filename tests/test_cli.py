@@ -10,10 +10,13 @@ import pytest
 
 from helpers import listed_files, name_digest, tracked, tree_bytes
 from lskit import matio
-from lskit.cli import main
+from lskit.cli import build_parser, main
+from lskit.latent import LatentDifference
 from lskit.matio import read_matrix, sha256_file
-from lskit.meshes import save_off
+from lskit.meshes import load_mesh, save_off
+from lskit.opalg import lssd_spectrum_descriptor
 from lskit.synth import sphere_bump_family, sphere_bump_ground_truth, two_cluster_family, two_cluster_ground_truth, write_family
+from lskit.variability import global_variability
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +154,41 @@ def test_variability_cross_requires_partition(workspace):
     assert main(["variability", "--workspace", str(workspace), "--mode", "cross"]) == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_variability_count_below_one_is_a_usage_error(tmp_path, workspace, capsys, count):
+    ws = tmp_path / "ws"
+    shutil.copytree(workspace, ws)
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["variability", "--workspace", str(ws), "--mode", "global", "--count", count]) == 2
+    assert f"usage error: --count must be at least 1, got {count}" in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
+def test_conformal_differences_feed_variability_and_descriptors(tmp_path, workspace, capsys):
+    ws = tmp_path / "ws"
+    shutil.copytree(workspace, ws)
+    files = manifest_of(ws)["diffs"]["files"]["conformal"]
+    diffs = {sid: LatentDifference(read_matrix(ws / rel), "conformal", sid, True) for sid, rel in files.items()}
+    assert main(["variability", "--workspace", str(ws), "--mode", "global", "--count", "2",
+                 "--diff-kind", "conformal"]) == 0
+    doc = json.loads((ws / "variability" / "global.json").read_text())
+    assert doc["kind"] == "conformal" and doc["functions"] == [
+        {"alpha": f.alpha.tolist(), "eigenvalue": f.eigenvalue, "degenerate": f.degenerate}
+        for f in global_variability(diffs, count=2)
+    ]
+    assert main(["ops", "descriptors", "--workspace", str(ws), "--diff-kind", "conformal"]) == 0
+    doc = json.loads((ws / "ops" / "descriptors.conformal.json").read_text())
+    assert doc == {sid: lssd_spectrum_descriptor(D).tolist() for sid, D in diffs.items()}
+    # an area-only workspace stores no conformal differences
+    assert main(["latent", "--workspace", str(ws), "--m", "10"]) == 0
+    for argv in (["variability", "--mode", "global", "--diff-kind", "conformal"],
+                 ["ops", "descriptors", "--diff-kind", "conformal"]):
+        capsys.readouterr()
+        assert main(argv + ["--workspace", str(ws)]) == 1
+        assert "no 'conformal' differences stored" in capsys.readouterr().err
+
+
 def test_ops_interp_identity(workspace):
     assert main([
         "ops", "interp", "a0", "a0", "--t", "0.3", "--workspace", str(workspace),
@@ -183,19 +221,26 @@ def test_ops_mix_with_region(workspace, family_dir):
     assert (workspace / "ops" / "mix_a0_b0.area.lsk").is_file()
 
 
-@pytest.mark.filterwarnings("ignore::lskit.errors.SpectralGapWarning")  # align's m=15 cuts a degenerate latent band (gap 0)
-def test_ops_align_two_cluster(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def two_cluster_ws(tmp_path_factory):
+    """A four-shape two-cluster workspace through `latent`, and its ground_truth.json."""
+    root = tmp_path_factory.mktemp("two-cluster")
     fam = two_cluster_family(n_per_cluster=2, subdivisions=2)
-    fam_dir = tmp_path / "meshes"
+    fam_dir, ws = root / "meshes", root / "ws"
     write_family(fam.meshes, fam_dir, two_cluster_ground_truth(fam))
-    ws = tmp_path / "ws"
-    assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "40"]) == 0
     part = fam_dir / "ground_truth.json"
-    assert main([
-        "fmn", "--workspace", str(ws), "--topology", "two-cluster",
-        "--maps", "identity", "--partition", str(part),
-    ]) == 0
-    assert main(["latent", "--workspace", str(ws), "--m", "15"]) == 0
+    for argv in (
+        ["spectra", str(fam_dir), "--k", "40"],
+        ["fmn", "--topology", "two-cluster", "--maps", "identity", "--partition", str(part)],
+        ["latent", "--m", "15"],
+    ):
+        assert main(argv + ["--workspace", str(ws)]) == 0
+    return ws, part
+
+
+@pytest.mark.filterwarnings("ignore::lskit.errors.SpectralGapWarning")  # align's m=15 cuts a degenerate latent band (gap 0)
+def test_ops_align_two_cluster(two_cluster_ws, capsys):
+    ws, part = two_cluster_ws
     capsys.readouterr()
     assert main(["ops", "align", "--workspace", str(ws), "--partition", str(part)]) == 0
     out = capsys.readouterr().out
@@ -203,8 +248,6 @@ def test_ops_align_two_cluster(tmp_path, capsys):
 
 
 def test_extend_duplicate_twin(tmp_path, workspace, capsys):
-    from lskit.meshes import load_mesh, save_off
-
     manifest = manifest_of(workspace)
     mesh = load_mesh(workspace / manifest["shapes"]["a0"]["mesh"], shape_id="dup")
     dup_path = tmp_path / "dup.off"
@@ -228,7 +271,6 @@ def test_extend_duplicate_twin(tmp_path, workspace, capsys):
 
 def test_extend_unknown_neighbor(tmp_path, workspace, monkeypatch, capsys):
     from lskit import spectral
-    from lskit.meshes import load_mesh, save_off
 
     def no_solve(*args, **kwargs):
         raise AssertionError("extend solved the new shape's eigenproblem before checking --neighbor")
@@ -288,14 +330,33 @@ def test_fmn_correspondence_mode_matches_identity(tmp_path):
         np.testing.assert_array_equal(read_matrix(ws_a / rel_a), read_matrix(ws_b / rel_b))
 
 
-def test_config_file_supplies_defaults(tmp_path, family_dir):
-    ws = tmp_path / "ws"
-    ws.mkdir()
-    (ws / "config.json").write_text(json.dumps({"k": 9, "m": 5}))
-    assert main(["spectra", str(family_dir), "--workspace", str(ws)]) == 0
-    manifest = json.loads((ws / "manifest.json").read_text())
-    assert all(entry["k"] == 9 for entry in manifest["shapes"].values())
-    assert manifest["config"]["k"] == 9 and "tolerances" in manifest["config"]
+def test_a_config_file_is_rejected_before_any_write(tmp_path, family_dir, workspace, capsys):
+    fresh, ws = tmp_path / "fresh", tmp_path / "ws"
+    fresh.mkdir()
+    shutil.copytree(workspace, ws)
+    for root in (fresh, ws):
+        (root / "config.json").write_text(json.dumps({"k": 9, "m": 5}))
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"shape": "a0", "vertices": [0, 1, 2]}))
+    mesh = tmp_path / "x0.off"
+    save_off(load_mesh(family_dir / "a0.off").with_id("x0"), mesh)
+    corr = tmp_path / "x0.txt"
+    corr.write_text("".join(f"{i} {i}\n" for i in range(42)))
+    for root, argv in (
+        (fresh, ["spectra", str(family_dir)]),
+        (ws, ["spectra", str(family_dir), "--k", "16"]),
+        (ws, ["fmn", "--topology", "clique", "--maps", "identity"]),
+        (ws, ["latent", "--m", "10"]),
+        (ws, ["variability", "--mode", "global"]),
+        (ws, ["ops", "descriptors"]),
+        (ws, ["ops", "mix", "a0", "b0", "--region", str(region)]),
+        (ws, ["extend", "--mesh", str(mesh), "--corr", str(corr), "--neighbor", "a0"]),
+    ):
+        before = tree_bytes(root)
+        capsys.readouterr()
+        assert main(argv + ["--workspace", str(root)]) == 1, argv
+        assert f"{root / 'config.json'} is no longer read" in capsys.readouterr().err
+        assert tree_bytes(root) == before, argv
 
 
 @pytest.mark.filterwarnings("ignore::lskit.errors.SpectralGapWarning")  # k=12 splits b0's eigenvalue cluster at 9.52
@@ -350,22 +411,24 @@ def test_latent_identical_shapes_residuals(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::lskit.errors.SpectralGapWarning")  # align's m=15 cuts a degenerate latent band (gap 0)
-def test_ops_align_prints_accuracy(tmp_path, capsys):
-    fam = two_cluster_family(n_per_cluster=2, subdivisions=2)
-    fam_dir = tmp_path / "meshes"
-    write_family(fam.meshes, fam_dir, two_cluster_ground_truth(fam))
-    ws = tmp_path / "ws"
-    assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "40"]) == 0
-    part = fam_dir / "ground_truth.json"
-    assert main([
-        "fmn", "--workspace", str(ws), "--topology", "two-cluster",
-        "--maps", "identity", "--partition", str(part),
-    ]) == 0
-    assert main(["latent", "--workspace", str(ws), "--m", "15"]) == 0
+def test_ops_align_prints_accuracy(two_cluster_ws, capsys):
+    ws, part = two_cluster_ws
     capsys.readouterr()
     assert main(["ops", "align", "--workspace", str(ws), "--partition", str(part)]) == 0
     out = capsys.readouterr().out
     assert "pairing accuracy vs ground truth: 2/2 (100%)" in out
+
+
+@pytest.mark.parametrize("pairing", [5, [["a0"]], [["a0", 1]]], ids=["int", "one-id", "int-id"])
+def test_ops_align_rejects_a_malformed_pairing(tmp_path, two_cluster_ws, capsys, pairing):
+    ws, part = two_cluster_ws
+    path = tmp_path / "ground_truth.json"
+    path.write_text(json.dumps({**json.loads(part.read_text()), "pairing": pairing}))
+    capsys.readouterr()
+    assert main(["ops", "align", "--workspace", str(ws), "--partition", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: partition file {path}: 'pairing' must be a list of two-string lists" in captured.err
+    assert captured.out == ""  # rejected before the alignment
 
 
 def test_upstream_rerun_drops_stale_results(tmp_path, family_dir, capsys):
@@ -579,15 +642,36 @@ def test_fmn_on_mixed_k_names_both_lengths(tmp_path, capsys):
     assert "shape-DNA lengths 10 and 12 differ" in capsys.readouterr().err
 
 
-def test_manifest_config_records_what_each_stage_consumed(tmp_path, family_dir):
+SETTINGS = {"k", "m", "kind", "kinds", "normalized", "topology", "maps", "landmark_weight", "within_weight"}
+
+
+def setting_records(doc, path=()):
+    """{path: value} of every entry of `doc`, at any depth, named as a setting."""
+    found = {}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        if key in SETTINGS:
+            found[path + (key,)] = val
+        found.update(setting_records(val, path + (key,)))
+    return found
+
+
+def test_each_consumed_setting_is_recorded_once_in_its_stage_record(tmp_path, family_dir):
     ws = tmp_path / "ws"
     assert main(["spectra", str(family_dir), "--workspace", str(ws), "--k", "20"]) == 0
     assert main(["fmn", "--workspace", str(ws), "--topology", "clique", "--maps", "identity"]) == 0
-    assert main(["latent", "--workspace", str(ws), "--m", "8"]) == 0
+    assert main(["latent", "--workspace", str(ws), "--m", "8", "--kind", "both"]) == 0
     manifest = manifest_of(ws)
-    config = manifest["config"]
-    assert (config["k"], config["m"], config["topology"], config["maps"]) == (20, 8, "clique", "identity")
-    assert "landmark_weight" not in manifest["fmn"]
+    assert "config" not in manifest and manifest["tolerances"] == matio.Workspace(ws).init_manifest()["tolerances"]
+    consumed = {
+        **{("shapes", sid, "k"): 20 for sid in ("a0", "a1", "b0", "b1")},
+        ("fmn", "topology"): "clique",
+        ("fmn", "maps"): "identity",
+        ("latent", "m"): 8,
+        ("diffs", "kinds"): ["area", "conformal"],
+        ("diffs", "normalized"): False,
+    }
+    assert setting_records(manifest) == consumed
     marks = tmp_path / "landmarks"
     marks.mkdir()
     for a, b in (("a0", "a1"), ("a1", "b0"), ("b0", "b1")):
@@ -597,9 +681,18 @@ def test_manifest_config_records_what_each_stage_consumed(tmp_path, family_dir):
         "fmn", "--workspace", str(ws), "--topology", "chain", "--maps", "landmarks",
         "--corr-dir", str(marks), "--landmark-weight", "0.01",
     ]) == 0
-    manifest = manifest_of(ws)
-    assert manifest["fmn"]["landmark_weight"] == 0.01
-    assert manifest["config"] == {**config, "topology": "chain", "maps": "landmarks", "landmark_weight": 0.01}
+    fmn = {("fmn", "topology"): "chain", ("fmn", "maps"): "landmarks", ("fmn", "landmark_weight"): 0.01}
+    consumed = {key: val for key, val in consumed.items() if key[0] == "shapes"}  # latent describes another network
+    assert setting_records(manifest_of(ws)) == {**consumed, **fmn}
+
+
+def test_the_parser_holds_each_default():
+    parse = build_parser().parse_args
+    assert parse(["spectra", "meshes", "--workspace", "ws"]).k == 50
+    fmn = parse(["fmn", "--workspace", "ws"])
+    assert (fmn.topology, fmn.maps, fmn.landmark_weight) == ("mst", "correspondence", 1e-3)
+    lat = parse(["latent", "--workspace", "ws"])
+    assert (lat.m, lat.kind, lat.normalized) == (40, "area", False)
 
 
 def earlier_layout(tmp_path):
@@ -627,7 +720,10 @@ def earlier_layout(tmp_path):
         shutil.copyfile(ws / entry["files"]["lam"], ws / dna)
         hashes[dna] = hashes[entry["files"]["lam"]]
         entry["format"], entry["mesh_sha256"] = "", hashes[entry["mesh"]]
-    manifest["config"]["mesh_format"] = ""
+    manifest["config"] = {  # every setting and tolerance, whether or not a stage consumed it
+        "k": 10, "m": 6, "kind": "area", "normalized": False, "topology": "clique", "maps": "identity",
+        "landmark_weight": 1e-3, "within_weight": 1.0, "mesh_format": "", "tolerances": manifest.pop("tolerances"),
+    }
     (ws / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return fam_dir, ws, manifest
 
@@ -648,11 +744,13 @@ def test_workspace_in_the_earlier_layout_still_works(tmp_path, capsys):
     ids = sorted(manifest["shapes"])
     lines = "\n".join(f"{sid}:{manifest['shapes'][sid]['mesh_sha256']}" for sid in ids)
     rebuilt = manifest_of(ws)
+    assert rebuilt["config"] == manifest["config"] and "tolerances" not in rebuilt  # kept, and read by nothing
     assert rebuilt["latent"]["collection_hash"] == hashlib.sha256(lines.encode()).hexdigest()
     # the rebuilt stages name their files by digest; only the shapes' entries stay
     assert set(rebuilt["hashes"]) == {rel for rel in manifest["hashes"] if rel.startswith(("meshes/", "spectra/"))}
     assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "8"]) == 0
     manifest = manifest_of(ws)
+    assert manifest["config"] == rebuilt["config"]  # its k stays 10
     assert "hashes" not in manifest and all(name_digest(rel) for rel in listed_files(manifest))
     assert not list((ws / "spectra").glob("*.dna.lsk"))
     assert all({"format", "mesh_sha256"}.isdisjoint(entry) for entry in manifest["shapes"].values())

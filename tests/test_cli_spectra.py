@@ -246,8 +246,11 @@ def test_a_new_shape_that_is_not_recorded_leaves_no_file(tmp_path, chain_dir, mo
 
 @pytest.mark.parametrize("fault", ["all-failed", "interrupted"])
 def test_config_k_stays_until_a_shape_is_recorded_at_the_new_k(tmp_path, chain_dir, monkeypatch, fault):
+    """The shape records are the only record of the k a workspace is at: a
+    `spectra` at a new k that records no shape leaves the manifest as it was."""
     ws = tmp_path / "ws"
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
+    before = manifest_of(ws)
     if fault == "all-failed":  # each chain member has 42 vertices
         assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "100"]) == 1
     else:
@@ -259,7 +262,7 @@ def test_config_k_stays_until_a_shape_is_recorded_at_the_new_k(tmp_path, chain_d
             main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "10"])
         monkeypatch.undo()
     manifest = manifest_of(ws)
-    assert manifest["config"]["k"] == 8
+    assert manifest == before and "config" not in manifest
     assert {entry["k"] for entry in manifest["shapes"].values()} == {8}
 
 

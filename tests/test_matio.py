@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from lskit import matio
+from lskit import fmaps, latent, matio, opalg, spectral, variability
 from lskit.errors import ManifestError, ParseError
-from lskit.matio import Config, Workspace, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text
+from lskit.matio import Workspace, read_matrix, read_vector, sha256_file, write_json, write_matrix, write_text
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path):
@@ -58,7 +58,7 @@ def test_container_errors(tmp_path):
 
 def test_manifest_verify_aborts_on_tamper(tmp_path):
     ws = Workspace(tmp_path)
-    manifest = ws.init_manifest(Config())
+    manifest = ws.init_manifest()
     rel = ws.write_tracked_matrix("a.lsk", np.eye(2))
     manifest["shapes"]["a"] = {"mesh": ws.write_tracked("a.off", b"OFF\n0 0 0\n"), "files": {"phi": rel}}
     ws.save_manifest(manifest)
@@ -75,7 +75,7 @@ def test_manifest_verify_aborts_on_tamper(tmp_path):
 
 def test_verified_hashes_only_the_file_it_is_asked_for(tmp_path, monkeypatch):
     ws = Workspace(tmp_path)
-    manifest = ws.init_manifest(Config())
+    manifest = ws.init_manifest()
     kept, other = (ws.write_tracked_matrix(name, np.eye(n)) for name, n in (("a.lsk", 2), ("b.lsk", 3)))
     with open(ws.path(other), "r+b") as fh:  # damaged, but not asked for
         fh.seek(40)
@@ -105,16 +105,24 @@ def test_a_kept_tracked_file_is_verified_and_not_rewritten(tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = Config(k=33, m=12, kind="both")
-    doc = cfg.effective()
-    assert doc["k"] == 33 and "tolerances" in doc
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    again = Config.load(path)
-    assert again.k == 33 and again.m == 12 and again.kind == "both"
-    path.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(ManifestError):
-        Config.load(path)
+    """A new manifest records the library's tolerances and no `config`; the
+    `config` entry of an earlier manifest is kept as it is, and nothing reads it."""
+    ws = Workspace(tmp_path)
+    manifest = ws.init_manifest()
+    assert "config" not in manifest
+    assert manifest["tolerances"] == {
+        "pinv_rel_tol": fmaps.PINV_REL_TOL,
+        "tikhonov_floor": fmaps.TIKHONOV_FLOOR,
+        "landmark_radius_factor": fmaps.LANDMARK_RADIUS_FACTOR,
+        "dense_solver_max_size": spectral.DENSE_SOLVER_MAX_SIZE,
+        "cluster_gap_tol": spectral.CLUSTER_GAP_TOL,
+        "spectral_gap_warn_tol": latent.GAP_WARN_TOL,
+        "orthonormal_tol": variability.ORTHONORMAL_TOL,
+        "condition_limit": opalg.CONDITION_LIMIT,
+    }
+    config = {"k": 33, "m": 12, "kind": "both", "mesh_format": "", "tolerances": manifest.pop("tolerances")}
+    ws.save_manifest({**manifest, "config": config})
+    assert ws.load_manifest() == {**manifest, "config": config}
 
 
 def test_sha256_file(tmp_path):
@@ -154,7 +162,7 @@ def test_tracked_matrix_is_written_only_when_its_bytes_change(tmp_path):
 
 def test_an_earlier_layouts_hashes_keep_only_the_listed_names_without_a_digest(tmp_path):
     ws = Workspace(tmp_path)
-    manifest = ws.init_manifest(Config())
+    manifest = ws.init_manifest()
     assert "hashes" not in manifest
     phi = ws.write_tracked_matrix(os.path.join("spectra", "a.phi.lsk"), np.eye(2))
     (tmp_path / "meshes").mkdir()
