@@ -19,13 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
-from .errors import LskitError, ManifestError, ProviderFailure, UnknownShape
+from .errors import LskitError, ManifestError, UnknownShape
 from .matio import Workspace, digest, listed, read_matrix, read_vector, sha256_file
 from .matio import write_json, write_matrix, write_text
-from .meshes import load_mesh
+from .meshes import _PARSERS, load_mesh
 from .spectral import Shape, SpectralBasis, _eigen_clusters, metric_measure
-
-MESH_EXTENSIONS = (".off", ".obj", ".ply")
 
 
 def _fail(msg):
@@ -245,22 +243,17 @@ def _blas_setters(verb="set"):
     return funcs
 
 
-def _pin_blas():
-    """Pool initializer: every loaded BLAS runs on one thread."""
-    for setter in _blas_setters():
-        setter(1)
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Every loaded BLAS runs on one thread inside the block, as in `spectra`'s
-    pool workers, so an in-process solve has their bits; each gets its
-    previous thread count back on exit."""
+    """Every loaded BLAS runs on one thread inside the block, and so does a
+    process forked in it, so each solve has the same bits whether it runs
+    in-process or in `spectra`'s pool; each gets its previous thread count
+    back on exit. Yields whether any BLAS was pinned."""
     setters, counts = _blas_setters(), [get() for get in _blas_setters("get")]
     for setter in setters:
         setter(1)
     try:
-        yield
+        yield bool(setters)
     finally:
         for setter, count in zip(setters, counts):
             setter(count)
@@ -284,14 +277,19 @@ def _solve_shape(root, sid, src, k):
 
 
 def _solve_in_pool(ws: Workspace, stale, k):
-    """Solve the stale (sid, src) shapes in a fork pool whose workers run
-    every loaded BLAS on one thread, so each solve's bits do not depend on the
-    worker count or on the caller's BLAS threads: one worker per usable CPU,
-    at most one per shape, and one if no loaded BLAS can be pinned. Returns
-    each shape's `_solve_shape` result, or the exception it raised, in order."""
-    workers = min(len(os.sched_getaffinity(0)), len(stale)) if _blas_setters() else 1
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_pin_blas) as pool:
-        futures = [pool.submit(_solve_shape, ws.root, sid, src, k) for sid, src in stale]
+    """Solve the stale (sid, src) shapes in a fork pool whose workers inherit
+    a one-thread BLAS pin, so each solve's bits do not depend on the worker
+    count or on the caller's BLAS threads: one worker per usable CPU, at most
+    one per shape, and one if no loaded BLAS can be pinned. Returns each
+    shape's `_solve_shape` result, or the exception it raised, in order."""
+    with contextlib.ExitStack() as stack:
+        # pinned only while `submit` forks the workers, which inherit the pin: a
+        # fork stops the caller's OpenBLAS threads and the restore restarts them
+        # to spin for about 0.1 s, which then overlaps the solves, not the caller
+        with _one_blas_thread() as pinned:
+            workers = min(len(os.sched_getaffinity(0)), len(stale)) if pinned else 1
+            pool = stack.enter_context(ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")))
+            futures = [pool.submit(_solve_shape, ws.root, sid, src, k) for sid, src in stale]
         results = []
         for future in futures:
             try:
@@ -302,10 +300,12 @@ def _solve_in_pool(ws: Workspace, stale, k):
 
 
 def cmd_spectra(args):
+    if args.k < 1:
+        return _usage_fail(f"--k must be at least 1, got {args.k}")
     view = _View(args, create=True)
     manifest = view.manifest
 
-    files = sorted(f for f in os.listdir(args.mesh_dir) if os.path.splitext(f)[1].lower() in MESH_EXTENSIONS)
+    files = sorted(f for f in os.listdir(args.mesh_dir) if os.path.splitext(f)[1].lower() in _PARSERS)
     if not files:
         return _fail(f"no mesh files in {args.mesh_dir}")
     named = {}
@@ -375,14 +375,24 @@ def _file_provider(args):
     def provider(src: Shape, tgt: Shape):
         path = fmaps.correspondence_path(args.corr_dir, src.shape_id, tgt.shape_id)
         if not os.path.isfile(path):
-            what = "landmark" if landmarks else "correspondence"
-            raise ProviderFailure((src.shape_id, tgt.shape_id), f"missing {what} file {path}")
+            raise FileNotFoundError(f"missing {'landmark' if landmarks else 'correspondence'} file {path}")
         if landmarks:
             marks = fmaps.load_correspondence(path, kind="sparse_landmarks")
             return fmaps.fmap_from_landmarks(src, tgt, marks, args.landmark_weight)
         return fmaps.fmap_from_correspondence(src, tgt, fmaps.load_correspondence(path))
 
     return provider
+
+
+TOPOLOGY_FORMS = "mst | knn | knn:K (K >= 1) | clique | chain | two-cluster"
+
+
+def _topology(value):
+    """`fmn --topology` as given, once it is one of TOPOLOGY_FORMS."""
+    kind, _, k = value.partition(":")
+    if value in ("mst", "knn", "clique", "chain", "two-cluster") or kind == "knn" and k.isdecimal() and int(k) >= 1:
+        return value
+    raise argparse.ArgumentTypeError(f"invalid topology {value!r}; expected {TOPOLOGY_FORMS}")
 
 
 def cmd_fmn(args):
@@ -393,10 +403,7 @@ def cmd_fmn(args):
 
     topology = args.topology
     cross_pairs = []
-    if topology.startswith("knn"):
-        k_nn = int(topology.split(":", 1)[1]) if ":" in topology else 10
-        edges = network.build_topology(dnas, "knn", k_nn=k_nn)
-    elif topology == "two-cluster":
+    if topology == "two-cluster":
         if not args.partition:
             return _usage_fail("--topology two-cluster requires --partition")
         part, _ = _read_partition(args.partition)
@@ -404,8 +411,9 @@ def cmd_fmn(args):
             return _fail("partition must cover exactly the workspace shapes")
         labels = [0 if sid in part.cluster_a else 1 for sid in ids]
         edges, cross_pairs = network.two_cluster_topology(dnas, labels)
-    else:
-        edges = network.build_topology(dnas, topology)
+    else:  # k_nn is read by knn alone
+        kind, _, k_nn = topology.partition(":")
+        edges = network.build_topology(dnas, kind, k_nn=int(k_nn or 10))
 
     provider = network.identity_map_provider if args.maps == "identity" else _file_provider(args)
 
@@ -444,6 +452,8 @@ def cmd_fmn(args):
 
 
 def cmd_latent(args):
+    if args.m < 1:
+        return _usage_fail(f"--m must be at least 1, got {args.m}")
     view = _View(args)
     ws, manifest, net = view.ws, view.manifest, view.network
     k_min = min(s.basis.k for s in net.shapes)
@@ -606,27 +616,18 @@ def cmd_ops(args):
             print(f"pairing accuracy vs ground truth: {hits}/{len(truth)} ({hits / len(truth):.0%})")
         return 0
 
-    diffs = view.diffs(kind, (args.a, args.b, getattr(args, "c", None)))  # only the operands
+    operands = (args.a, args.b, args.c) if args.action == "analogy" else (args.a, args.b)
+    diffs = view.diffs(kind, operands)  # only the operands
+    if not diffs.keys() >= set(operands):
+        return _fail(f"{args.action} operands must be shape ids with stored differences")
+    A, B = diffs[args.a], diffs[args.b]
+    name, note = "_".join((args.action, *operands)), ""
     if args.action == "analogy":
-        A, B, C = diffs.get(args.a), diffs.get(args.b), diffs.get(args.c)
-        if None in (A, B, C):
-            return _fail("analogy operands must be shape ids with stored differences")
-        expr = opalg.analogy(A, B, C)
-        rel = _write_expression(ws, f"analogy_{args.a}_{args.b}_{args.c}.{kind}", expr)
-        print(f"wrote {rel} (condition {expr.recipe['condition']:.3e})")
-        return 0
-    if args.action == "interp":
-        A, B = diffs.get(args.a), diffs.get(args.b)
-        if None in (A, B):
-            return _fail("interp operands must be shape ids with stored differences")
-        expr = opalg.interpolate(A, B, args.t)
-        rel = _write_expression(ws, f"interp_{args.a}_{args.b}_t{args.t:g}.{kind}", expr)
-        print(f"wrote {rel}")
-        return 0
-    if args.action == "mix":
-        A, B = diffs.get(args.a), diffs.get(args.b)
-        if None in (A, B):
-            return _fail("mix operands must be shape ids with stored differences")
+        expr = opalg.analogy(A, B, diffs[args.c])
+        note = f" (condition {expr.recipe['condition']:.3e})"
+    elif args.action == "interp":
+        expr, name = opalg.interpolate(A, B, args.t), f"{name}_t{args.t:g}"
+    else:  # mix
         region_doc = _read_input(args.region, "region", vertices=int)
         shapes = view.shapes
         clb, latent_shape = view.latent
@@ -634,11 +635,9 @@ def cmd_ops(args):
         if host is None:
             raise UnknownShape(f"region shape {region_doc.get('shape')!r} is not in the workspace")
         F = opalg.localized_basis(latent_shape, clb, host, region_doc["vertices"])
-        expr = opalg.partial_mix(A, B, F)
-        rel = _write_expression(ws, f"mix_{args.a}_{args.b}.{kind}", expr)
-        print(f"wrote {rel} (localized basis rank {F.p})")
-        return 0
-    return _fail(f"unknown ops action {args.action!r}")
+        expr, note = opalg.partial_mix(A, B, F), f" (localized basis rank {F.p})"
+    print(f"wrote {_write_expression(ws, f'{name}.{kind}', expr)}{note}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +723,7 @@ def build_parser():
 
     sp = sub.add_parser("fmn", help="build topology and functional maps")
     sp.add_argument("--workspace", required=True)
-    sp.add_argument("--topology", default="mst", help="mst | knn:K | clique | chain | two-cluster")
+    sp.add_argument("--topology", type=_topology, default="mst", help=TOPOLOGY_FORMS)
     sp.add_argument("--maps", choices=["correspondence", "landmarks", "identity"], default="correspondence")
     sp.add_argument("--corr-dir", default=None)
     sp.add_argument("--partition", default=None)

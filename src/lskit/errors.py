@@ -45,13 +45,9 @@ class InsufficientShapes(LskitError):
 class ProviderFailure(LskitError):
     """A map provider failed for a required edge."""
 
-    def __init__(self, edge, cause=None):
-        self.edge = edge
-        self.cause = cause
-        msg = f"map provider failed for edge {edge}"
-        if cause is not None:
-            msg += f": {cause}"
-        super().__init__(msg)
+    def __init__(self, edge, cause):
+        self.edge, self.cause = edge, cause
+        super().__init__(f"map provider failed for edge {edge}: {cause}")
 
 
 class RequiresCanonical(LskitError):

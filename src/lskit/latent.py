@@ -149,6 +149,14 @@ def consistent_latent_basis(net: FMNetwork, m: int) -> ConsistentLatentBasis:
     return ConsistentLatentBasis(Y, m, order, False, max(residual, 0.0))
 
 
+def _canonical_energy(clb: ConsistentLatentBasis, spectra: dict):
+    """sum_i Y_i^T Lambda_i Y_i, accumulated in stacking order."""
+    E = np.zeros((clb.m, clb.m))
+    for sid in clb.order:
+        E += clb.Y[sid].T @ (np.asarray(spectra[sid], dtype=np.float64)[:, None] * clb.Y[sid])
+    return E
+
+
 def canonicalize(clb: ConsistentLatentBasis, spectra: dict):
     """Rotate the basis so sum_i Y_i^T Lambda_i Y_i becomes diagonal.
 
@@ -158,11 +166,7 @@ def canonicalize(clb: ConsistentLatentBasis, spectra: dict):
     are additionally ordered by the first stacked-basis entry, so the output
     is deterministic even inside clusters (logged when triggered).
     """
-    E = np.zeros((clb.m, clb.m))
-    for sid in clb.order:
-        Yi = clb.Y[sid]
-        lam = np.asarray(spectra[sid], dtype=np.float64)
-        E += Yi.T @ (lam[:, None] * Yi)
+    E = _canonical_energy(clb, spectra)
     E = 0.5 * (E + E.T)
     lam0, U = scipy.linalg.eigh(E)
     U = _fix_signs(U)
@@ -183,17 +187,21 @@ def canonicalize(clb: ConsistentLatentBasis, spectra: dict):
 
 def canonical_residuals(clb: ConsistentLatentBasis, spectra: dict):
     """Diagnostics: (||sum Y^T Y - I||_max, off-diagonal mass ratio of E)."""
-    S = np.zeros((clb.m, clb.m))
-    E = np.zeros((clb.m, clb.m))
-    for sid in clb.order:
-        Yi = clb.Y[sid]
-        S += Yi.T @ Yi
-        lam = np.asarray(spectra[sid], dtype=np.float64)
-        E += Yi.T @ (lam[:, None] * Yi)
+    S = sum((clb.Y[sid].T @ clb.Y[sid] for sid in clb.order), np.zeros((clb.m, clb.m)))
+    E = _canonical_energy(clb, spectra)
     ortho = float(np.max(np.abs(S - np.eye(clb.m))))
     diag_mass = float(np.linalg.norm(np.diag(E)))
     off_mass = float(np.linalg.norm(E - np.diag(np.diag(E)), "fro"))
     return ortho, off_mass / max(diag_mass, 1e-300)
+
+
+def _shape_difference(Y, eigs, latent: LatentShape, n, kind, shape_id, normalized):
+    """The difference operator of one shape of an n-shape collection, from its
+    latent basis Y and spectrum, at the scale that `latent_differences` states."""
+    scale = float(n) if normalized else 1.0
+    return LatentDifference(
+        _difference_matrix(Y, kind, latent.spectrum, eigs, scale, scale / n), kind, shape_id, normalized
+    )
 
 
 def latent_differences(clb: ConsistentLatentBasis, spectra: dict, latent: LatentShape, kind="area", normalized=False):
@@ -207,13 +215,8 @@ def latent_differences(clb: ConsistentLatentBasis, spectra: dict, latent: Latent
     """
     if not clb.canonical:
         raise RequiresCanonical("latent differences need a canonical basis")
-    n = clb.n_shapes
-    scale = float(n) if normalized else 1.0
     return {
-        sid: LatentDifference(
-            _difference_matrix(clb.Y[sid], kind, latent.spectrum, spectra[sid], scale, scale / n),
-            kind, sid, normalized,
-        )
+        sid: _shape_difference(clb.Y[sid], spectra[sid], latent, clb.n_shapes, kind, sid, normalized)
         for sid in clb.order
     }
 
@@ -248,13 +251,9 @@ def extend_to_shape(latent: LatentShape, net: FMNetwork, new_shape: Shape, map_p
             if dist < best_dist:
                 best, best_dist = sid, dist
     Y_new = _provider_map(map_provider, net.shape(best), new_shape).matrix @ clb.Y[best]
-    n = clb.n_shapes
-    scale = float(n) if normalized else 1.0
     diffs = {
-        kind: LatentDifference(
-            _difference_matrix(Y_new, kind, latent.spectrum, new_shape.basis.eigenvalues, scale, scale / n),
-            kind, new_shape.shape_id, normalized,
-        )
+        kind: _shape_difference(
+            Y_new, new_shape.basis.eigenvalues, latent, clb.n_shapes, kind, new_shape.shape_id, normalized)
         for kind in ("area", "conformal")
     }
     return best, Y_new, diffs

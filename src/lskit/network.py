@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientShapes, ProviderFailure
+from .errors import DimensionMismatch, InsufficientShapes, NonBijective, ProviderFailure
 from .fmaps import FunctionalMap, fmap_from_correspondence, identity_correspondence
 from .spectral import Shape
 
@@ -189,12 +189,10 @@ def attach_maps(shapes, topology, map_provider, topology_tag="custom") -> FMNetw
 def _provider_map(map_provider, src: Shape, tgt: Shape) -> FunctionalMap:
     """The provider's map for the directed edge (src, tgt). Any exception it
     raises, and a result that is not a finite FunctionalMap, becomes a
-    ProviderFailure naming the edge."""
+    ProviderFailure naming the edge: the one place that names it."""
     edge = (src.shape_id, tgt.shape_id)
     try:
         fm = map_provider(src, tgt)
-    except ProviderFailure:
-        raise
     except Exception as exc:
         raise ProviderFailure(edge, exc) from exc
     if not isinstance(fm, FunctionalMap) or not np.all(np.isfinite(fm.matrix)):
@@ -205,10 +203,7 @@ def _provider_map(map_provider, src: Shape, tgt: Shape) -> FunctionalMap:
 def identity_map_provider(src: Shape, tgt: Shape) -> FunctionalMap:
     """Provider for shared-connectivity collections (identity correspondence)."""
     if src.mesh.num_vertices != tgt.mesh.num_vertices:
-        raise ProviderFailure(
-            (src.shape_id, tgt.shape_id),
-            "identity correspondence needs equal vertex counts",
-        )
+        raise NonBijective("identity correspondence needs equal vertex counts")
     return fmap_from_correspondence(src, tgt, identity_correspondence(src.mesh.num_vertices))
 
 

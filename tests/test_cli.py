@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import listed_files, name_digest, tracked, tree_bytes
+from helpers import bumpy_sphere, listed_files, name_digest, tracked, tree_bytes
 from lskit import matio
 from lskit.cli import build_parser, main
 from lskit.latent import LatentDifference
@@ -106,6 +106,74 @@ def test_fmn_missing_correspondence(tmp_path, family_dir, capsys):
     ])
     assert code == 1
     assert "missing correspondence" in capsys.readouterr().err
+
+
+def test_fmn_missing_correspondence_file_names_the_edge(tmp_path, capsys):
+    out = tmp_path / "chain"
+    assert main(["synth", "chain", "--out", str(out), "--count", "4", "--subdivisions", "1"]) == 0
+    missing = out / "correspondences" / "frame01__frame02.txt"
+    missing.unlink()
+    ws = str(tmp_path / "ws")
+    assert main(["spectra", str(out), "--workspace", ws, "--k", "8"]) == 0
+    capsys.readouterr()
+    fmn = ["fmn", "--workspace", ws, "--topology", "chain", "--corr-dir", str(out / "correspondences")]
+    assert main(fmn + ["--maps", "correspondence"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: map provider failed for edge ('frame01', 'frame02'): missing correspondence file {missing}\n"
+    )
+
+
+def test_fmn_identity_maps_between_unequal_vertex_counts_name_the_edge(tmp_path, capsys):
+    mesh_dir = tmp_path / "meshes"
+    mesh_dir.mkdir()
+    for sid, subdivisions in (("a0", 1), ("a1", 2)):  # 42 and 162 vertices
+        save_off(bumpy_sphere(seed=subdivisions, subdivisions=subdivisions, shape_id=sid), mesh_dir / f"{sid}.off")
+    ws = str(tmp_path / "ws")
+    assert main(["spectra", str(mesh_dir), "--workspace", ws, "--k", "8"]) == 0
+    capsys.readouterr()
+    assert main(["fmn", "--workspace", ws, "--topology", "chain", "--maps", "identity"]) == 1
+    assert capsys.readouterr().err == (
+        "error: map provider failed for edge ('a0', 'a1'): identity correspondence needs equal vertex counts\n"
+    )
+
+
+@pytest.mark.parametrize("topology", ["knn:x", "foo", "knn:0", "knn:-1", "knn:", "mst:2"])
+def test_fmn_malformed_topology_is_a_usage_error(tmp_path, capsys, topology):
+    ws = tmp_path / "ws"
+    with pytest.raises(SystemExit) as exc:
+        main(["fmn", "--workspace", str(ws), "--topology", topology, "--maps", "identity"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --topology: invalid topology {topology!r}" in err
+    assert "mst | knn | knn:K (K >= 1) | clique | chain | two-cluster" in err
+    assert not ws.exists()
+
+
+@pytest.mark.parametrize("topology", ["knn", "knn:2"])
+def test_fmn_records_a_valid_topology_as_given(tmp_path, workspace, topology):
+    ws = tmp_path / "ws"
+    shutil.copytree(workspace, ws)
+    assert main(["fmn", "--workspace", str(ws), "--topology", topology, "--maps", "identity"]) == 0
+    assert manifest_of(ws)["fmn"]["topology"] == topology
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_spectra_k_below_one_is_a_usage_error(tmp_path, family_dir, capsys, k):
+    ws = tmp_path / "ws"
+    assert main(["spectra", str(family_dir), "--workspace", str(ws), "--k", k]) == 2
+    assert capsys.readouterr().err == f"usage error: --k must be at least 1, got {k}\n"
+    assert not (ws / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_latent_m_below_one_is_a_usage_error(tmp_path, workspace, capsys, m):
+    ws = tmp_path / "ws"
+    shutil.copytree(workspace, ws)
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["latent", "--workspace", str(ws), "--m", m]) == 2
+    assert capsys.readouterr().err == f"usage error: --m must be at least 1, got {m}\n"
+    assert tree_bytes(ws) == before
 
 
 def test_latent_artifacts_and_outputs(workspace, capsys):
@@ -208,6 +276,14 @@ def test_ops_analogy_and_descriptors(workspace):
     doc = json.loads((workspace / "ops" / "descriptors.area.json").read_text())
     assert sorted(doc) == ["a0", "a1", "b0", "b1"]
     assert all(len(v) == 10 for v in doc.values())
+
+
+@pytest.mark.parametrize("argv", [["analogy", "a0", "zz", "b0"], ["interp", "zz", "b0", "--t", "0.5"],
+                                  ["mix", "a0", "zz", "--region", "unread.json"]], ids=lambda argv: argv[0])
+def test_ops_unknown_operand_exits_1(workspace, capsys, argv):
+    capsys.readouterr()
+    assert main(["ops", *argv, "--workspace", str(workspace)]) == 1
+    assert capsys.readouterr().err == f"error: {argv[0]} operands must be shape ids with stored differences\n"
 
 
 def test_ops_mix_with_region(workspace, family_dir):

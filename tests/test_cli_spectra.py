@@ -35,8 +35,8 @@ class FakeExecutor:
 
     built = []
 
-    def __init__(self, max_workers, mp_context, initializer):
-        self.built.append((max_workers, mp_context.get_start_method(), initializer))
+    def __init__(self, max_workers, mp_context):
+        self.built.append((max_workers, mp_context.get_start_method()))
 
     def __enter__(self):
         return self
@@ -56,9 +56,9 @@ def test_pool_size_is_clamped_to_the_stale_shapes(tmp_path, chain_dir, monkeypat
     monkeypatch.setattr(FakeExecutor, "built", [])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     assert main(["spectra", str(chain_dir), "--workspace", str(tmp_path / "ws"), "--k", "8"]) == 0
-    assert FakeExecutor.built == [(3, "fork", cli._pin_blas)]
+    assert FakeExecutor.built == [(3, "fork")]
     # with no BLAS whose threads can be pinned, one worker
-    monkeypatch.setattr(cli, "_blas_setters", lambda: [])
+    monkeypatch.setattr(cli, "_blas_setters", lambda verb="set": [])
     assert main(["spectra", str(chain_dir), "--workspace", str(tmp_path / "ws"), "--k", "9"]) == 0
     assert FakeExecutor.built[1][0] == 1
     assert sorted(manifest_of(tmp_path / "ws")["shapes"]) == ["frame00", "frame01", "frame02"]
@@ -122,13 +122,40 @@ def _blas_thread_counts():
     return counts
 
 
-def test_pool_workers_run_blas_on_one_thread():
-    if not cli._blas_setters():
+@pytest.fixture
+def two_blas_threads():
+    """The caller runs every loaded OpenBLAS on two threads; each gets its
+    previous thread count back afterwards."""
+    previous = _blas_thread_counts()
+    if not previous:
         pytest.skip("no loaded BLAS exposes an OpenBLAS thread setter")
-    context = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(2, mp_context=context, initializer=cli._pin_blas) as pool:
-        counts = pool.submit(_blas_thread_counts).result(timeout=60)
-    assert counts and set(counts) == {1}
+    try:
+        for setter in cli._blas_setters():
+            setter(2)
+        if set(_blas_thread_counts()) != {2}:
+            pytest.skip("the loaded BLAS cannot run on two threads")
+        yield
+    finally:
+        for setter, count in zip(cli._blas_setters(), previous):
+            setter(count)
+
+
+def _counts_in_worker(root, sid, src, k):
+    """Stands in for `cli._solve_shape`: the worker's BLAS thread counts."""
+    return _blas_thread_counts()
+
+
+def _interrupted_worker(root, sid, src, k):
+    """Stands in for `cli._solve_shape`: a solve stopped by Ctrl-C."""
+    raise KeyboardInterrupt
+
+
+def test_pool_workers_run_blas_on_one_thread(tmp_path, monkeypatch, two_blas_threads):
+    monkeypatch.setattr(cli, "_solve_shape", _counts_in_worker)  # the forked workers inherit it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    results = cli._solve_in_pool(matio.Workspace(str(tmp_path)), [("a0", "a0.off"), ("a1", "a1.off")], 8)
+    assert len(results) == 2 and all(counts and set(counts) == {1} for counts in results)
+    assert set(_blas_thread_counts()) == {2}  # the caller's threads are back
 
 
 def test_gap_warning_in_a_worker_surfaces_from_main(tmp_path):
@@ -287,6 +314,32 @@ def test_two_meshes_of_one_shape_fail_before_any_solve(tmp_path, chain_dir, monk
     assert tree_bytes(ws) == before
 
 
+def inject(fault, monkeypatch, sid):
+    """Make the next `spectra` fail at shape `sid`, after the workers wrote
+    every shape's files: interrupted as it records `sid`, once the shapes
+    before it are recorded ("interrupt"), or its mesh copy's write fails
+    ("copy-fails"). Returns what the command then raises, or its exit code."""
+    if fault == "interrupt":
+        record_shape = cli._View.record_shape
+
+        def interrupted(view, shape_id, *args):
+            if shape_id == sid:
+                raise KeyboardInterrupt
+            return record_shape(view, shape_id, *args)
+
+        monkeypatch.setattr(cli._View, "record_shape", interrupted)
+        return KeyboardInterrupt
+    atomic_write = matio._atomic_write
+
+    def failing(path, data):
+        if os.path.basename(path).startswith(f"{sid}.") and path.endswith(".off"):
+            raise OSError("disk full")
+        return atomic_write(path, data)
+
+    monkeypatch.setattr(matio, "_atomic_write", failing)
+    return 1
+
+
 @pytest.mark.parametrize("fault", ["interrupt", "copy-fails"])
 def test_interrupted_spectra_leaves_a_usable_workspace(tmp_path, chain_dir, monkeypatch, capsys, fault):
     ws = str(tmp_path / "ws")
@@ -295,27 +348,12 @@ def test_interrupted_spectra_leaves_a_usable_workspace(tmp_path, chain_dir, monk
     before = manifest_of(tmp_path / "ws")["shapes"]
     mesh = load_mesh(chain_dir / "frame01.off")
     save_off(Mesh(1.1 * mesh.vertices, mesh.triangles, "frame01"), chain_dir / "frame01.off")  # its copy changes
-    if fault == "interrupt":  # after the workers wrote every shape's files, and frame00 is recorded
-        record_shape = cli._View.record_shape
-
-        def interrupted(view, sid, *args):
-            if sid == "frame01":
-                raise KeyboardInterrupt
-            return record_shape(view, sid, *args)
-
-        monkeypatch.setattr(cli._View, "record_shape", interrupted)
+    outcome = inject(fault, monkeypatch, "frame01")
+    if outcome is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
             main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"])
     else:
-        atomic_write = matio._atomic_write
-
-        def failing(path, data):
-            if os.path.basename(path).startswith("frame01.") and path.endswith(".off"):
-                raise OSError("disk full")
-            return atomic_write(path, data)
-
-        monkeypatch.setattr(matio, "_atomic_write", failing)
-        assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"]) == 1
+        assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"]) == outcome
         assert "disk full" in capsys.readouterr().err
     monkeypatch.undo()
     manifest = manifest_of(tmp_path / "ws")
@@ -335,10 +373,28 @@ def test_interrupted_spectra_leaves_a_usable_workspace(tmp_path, chain_dir, monk
     assert main(["fmn", "--workspace", ws, "--topology", "chain", "--maps", "identity"]) == 0
 
 
-def test_extend_solves_as_spectra_does_and_restores_the_blas_threads(tmp_path):
-    previous = _blas_thread_counts()
-    if not previous:
-        pytest.skip("no loaded BLAS exposes an OpenBLAS thread setter")
+@pytest.mark.parametrize("fault", [None, "interrupt", "copy-fails", "worker-interrupt"])
+def test_spectra_gives_the_caller_its_blas_threads_back(tmp_path, chain_dir, monkeypatch, two_blas_threads, fault):
+    ws = str(tmp_path / "ws")
+    assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "8"]) == 0
+    assert set(_blas_thread_counts()) == {2}
+    mesh = load_mesh(chain_dir / "frame01.off")
+    save_off(Mesh(1.1 * mesh.vertices, mesh.triangles, "frame01"), chain_dir / "frame01.off")  # its copy changes
+    if fault == "worker-interrupt":  # Ctrl-C inside the pool, while the workers solve
+        monkeypatch.setattr(cli, "_solve_shape", _interrupted_worker)
+        outcome = KeyboardInterrupt
+    else:
+        outcome = inject(fault, monkeypatch, "frame01") if fault else 0
+    if outcome is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"])
+    else:  # every shape is recomputed at the new k
+        assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"]) == outcome
+    assert set(_blas_thread_counts()) == {2}
+    assert not multiprocessing.active_children()
+
+
+def test_extend_solves_as_spectra_does_and_restores_the_blas_threads(tmp_path, two_blas_threads):
     fam_dir, solo = tmp_path / "meshes", tmp_path / "solo"
     write_family(two_cluster_family(n_per_cluster=2, subdivisions=2).meshes, fam_dir)
     x0 = two_cluster_family(n_per_cluster=2, subdivisions=2, seed=4).meshes[0].with_id("x0")
@@ -351,18 +407,10 @@ def test_extend_solves_as_spectra_does_and_restores_the_blas_threads(tmp_path):
         ["spectra", str(fam_dir), "--k", "20"],
         ["fmn", "--topology", "clique", "--maps", "identity"],
         ["latent", "--m", "6"],
+        ["extend", "--mesh", str(solo / "x0.off"), "--corr", str(corr)],
     ):
         assert main(argv + ["--workspace", str(ws)]) == 0
-    try:
-        for setter in cli._blas_setters():  # the caller runs BLAS on two threads
-            setter(2)
-        if set(_blas_thread_counts()) != {2}:
-            pytest.skip("the loaded BLAS cannot run on two threads")
-        assert main(["extend", "--workspace", str(ws), "--mesh", str(solo / "x0.off"), "--corr", str(corr)]) == 0
-        assert set(_blas_thread_counts()) == {2}
-    finally:
-        for setter, count in zip(cli._blas_setters(), previous):
-            setter(count)
+    assert set(_blas_thread_counts()) == {2}
     assert main(["spectra", str(solo), "--workspace", str(ws_solo), "--k", "20"]) == 0
     for name in ("phi", "lam"):
         rel = tracked(ws, f"spectra/x0.{name}.lsk")
