@@ -25,6 +25,7 @@ from .latent import (
     consistent_latent_basis,
     extend_to_shape,
     latent_differences,
+    nearest_member,
     stability_probe,
 )
 from .meshes import Mesh, load_mesh, save_off, validate_mesh

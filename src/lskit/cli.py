@@ -46,6 +46,7 @@ class _View:
     def __init__(self, args, create=False):
         self.ws = Workspace(args.workspace)
         self.create = create  # `spectra` starts a workspace that has no manifest
+        self.loaded = {}  # shape id -> Shape, for this view only
         stale = self.ws.path("config.json")  # an earlier settings file: refuse it rather than ignore it
         if os.path.exists(stale):
             raise ManifestError(f"{stale} is no longer read; pass its settings as flags and remove it")
@@ -60,30 +61,35 @@ class _View:
         """The path of a tracked file, verified against the manifest."""
         return self.ws.verified(self.manifest, rel)
 
-    @functools.cached_property
-    def shapes(self):
-        """Shape bundles rebuilt from the tracked meshes and spectra."""
-        shapes = {}
-        for sid, entry in sorted(self.manifest["shapes"].items()):
+    def shape(self, sid):
+        """One member's shape bundle, rebuilt from its tracked mesh and
+        spectra when the view first asks for it."""
+        if sid not in self.loaded:
+            entry = self.manifest["shapes"][sid]
             mesh = load_mesh(self.file(entry["mesh"]), shape_id=sid)
             lam = read_vector(self.file(entry["files"]["lam"]))
             phi = read_matrix(self.file(entry["files"]["phi"]))
             basis = SpectralBasis(lam, phi, sid, _eigen_clusters(lam))
-            shapes[sid] = Shape(mesh, metric_measure(mesh), basis)
-        return shapes
+            self.loaded[sid] = Shape(mesh, metric_measure(mesh), basis)
+        return self.loaded[sid]
+
+    @property
+    def shapes(self):
+        """Every member's shape bundle, in id order."""
+        return {sid: self.shape(sid) for sid in sorted(self.manifest["shapes"])}
 
     @functools.cached_property
     def network(self):
         fmn = self.manifest.get("fmn")
         if not fmn:
             raise ManifestError("no functional map network in this workspace; run `fmn` first")
-        shapes = self.shapes
+        # only the nodes the network was built over (extensions live outside it)
+        nodes = [self.shape(sid) for sid in fmn["nodes"]]
         edges = {
             (src, tgt): fmaps.FunctionalMap(read_matrix(self.file(rel)), src, tgt)
             for src, tgt, rel in fmn["edges"]
         }
-        # only the nodes the network was built over (extensions live outside it)
-        return network.FMNetwork([shapes[sid] for sid in fmn["nodes"]], edges, fmn["topology"])
+        return network.FMNetwork(nodes, edges, fmn["topology"])
 
     @functools.cached_property
     def latent(self):
@@ -520,7 +526,8 @@ def cmd_variability(args):
     else:
         funcs = variability.global_variability(diffs, count=args.count)
     if args.emit_fields:  # read and verify them before the first write
-        (clb, _), shapes = view.latent, view.shapes
+        clb, _ = view.latent
+        shapes = {sid: view.shape(sid) for sid in clb.order}
 
     doc = {
         "mode": args.mode,
@@ -627,13 +634,13 @@ def cmd_ops(args):
         note = f" (condition {expr.recipe['condition']:.3e})"
     elif args.action == "interp":
         expr, name = opalg.interpolate(A, B, args.t), f"{name}_t{args.t:g}"
-    else:  # mix
+    else:  # mix: only the region's host is loaded
         region_doc = _read_input(args.region, "region", vertices=int)
-        shapes = view.shapes
+        host = region_doc.get("shape")
+        if not isinstance(host, str) or host not in view.manifest["shapes"]:
+            raise UnknownShape(f"region shape {host!r} is not in the workspace")
+        host = view.shape(host)
         clb, latent_shape = view.latent
-        host = shapes.get(region_doc.get("shape")) if isinstance(region_doc.get("shape"), str) else None
-        if host is None:
-            raise UnknownShape(f"region shape {region_doc.get('shape')!r} is not in the workspace")
         F = opalg.localized_basis(latent_shape, clb, host, region_doc["vertices"])
         expr, note = opalg.partial_mix(A, B, F), f" (localized basis rank {F.p})"
     print(f"wrote {_write_expression(ws, f'{name}.{kind}', expr)}{note}")
@@ -646,18 +653,21 @@ def cmd_ops(args):
 
 def cmd_extend(args):
     view = _View(args)
-    shapes, net = view.shapes, view.network
-    _, latent_shape = view.latent
+    clb, latent_shape = view.latent
     ws, manifest = view.ws, view.manifest
-    # the k the network's shapes were computed at: fmn compares their k-long
+    members = manifest["shapes"]
+    # the k the latent members were computed at: fmn compares their k-long
     # shape-DNA, so they share it
-    k = net.shapes[0].basis.k
+    k = members[clb.order[0]]["k"]
 
     mesh = load_mesh(args.mesh)
-    if mesh.shape_id in shapes:
+    if mesh.shape_id in members:
         return _fail(f"shape id {mesh.shape_id!r} already in the collection")
-    if args.neighbor != "auto" and args.neighbor not in shapes:
+    auto = args.neighbor == "auto"
+    if not auto and args.neighbor not in members:
         return _fail(f"unknown --neighbor {args.neighbor!r}")
+    # the auto choice compares shape-DNA: each member's eigenvalues
+    spectra = {sid: read_vector(view.file(members[sid]["files"]["lam"])) for sid in clb.order} if auto else None
     with _one_blas_thread():
         new_shape = spectral.compute_shape(mesh, k)
     corr = fmaps.load_correspondence(args.corr)
@@ -665,12 +675,10 @@ def cmd_extend(args):
     def provider(src: Shape, tgt: Shape):
         return fmaps.fmap_from_correspondence(src, tgt, corr)
 
-    forced = None if args.neighbor == "auto" else args.neighbor
+    neighbor = latent_mod.nearest_member(clb, spectra, new_shape) if auto else args.neighbor
     normalized = bool(manifest.get("diffs", {}).get("normalized", False))
-    neighbor, Y_new, diffs = latent_mod.extend_to_shape(
-        latent_shape, net, new_shape, provider, normalized=normalized, neighbor_id=forced
-    )
-    if forced is None:
+    Y_new, diffs = latent_mod.extend_to_shape(latent_shape, view.shape(neighbor), new_shape, provider, normalized)
+    if auto:
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id

@@ -50,9 +50,9 @@ def load_correspondence(path, kind="full_bijection"):
 
 
 def save_correspondence(corr, path):
+    text = "".join(f"{s} {t}\n" for s, t in corr.pairs.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for s, t in corr.pairs:
-            fh.write(f"{s} {t}\n")
+        fh.write(text)
 
 
 @dataclass(frozen=True)

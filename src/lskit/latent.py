@@ -221,42 +221,46 @@ def latent_differences(clb: ConsistentLatentBasis, spectra: dict, latent: Latent
     }
 
 
-def extend_to_shape(latent: LatentShape, net: FMNetwork, new_shape: Shape, map_provider, normalized=False, neighbor_id=None):
+def nearest_member(clb: ConsistentLatentBasis, spectra: dict, new_shape: Shape):
+    """The member of the latent basis nearest `new_shape` by shape-DNA
+    distance, ties by collection order. spectra: shape_id -> eigenvalue
+    vector (the full shape-DNA) of every member."""
+    d_new = shape_dna(new_shape.basis, None)
+    best, best_dist = None, np.inf
+    for sid in clb.order:
+        d = np.asarray(spectra[sid], dtype=np.float64)
+        size = min(d.size, d_new.size)
+        dist = float(np.linalg.norm(d[:size] - d_new[:size]))
+        if dist < best_dist:
+            best, best_dist = sid, dist
+    return best
+
+
+def extend_to_shape(latent: LatentShape, neighbor: Shape, new_shape: Shape, map_provider, normalized=False):
     """Attach a new shape without recomputing the latent basis.
 
-    Picks the nearest collection member by shape-DNA distance (ties by
-    collection order) unless `neighbor_id` forces one, pulls its latent basis
-    through the provider's map C(neighbor -> new), and derives both difference
-    operators. The collection constraint is untouched: Y_new is not
-    re-orthogonalized against the rest.
+    Pulls the latent basis of `neighbor`, a member of the collection (for
+    instance its `nearest_member`), through the provider's map
+    C(neighbor -> new), and derives both difference operators. The
+    collection constraint is untouched: Y_new is not re-orthogonalized
+    against the rest.
 
-    Returns (neighbor_id, Y_new, {"area": ..., "conformal": ...}).
+    Returns (Y_new, {"area": ..., "conformal": ...}).
     """
     clb = latent.clb
     if clb is None or not clb.canonical:
         raise RequiresCanonical("extension needs the canonical latent basis")
     if not clb.order:
         raise InsufficientShapes("cannot extend an empty collection")
-    if neighbor_id is not None:
-        if neighbor_id not in clb.order:
-            raise ValueError(f"neighbor {neighbor_id!r} has no latent basis")
-        best = neighbor_id
-    else:
-        d_new = shape_dna(new_shape.basis, None)
-        best, best_dist = None, np.inf
-        for sid in clb.order:
-            d = shape_dna(net.shape(sid).basis, None)
-            size = min(d.size, d_new.size)
-            dist = float(np.linalg.norm(d[:size] - d_new[:size]))
-            if dist < best_dist:
-                best, best_dist = sid, dist
-    Y_new = _provider_map(map_provider, net.shape(best), new_shape).matrix @ clb.Y[best]
+    if neighbor.shape_id not in clb.order:
+        raise ValueError(f"neighbor {neighbor.shape_id!r} has no latent basis")
+    Y_new = _provider_map(map_provider, neighbor, new_shape).matrix @ clb.Y[neighbor.shape_id]
     diffs = {
         kind: _shape_difference(
             Y_new, new_shape.basis.eigenvalues, latent, clb.n_shapes, kind, new_shape.shape_id, normalized)
         for kind in ("area", "conformal")
     }
-    return best, Y_new, diffs
+    return Y_new, diffs
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,15 @@ _NAMED = re.compile(r"\.([0-9a-f]{64})(\.[^./]*)?$")  # the digest in a tracked 
 
 
 def _atomic_write(path, data: bytes):
+    """Write `data` to `path` through a temporary file and a rename, unless the
+    file already holds exactly these bytes: then it is left as it is."""
+    try:
+        if os.path.getsize(path) == len(data):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return
+    except FileNotFoundError:
+        pass
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -167,16 +176,13 @@ class Workspace:
                 raise ManifestError(f"malformed manifest: {exc}") from exc
 
     def save_manifest(self, manifest):
-        """Write manifest.json, unless it already holds this manifest; an earlier
-        layout's `hashes` keeps only the listed files whose names lack a digest."""
+        """Write manifest.json (left as it is when it holds the same bytes); an
+        earlier layout's `hashes` keeps only the listed files whose names lack
+        a digest."""
         hashes = manifest.pop("hashes", {})
         legacy = {rel: hashes[rel] for rel in listed(manifest) & hashes.keys() if digest({}, rel) is None}
         if legacy:
             manifest["hashes"] = legacy
-        if self.exists():
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                if json.load(fh) == manifest:
-                    return
         data = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n"
         _atomic_write(self.manifest_path, data)
 

@@ -314,13 +314,13 @@ def load_mesh(path, shape_id=None):
 
 def save_off(mesh, path):
     """Write a mesh as OFF with full float precision (round-trips exactly)."""
+    text = "".join((
+        f"OFF\n{mesh.num_vertices} {mesh.num_triangles} 0\n",
+        *(f"{x!r} {y!r} {z!r}\n" for x, y, z in np.asarray(mesh.vertices, dtype=np.float64).tolist()),
+        *(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
+    ))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.num_vertices} {mesh.num_triangles} 0\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

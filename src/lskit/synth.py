@@ -365,16 +365,10 @@ def family_pairs(ground_truth):
             ground_truth["partition"]["cluster_a"] + ground_truth["partition"]["cluster_b"]
         )
         return [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
-    if kind == "two_cluster":
-        pairs = []
-        for cluster in (
-            ground_truth["partition"]["cluster_a"],
-            ground_truth["partition"]["cluster_b"],
-        ):
-            ids = sorted(cluster)
-            pairs += [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
-        pairs += [tuple(p) for p in ground_truth["pairing"]]
-        return pairs
+    if kind == "two_cluster":  # any cross pair can be a nearest-neighbor link
+        clusters = [sorted(ground_truth["partition"][name]) for name in ("cluster_a", "cluster_b")]
+        pairs = [(a, b) for ids in clusters for i, a in enumerate(ids) for b in ids[i + 1 :]]
+        return pairs + [(a, b) for a in clusters[0] for b in clusters[1]]
     raise ValueError(f"unknown family kind {kind!r}")
 
 

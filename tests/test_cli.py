@@ -406,6 +406,22 @@ def test_fmn_correspondence_mode_matches_identity(tmp_path):
         np.testing.assert_array_equal(read_matrix(ws_a / rel_a), read_matrix(ws_b / rel_b))
 
 
+@pytest.mark.parametrize("family, flags, topology, k", [
+    ("sphere-bump", ["--subdivisions", "1"], ["--topology", "clique"], 16),
+    ("chain", ["--count", "4", "--subdivisions", "1"], ["--topology", "chain"], 10),
+    ("two-cluster", ["--per-cluster", "2", "--subdivisions", "2"],
+     ["--topology", "two-cluster", "--partition", "{data}/ground_truth.json"], 20),
+])
+def test_each_family_writes_the_correspondences_of_its_own_topology(tmp_path, capsys, family, flags, topology, k):
+    data, ws = tmp_path / "data", ["--workspace", str(tmp_path / "ws")]
+    assert main(["synth", family, "--out", str(data), *flags]) == 0
+    assert main(["spectra", str(data), "--k", str(k)] + ws) == 0
+    capsys.readouterr()
+    topology = [arg.format(data=data) for arg in topology]
+    fmn = ["fmn", *topology, "--maps", "correspondence", "--corr-dir", str(data / "correspondences")]
+    assert main(fmn + ws) == 0, capsys.readouterr().err
+
+
 def test_a_config_file_is_rejected_before_any_write(tmp_path, family_dir, workspace, capsys):
     fresh, ws = tmp_path / "fresh", tmp_path / "ws"
     fresh.mkdir()
@@ -907,6 +923,30 @@ def test_unchanged_rerun_rewrites_no_tracked_file(tmp_path, family_dir):
         assert (ws / "manifest.json").read_bytes() == manifest
         now = os.stat(ws / "manifest.json")  # not even rewritten with the same bytes
         assert (now.st_ino, now.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns), argv
+
+
+def test_an_identical_rerun_leaves_every_output_in_place(tmp_path, workspace, family_dir):
+    ws = tmp_path / "ws"
+    shutil.copytree(workspace, ws)
+    commands = (
+        ["variability", "--mode", "cross", "--partition", str(family_dir / "ground_truth.json"), "--emit-fields"],
+        ["ops", "descriptors"],
+    )
+    for argv in commands:
+        assert main(argv + ["--workspace", str(ws)]) == 0
+    before = tree_bytes(ws)
+    field, descriptors = os.path.join("fields", "cross.a0.txt"), os.path.join("ops", "descriptors.area.json")
+    (ws / field).write_bytes(before[field].replace(b"0 ", b"9 ", 1))  # the same size, other bytes
+    (ws / descriptors).write_bytes(before[descriptors][:-1])
+    stats = {}
+    for rel in before:  # far in the past, so that a rewrite shows even where an inode number is reused
+        os.utime(ws / rel, ns=(10**18, 10**18))
+        stats[rel] = (os.stat(ws / rel).st_ino, 10**18)
+    for argv in commands:
+        assert main(argv + ["--workspace", str(ws)]) == 0
+    assert tree_bytes(ws) == before
+    now = {rel: (os.stat(ws / rel).st_ino, os.stat(ws / rel).st_mtime_ns) for rel in before}
+    assert {rel for rel in before if now[rel] != stats[rel]} == {field, descriptors}
 
 
 def test_rerun_rewrites_exactly_the_files_whose_bytes_change(tmp_path):

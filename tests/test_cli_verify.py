@@ -2,6 +2,7 @@
 place of a write: a damaged or deleted one fails the first command that reads
 it, before any parse, and a file that a command does not read cannot fail it."""
 
+import gc
 import json
 import shutil
 
@@ -11,13 +12,15 @@ from helpers import tree_bytes
 from lskit import matio
 from lskit.cli import main
 from lskit.meshes import load_mesh, save_off
+from lskit.spectral import Shape
 from lskit.synth import sphere_bump_family, sphere_bump_ground_truth, write_family
 
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     """A sphere-bump workspace through `latent`, the region of `ops mix`, and
-    an outside member x0 (a copy of a0) with its identity correspondence."""
+    outside members x0 and x1 (copies of a0) with their identity
+    correspondence."""
     root = tmp_path_factory.mktemp("built")
     fam = sphere_bump_family(subdivisions=1)
     write_family(fam.meshes, root / "meshes", sphere_bump_ground_truth(fam))
@@ -28,6 +31,7 @@ def built(tmp_path_factory):
     (root / "region.json").write_text(json.dumps({"shape": "a0", "vertices": fam.vertical_region.tolist()}))
     x0 = load_mesh(root / "meshes" / "a0.off").with_id("x0")
     save_off(x0, root / "x0.off")
+    save_off(x0.with_id("x1"), root / "x1.off")
     (root / "x0_corr.txt").write_text("".join(f"{i} {i}\n" for i in range(x0.num_vertices)))
     return root
 
@@ -68,8 +72,7 @@ READERS = {
     "Y": (lambda m: m["latent"]["Y"]["a1"], lambda b: ["variability", "--mode", "global", "--emit-fields"]),
     "lambda0": (lambda m: m["latent"]["lambda0"],
                 lambda b: ["ops", "mix", "a0", "b0", "--region", str(b / "region.json")]),
-    "map": (lambda m: m["fmn"]["edges"][-1][2],
-            lambda b: ["extend", "--mesh", str(b / "x0.off"), "--corr", str(b / "x0_corr.txt")]),
+    "map": (lambda m: m["fmn"]["edges"][-1][2], lambda b: ["latent", "--m", "10"]),
     "area diff": (lambda m: m["diffs"]["files"]["area"]["b0"], lambda b: ["ops", "descriptors"]),
 }
 
@@ -119,3 +122,85 @@ def test_operator_algebra_reads_only_its_operands(ws, monkeypatch, capsys):
     assert rc == 1
     assert "interp operands must be shape ids with stored differences" in capsys.readouterr().err
     assert hashed == [str(ws / area["a0"])]
+
+
+def extend(built, sid="x0", *neighbor):
+    return ["extend", "--mesh", str(built / f"{sid}.off"), "--corr", str(built / "x0_corr.txt"), *neighbor]
+
+
+def test_mix_hashes_its_host_the_latent_files_and_its_operands(built, ws, monkeypatch):
+    manifest = manifest_of(ws)
+    mix = ["ops", "mix", "a1", "b0", "--region", str(built / "region.json"), "--workspace", str(ws)]
+    rc, hashed = hashed_during(monkeypatch, mix)
+    assert rc == 0
+    host, lat = manifest["shapes"]["a0"], manifest["latent"]
+    area = manifest["diffs"]["files"]["area"]
+    expected = [host["mesh"], *host["files"].values(), *lat["Y"].values(), lat["lambda0"], area["a1"], area["b0"]]
+    assert sorted(hashed) == sorted(str(ws / rel) for rel in expected)
+
+
+@pytest.mark.parametrize("neighbor", ["auto", "b1"])
+def test_extend_hashes_its_neighbor_the_eigenvalues_and_the_latent_files(built, ws, monkeypatch, neighbor):
+    manifest = manifest_of(ws)
+    rc, hashed = hashed_during(monkeypatch, extend(built, "x0", "--neighbor", neighbor) + ["--workspace", str(ws)])
+    assert rc == 0
+    chosen = manifest_of(ws)["latent"]["extended"]["x0"]["neighbor"]
+    assert chosen == ("a0" if neighbor == "auto" else neighbor)  # x0 is a copy of a0
+    shapes, lat = manifest["shapes"], manifest["latent"]
+    expected = {shapes[chosen]["mesh"], *shapes[chosen]["files"].values(), *lat["Y"].values(), lat["lambda0"]}
+    if neighbor == "auto":  # every member's shape-DNA, and no map
+        expected |= {shapes[sid]["files"]["lam"] for sid in lat["order"]}
+    assert set(hashed) == {str(ws / rel) for rel in expected}
+
+
+def test_mix_on_a_region_of_an_unknown_shape_exits_1(built, ws, tmp_path, capsys):
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"shape": "zz", "vertices": [0, 1, 2]}))
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["ops", "mix", "a0", "b0", "--region", str(region), "--workspace", str(ws)]) == 1
+    assert capsys.readouterr().err == "error: region shape 'zz' is not in the workspace\n"
+    assert tree_bytes(ws) == before
+
+
+def test_extend_through_a_member_with_no_latent_basis_exits_1(built, ws, capsys):
+    assert main(extend(built) + ["--workspace", str(ws)]) == 0
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(extend(built, "x1", "--neighbor", "x0") + ["--workspace", str(ws)]) == 1
+    assert capsys.readouterr().err == "error: neighbor 'x0' has no latent basis\n"
+    assert tree_bytes(ws) == before
+
+
+def live_shapes():
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, Shape)]
+
+
+def test_no_shape_outlives_the_command_that_loaded_it(built, ws):
+    kept = live_shapes()  # held, so that no new shape can take one of their ids
+    held = {id(obj) for obj in kept}
+    for argv in (
+        ["fmn", "--topology", "clique", "--maps", "identity"],
+        ["latent", "--m", "10", "--kind", "both"],
+        ["variability", "--mode", "global", "--emit-fields"],
+        ["ops", "mix", "a0", "b0", "--region", str(built / "region.json")],
+        ["ops", "align", "--partition", str(built / "meshes" / "ground_truth.json")],
+        extend(built),
+    ):
+        assert main(argv + ["--workspace", str(ws)]) == 0, argv
+        assert not [obj.shape_id for obj in live_shapes() if id(obj) not in held], argv
+
+
+def test_an_extended_member_is_read_only_by_a_command_that_uses_it(built, ws, capsys):
+    assert main(extend(built) + ["--workspace", str(ws)]) == 0
+    mesh = manifest_of(ws)["shapes"]["x0"]["mesh"]
+    damage(ws / mesh)
+    for argv in (  # the network and the latent basis leave x0 out
+        ["variability", "--mode", "global", "--emit-fields"],
+        ["latent", "--m", "10", "--kind", "both"],
+    ):
+        assert main(argv + ["--workspace", str(ws)]) == 0, argv
+    capsys.readouterr()
+    assert main(["fmn", "--topology", "clique", "--maps", "identity", "--workspace", str(ws)]) == 1
+    assert f"hash mismatch for {mesh!r}" in capsys.readouterr().err

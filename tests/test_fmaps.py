@@ -70,6 +70,7 @@ def test_correspondence_file_roundtrip(tmp_path):
     pairs = np.array([[0, 3], [1, 4], [2, 5]])
     path = tmp_path / "corr.txt"
     save_correspondence(Correspondence(pairs), path)
+    assert path.read_text() == "0 3\n1 4\n2 5\n"
     again = load_correspondence(path)
     np.testing.assert_array_equal(again.pairs, pairs)
 

@@ -21,6 +21,7 @@ from lskit.latent import (
     consistent_latent_basis,
     extend_to_shape,
     latent_differences,
+    nearest_member,
     stability_probe,
 )
 from lskit.meshes import apply_rigid, permute_vertices, random_rotation
@@ -216,12 +217,13 @@ def test_extend_identical_twin_exact():
             src, tgt, Correspondence(np.stack([np.arange(tgt.mesh.num_vertices)] * 2, axis=1))
         )
 
-    neighbor, Y_new, diffs = extend_to_shape(lat, net, twin, provider)
+    neighbor = nearest_member(can, net.spectra(), twin)
     assert neighbor == "s0"
+    Y_new, diffs = extend_to_shape(lat, net.shape(neighbor), twin, provider)
     diffs_core = latent_differences(can, net.spectra(), lat, "area")
     assert np.abs(diffs["area"].matrix - diffs_core["s0"].matrix).max() <= 1e-8
-    # forcing a different neighbor still reproduces the operator
-    _, _, diffs_b = extend_to_shape(lat, net, twin, provider, neighbor_id="s1")
+    # a different neighbor still reproduces the operator
+    _, diffs_b = extend_to_shape(lat, net.shape("s1"), twin, provider)
     assert np.abs(diffs_b["area"].matrix - diffs_core["s0"].matrix).max() <= 1e-6
 
 
@@ -237,7 +239,7 @@ def test_extend_rejects_non_finite_map():
         return FunctionalMap(matrix, src.shape_id, tgt.shape_id)
 
     with pytest.raises(ProviderFailure) as err:
-        extend_to_shape(lat, net, twin, provider, neighbor_id="s1")
+        extend_to_shape(lat, net.shape("s1"), twin, provider)
     assert err.value.edge == ("s1", "new")
 
 

@@ -54,6 +54,19 @@ def test_icosphere_subdivision_counts(tmp_path):
     np.testing.assert_array_equal(again.triangles, mesh.triangles)
 
 
+def test_save_off_writes_full_precision_text(tmp_path):
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0 / 3.0, 0.0], [-2.5e-05, 0.2, 0.1 + 0.2]])
+    t = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    path = tmp_path / "tetra.off"
+    save_off(Mesh(v, t, "tetra"), path)
+    assert path.read_bytes() == (
+        b"OFF\n4 4 0\n"
+        b"0.0 0.0 0.0\n1.0 0.0 0.0\n0.0 0.3333333333333333 0.0\n-2.5e-05 0.2 0.30000000000000004\n"
+        b"3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+    )
+    np.testing.assert_array_equal(load_mesh(path).vertices, v)
+
+
 def test_face_index_out_of_range(tmp_path):
     lines = ["OFF", "100 1 0"] + ["0 0 %d" % i for i in range(100)] + ["3 0 1 9999"]
     path = tmp_path / "bad.off"
