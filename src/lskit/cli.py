@@ -57,18 +57,14 @@ class _View:
             return self.ws.init_manifest()
         return self.ws.load_manifest()
 
-    def file(self, rel):
-        """The path of a tracked file, verified against the manifest."""
-        return self.ws.verified(self.manifest, rel)
-
     def shape(self, sid):
         """One member's shape bundle, rebuilt from its tracked mesh and
         spectra when the view first asks for it."""
         if sid not in self.loaded:
             entry = self.manifest["shapes"][sid]
-            mesh = load_mesh(self.file(entry["mesh"]), shape_id=sid)
-            lam = read_vector(self.file(entry["files"]["lam"]))
-            phi = read_matrix(self.file(entry["files"]["phi"]))
+            mesh = load_mesh(self.ws.verified(entry["mesh"]), shape_id=sid)
+            lam = read_vector(self.ws.verified(entry["files"]["lam"]))
+            phi = read_matrix(self.ws.verified(entry["files"]["phi"]))
             basis = SpectralBasis(lam, phi, sid, _eigen_clusters(lam))
             self.loaded[sid] = Shape(mesh, metric_measure(mesh), basis)
         return self.loaded[sid]
@@ -86,7 +82,7 @@ class _View:
         # only the nodes the network was built over (extensions live outside it)
         nodes = [self.shape(sid) for sid in fmn["nodes"]]
         edges = {
-            (src, tgt): fmaps.FunctionalMap(read_matrix(self.file(rel)), src, tgt)
+            (src, tgt): fmaps.FunctionalMap(read_matrix(self.ws.verified(rel)), src, tgt)
             for src, tgt, rel in fmn["edges"]
         }
         return network.FMNetwork(nodes, edges, fmn["topology"])
@@ -97,11 +93,11 @@ class _View:
         lat = self.manifest.get("latent")
         if not lat:
             raise ManifestError("no latent artifacts in this workspace; run `latent` first")
-        Y = {sid: read_matrix(self.file(rel)) for sid, rel in lat["Y"].items()}
+        Y = {sid: read_matrix(self.ws.verified(rel)) for sid, rel in lat["Y"].items()}
         clb = latent_mod.ConsistentLatentBasis(
             Y, lat["m"], tuple(lat["order"]), lat["canonical"], lat["consistency_residual"]
         )
-        spectrum = read_vector(self.file(lat["lambda0"]))
+        spectrum = read_vector(self.ws.verified(lat["lambda0"]))
         return clb, latent_mod.LatentShape(spectrum, clb)
 
     def diffs(self, kind, ids=None):
@@ -112,7 +108,7 @@ class _View:
             raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
         files = diffs["files"][kind]
         return {
-            sid: latent_mod.LatentDifference(read_matrix(self.file(files[sid])), kind, sid, diffs["normalized"])
+            sid: latent_mod.LatentDifference(read_matrix(self.ws.verified(files[sid])), kind, sid, diffs["normalized"])
             for sid in (files if ids is None else files.keys() & ids)
         }
 
@@ -142,7 +138,10 @@ def _read_input(path, what, **lists):
     "partition" when there is one, as in ground_truth.json); ManifestError
     naming the file otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ManifestError(f"{what} file {path}: not JSON ({exc})") from exc
     held = doc.get("partition", doc) if what == "partition" and isinstance(doc, dict) else doc
     for key, kind in lists.items():
         if not isinstance(held, dict) or not isinstance(held.get(key), list) or {type(x) for x in held[key]} - {kind}:
@@ -324,9 +323,9 @@ def cmd_spectra(args):
     for sid, fname in named.items():
         src = os.path.join(args.mesh_dir, fname)
         entry = manifest["shapes"].get(sid)
-        if entry and digest(manifest, entry["mesh"]) == sha256_file(src) and entry["k"] == args.k:
+        if entry and digest(entry["mesh"]) == sha256_file(src) and entry["k"] == args.k:
             for rel in (entry["mesh"], *entry["files"].values()):  # up to date: it keeps these files
-                view.file(rel)
+                view.ws.verified(rel)
             continue
         stale.append((sid, src))
     skipped = len(files) - len(stale)
@@ -477,7 +476,7 @@ def cmd_latent(args):
     }
     lam0_rel = ws.write_tracked_matrix(os.path.join("latent", "lambda0.lsk"), latent_shape.spectrum)
     collection = hashlib.sha256(
-        "\n".join(f"{sid}:{digest(manifest, manifest['shapes'][sid]['mesh'])}" for sid in canonical.order).encode()
+        "\n".join(f"{sid}:{digest(manifest['shapes'][sid]['mesh'])}" for sid in canonical.order).encode()
     ).hexdigest()
     manifest["latent"] = {
         "m": args.m,
@@ -600,6 +599,7 @@ def cmd_ops(args):
         if not args.partition:
             return _usage_fail("ops align requires --partition")
         part, truth = _read_partition(args.partition)
+        part.require(view.manifest["shapes"])
         manifest, shapes, net = view.manifest, view.shapes, view.network
         descs = {}
         for name, cluster in (("a", part.cluster_a), ("b", part.cluster_b)):
@@ -667,7 +667,7 @@ def cmd_extend(args):
     if not auto and args.neighbor not in members:
         return _fail(f"unknown --neighbor {args.neighbor!r}")
     # the auto choice compares shape-DNA: each member's eigenvalues
-    spectra = {sid: read_vector(view.file(members[sid]["files"]["lam"])) for sid in clb.order} if auto else None
+    spectra = {sid: read_vector(view.ws.verified(members[sid]["files"]["lam"])) for sid in clb.order} if auto else None
     with _one_blas_thread():
         new_shape = spectral.compute_shape(mesh, k)
     corr = fmaps.load_correspondence(args.corr)

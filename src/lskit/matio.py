@@ -4,9 +4,10 @@ The matrix container is a fixed little-endian binary layout (magic
 "LSKMAT01", dtype code, dimensions, row-major float64 payload) so artifacts
 round-trip bit-exactly across platforms. A collection workspace is a single
 directory whose manifest.json is the source of truth: its stage records list
-the tracked files, each named `<stem>.<sha256><ext>`. A command verifies a
-tracked file when it reads it, or keeps it in place of a write
-(`Workspace.verified`), and no other file; `Workspace.verify` checks them all.
+the tracked files, each named `<stem>.<sha256><ext>`: the name is the one
+record of its digest. `Workspace.load_manifest` refuses an earlier layout. A
+command verifies a tracked file when it reads it, or keeps it in place of a
+write (`Workspace.verified`), and no other file; `Workspace.verify` checks them all.
 """
 
 import hashlib
@@ -123,16 +124,17 @@ def listed(manifest):
     return files
 
 
-def digest(manifest, rel):
-    """The sha256 of tracked file `rel`: its name's, or an earlier layout's `hashes` entry (or None)."""
+def digest(rel):
+    """The sha256 that tracked file `rel`'s name carries, or None when it carries none."""
     named = _NAMED.search(rel)
-    return named[1] if named else manifest.get("hashes", {}).get(rel)
+    return named and named[1]
 
 
 class Workspace:
     """Single-writer collection directory with manifest integrity checks."""
 
     MANIFEST = "manifest.json"
+    ENTRIES = {"tool", "version", "tolerances", "config", "shapes", "fmn", "latent", "diffs"}  # config: read by nothing
 
     def __init__(self, root):
         self.root = os.path.abspath(os.fspath(root))
@@ -166,30 +168,32 @@ class Workspace:
         return {"tool": "lskit", "version": __version__, "tolerances": tolerances, "shapes": {}}
 
     def load_manifest(self):
-        """The saved manifest, parsed; no tracked file is read (`verified`)."""
+        """The saved manifest, parsed; no tracked file is read (`verified`). An
+        earlier layout held its files' digests in an entry not in ENTRIES."""
         if not self.exists():
             raise ManifestError(f"no manifest at {self.manifest_path}")
         with open(self.manifest_path, "r", encoding="utf-8") as fh:
             try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"malformed manifest: {exc}") from exc
+                manifest = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ManifestError(f"malformed manifest: {self.manifest_path}: {exc}") from exc
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("shapes"), dict):
+            raise ManifestError(f"malformed manifest: {self.manifest_path} is not an object holding a 'shapes' object")
+        earlier = sorted(manifest.keys() - self.ENTRIES)
+        if earlier:
+            raise ManifestError(f"{self.manifest_path} holds {earlier}: it is in an earlier layout; "
+                                "build a new workspace with `spectra`")
+        return manifest
 
     def save_manifest(self, manifest):
-        """Write manifest.json (left as it is when it holds the same bytes); an
-        earlier layout's `hashes` keeps only the listed files whose names lack
-        a digest."""
-        hashes = manifest.pop("hashes", {})
-        legacy = {rel: hashes[rel] for rel in listed(manifest) & hashes.keys() if digest({}, rel) is None}
-        if legacy:
-            manifest["hashes"] = legacy
+        """Write manifest.json, left as it is when it holds the same bytes."""
         data = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n"
         _atomic_write(self.manifest_path, data)
 
-    def verified(self, manifest, rel):
+    def verified(self, rel):
         """The path of tracked file `rel`; ManifestError when it is missing or
-        its sha256 is not its `digest`."""
-        full, expected = self.path(rel), digest(manifest, rel)
+        its sha256 is not the `digest` its name carries."""
+        full, expected = self.path(rel), digest(rel)
         if expected is None or not os.path.isfile(full):
             raise ManifestError(f"missing artifact {rel!r}")
         actual = sha256_file(full)
@@ -200,7 +204,7 @@ class Workspace:
     def verify(self, manifest):
         """Abort (ManifestError) when any listed file is missing or altered."""
         for rel in sorted(listed(manifest)):
-            self.verified(manifest, rel)
+            self.verified(rel)
 
     def write_tracked(self, relpath, data):
         """Track bytes under `relpath`'s stem, their sha256 and `relpath`'s
@@ -210,7 +214,7 @@ class Workspace:
         stem, ext = os.path.splitext(relpath)
         name = f"{stem}.{hashlib.sha256(data).hexdigest()}{ext}"
         if os.path.isfile(self.path(name)):
-            self.verified({}, name)
+            self.verified(name)
         else:
             _atomic_write(self.path(name), data)
         return name

@@ -98,8 +98,17 @@ class Partition:
         object.__setattr__(self, "cluster_b", tuple(self.cluster_b))
         if not self.cluster_a or not self.cluster_b:
             raise InsufficientShapes("both clusters must be nonempty")
+        repeated = sorted({sid for c in (self.cluster_a, self.cluster_b) for sid in c if c.count(sid) > 1})
+        if repeated:
+            raise ValueError(f"partition lists shapes {repeated} more than once")
         if set(self.cluster_a) & set(self.cluster_b):
             raise ValueError("clusters must be disjoint")
+
+    def require(self, ids):
+        """UnknownShape unless every shape the partition lists is in `ids`."""
+        unknown = (set(self.cluster_a) | set(self.cluster_b)) - set(ids)
+        if unknown:
+            raise UnknownShape(f"partition references unknown shapes {sorted(unknown)}")
 
 
 def _ordered(diffs):
@@ -167,9 +176,7 @@ def cross_collection_variability(diffs, partition: Partition, count=3, within_we
     """
     if not isinstance(diffs, dict):
         raise TypeError("cross-collection variability needs diffs keyed by shape id")
-    unknown = (set(partition.cluster_a) | set(partition.cluster_b)) - set(diffs)
-    if unknown:
-        raise UnknownShape(f"partition references unknown shapes {sorted(unknown)}")
+    partition.require(diffs)
     na, nb = len(partition.cluster_a), len(partition.cluster_b)
     mean_a, scatter_a = _scatter([_as_matrix(diffs[sid]) for sid in partition.cluster_a])
     mean_b, scatter_b = _scatter([_as_matrix(diffs[sid]) for sid in partition.cluster_b])

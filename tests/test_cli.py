@@ -569,10 +569,13 @@ def test_bad_input_exits_1(tmp_path, workspace, case, capsys):
     ("region", {"shape": "a0"}, "'vertices' must be a list of int"),
     ("region", [0, 1, 2], "'vertices' must be a list of int"),
     ("region", {"shape": "a0", "vertices": [1.5, 2.7]}, "'vertices' must be a list of int"),
-], ids=["partition-list", "partition-of-a-string", "region-without-vertices", "region-list", "fractional-vertices"])
+    ("partition", b"cluster_a: [a0, a1]\n", "not JSON"),  # bytes are written as they are
+    ("region", b"\xff\xfe{}", "not JSON"),
+], ids=["partition-list", "partition-of-a-string", "region-without-vertices", "region-list", "fractional-vertices",
+        "partition-not-json", "region-not-json"])
 def test_malformed_partition_or_region_exits_1(tmp_path, workspace, capsys, what, doc, problem):
     path = tmp_path / f"{what}.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     argv = {
         "partition": ["variability", "--mode", "cross", "--partition", str(path)],
         "region": ["ops", "mix", "a0", "b0", "--region", str(path)],
@@ -580,6 +583,29 @@ def test_malformed_partition_or_region_exits_1(tmp_path, workspace, capsys, what
     assert main(argv + ["--workspace", str(workspace)]) == 1
     err = capsys.readouterr().err
     assert f"error: {what} file {path}" in err and problem in err
+
+
+def test_ops_align_with_an_unknown_shape_exits_1(tmp_path, workspace, capsys):
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps({"cluster_a": ["a0", "zz"], "cluster_b": ["b0", "b1"]}))
+    before = tree_bytes(workspace)
+    assert main(["ops", "align", "--partition", str(partition), "--workspace", str(workspace)]) == 1
+    assert capsys.readouterr().err == "error: partition references unknown shapes ['zz']\n"
+    assert tree_bytes(workspace) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["variability", "--mode", "cross"],
+    ["fmn", "--topology", "two-cluster", "--maps", "identity"],
+    ["ops", "align"],
+], ids=["variability", "fmn", "align"])
+def test_a_partition_that_lists_a_shape_twice_exits_1(tmp_path, workspace, capsys, argv):
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps({"cluster_a": ["a0", "a0", "a1"], "cluster_b": ["b0", "b1"]}))
+    before = tree_bytes(workspace)
+    assert main(argv + ["--partition", str(partition), "--workspace", str(workspace)]) == 1
+    assert capsys.readouterr().err == "error: partition lists shapes ['a0'] more than once\n"
+    assert tree_bytes(workspace) == before
 
 
 def test_variability_fields_fail_before_any_write(tmp_path, workspace, capsys):
@@ -787,81 +813,84 @@ def test_the_parser_holds_each_default():
     assert (lat.m, lat.kind, lat.normalized) == (40, "area", False)
 
 
-def earlier_layout(tmp_path):
+@pytest.fixture(scope="module", params=["16-hex", "undigested"])
+def earlier_layout(request, tmp_path_factory):
     """A four-shape workspace through `latent`, rewritten to an earlier
-    layout: each file is named by 16 hex digits of its sha256, and the
-    manifest records the digests under "hashes". Before that, names carried no
-    digest, and manifests recorded each shape's mesh format and mesh hash and
-    tracked a shape-DNA file, bit-identical to the eigenvalue file. Returns the
-    mesh directory, the workspace and its manifest."""
-    fam_dir = tmp_path / "meshes"
+    layout: the manifest records each file's digest under "hashes", and each
+    name carries 16 hex digits of it or, in an older layout, none. Returns the
+    mesh directory and the workspace."""
+    root = tmp_path_factory.mktemp(request.param)
+    fam_dir, ws = root / "meshes", root / "ws"
     write_family(two_cluster_family(n_per_cluster=2, subdivisions=1).meshes, fam_dir)
-    ws = tmp_path / "ws"
     for argv in (["spectra", str(fam_dir), "--k", "10"], ["fmn", "--topology", "clique", "--maps", "identity"],
                  ["latent", "--m", "6"]):
         assert main(argv + ["--workspace", str(ws)]) == 0
     text, hashes = (ws / "manifest.json").read_text(), {}
     for rel in listed_files(manifest_of(ws)):
         digest = name_digest(rel)
-        os.rename(ws / rel, ws / rel.replace(digest, digest[:16]))
-        hashes[rel.replace(digest, digest[:16])] = digest
-        text = text.replace(digest, digest[:16])
+        old = rel.replace(f".{digest}", f".{digest[:16]}" if request.param == "16-hex" else "")
+        os.rename(ws / rel, ws / old)
+        hashes[old], text = digest, text.replace(rel, old)
     manifest = {**json.loads(text), "hashes": hashes}
-    for sid, entry in manifest["shapes"].items():
-        dna = entry["files"]["dna"] = f"spectra/{sid}.dna.lsk"
-        shutil.copyfile(ws / entry["files"]["lam"], ws / dna)
-        hashes[dna] = hashes[entry["files"]["lam"]]
-        entry["format"], entry["mesh_sha256"] = "", hashes[entry["mesh"]]
-    manifest["config"] = {  # every setting and tolerance, whether or not a stage consumed it
-        "k": 10, "m": 6, "kind": "area", "normalized": False, "topology": "clique", "maps": "identity",
-        "landmark_weight": 1e-3, "within_weight": 1.0, "mesh_format": "", "tolerances": manifest.pop("tolerances"),
-    }
     (ws / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return fam_dir, ws, manifest
+    return fam_dir, ws
 
 
-def test_workspace_in_the_earlier_layout_still_works(tmp_path, capsys):
-    fam_dir, ws, manifest = earlier_layout(tmp_path)
-    assert not [rel for rel in listed_files(manifest) if name_digest(rel)]
-    capsys.readouterr()
-    assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "10"]) == 0
-    assert capsys.readouterr().out.strip() == "up to date (4 shapes)"
-    for argv in (  # the queries read the earlier files
-        ["variability", "--mode", "global", "--emit-fields"],
-        ["ops", "descriptors"],
-        ["fmn", "--topology", "clique", "--maps", "identity"],
-        ["latent", "--m", "6"],
-    ):
-        assert main(argv + ["--workspace", str(ws)]) == 0, (argv, capsys.readouterr().err)
-    ids = sorted(manifest["shapes"])
-    lines = "\n".join(f"{sid}:{manifest['shapes'][sid]['mesh_sha256']}" for sid in ids)
-    rebuilt = manifest_of(ws)
-    assert rebuilt["config"] == manifest["config"] and "tolerances" not in rebuilt  # kept, and read by nothing
-    assert rebuilt["latent"]["collection_hash"] == hashlib.sha256(lines.encode()).hexdigest()
-    # the rebuilt stages name their files by digest; only the shapes' entries stay
-    assert set(rebuilt["hashes"]) == {rel for rel in manifest["hashes"] if rel.startswith(("meshes/", "spectra/"))}
-    assert main(["spectra", str(fam_dir), "--workspace", str(ws), "--k", "8"]) == 0
-    manifest = manifest_of(ws)
-    assert manifest["config"] == rebuilt["config"]  # its k stays 10
-    assert "hashes" not in manifest and all(name_digest(rel) for rel in listed_files(manifest))
-    assert not list((ws / "spectra").glob("*.dna.lsk"))
-    assert all({"format", "mesh_sha256"}.isdisjoint(entry) for entry in manifest["shapes"].values())
-
-
-@pytest.mark.parametrize("victim", ["phi", "Y"])
-def test_a_damaged_file_of_the_earlier_layout_fails_the_command_that_reads_it(tmp_path, capsys, victim):
-    fam_dir, ws, manifest = earlier_layout(tmp_path)
-    rel, argv = {
-        "phi": (manifest["shapes"]["a1"]["files"]["phi"], ["fmn", "--topology", "clique", "--maps", "identity"]),
-        "Y": (manifest["latent"]["Y"]["b0"], ["variability", "--mode", "global", "--emit-fields"]),
-    }[victim]
-    with open(ws / rel, "r+b") as fh:
-        fh.seek(40)
-        fh.write(b"\x01")
+@pytest.mark.parametrize("command", [
+    "spectra", "fmn", "latent", "variability", "descriptors", "analogy", "interp", "mix", "align", "extend",
+])
+def test_a_workspace_in_an_earlier_layout_is_refused(earlier_layout, tmp_path, capsys, command):
+    fam_dir, ws = earlier_layout
+    partition, region = tmp_path / "partition.json", tmp_path / "region.json"
+    partition.write_text(json.dumps({"cluster_a": ["a0", "a1"], "cluster_b": ["b0", "b1"]}))
+    region.write_text(json.dumps({"shape": "a0", "vertices": [0, 1, 2]}))
+    x0, corr = tmp_path / "x0.off", tmp_path / "corr.txt"
+    save_off(two_cluster_family(n_per_cluster=2, subdivisions=1, seed=4).meshes[0].with_id("x0"), x0)
+    corr.write_text("".join(f"{i} {i}\n" for i in range(42)))
+    argv = {
+        "spectra": ["spectra", str(fam_dir), "--k", "10"],
+        "fmn": ["fmn", "--topology", "clique", "--maps", "identity"],
+        "latent": ["latent", "--m", "6"],
+        "variability": ["variability", "--mode", "global", "--emit-fields"],
+        "descriptors": ["ops", "descriptors"],
+        "analogy": ["ops", "analogy", "a0", "a1", "b0"],
+        "interp": ["ops", "interp", "a0", "b0", "--t", "0.5"],
+        "mix": ["ops", "mix", "a0", "b0", "--region", str(region)],
+        "align": ["ops", "align", "--partition", str(partition)],
+        "extend": ["extend", "--mesh", str(x0), "--corr", str(corr)],
+    }[command]
+    before = tree_bytes(ws)
     capsys.readouterr()
     assert main(argv + ["--workspace", str(ws)]) == 1
-    assert f"hash mismatch for {rel!r}" in capsys.readouterr().err
-    assert manifest_of(ws) == manifest
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {ws / 'manifest.json'} holds ['hashes']: it is in an earlier layout"), line
+    assert line.endswith("build a new workspace with `spectra`")
+    assert tree_bytes(ws) == before
+
+
+@pytest.mark.parametrize("doc, problem", [
+    (b"[]", " is not an object holding a 'shapes' object"),
+    (b'"lskit"', " is not an object holding a 'shapes' object"),
+    (b'{"tool": "lskit"}', " is not an object holding a 'shapes' object"),
+    (b'{"tool": "lskit", "shapes": []}', " is not an object holding a 'shapes' object"),
+    (b'{"shapes": {}', ": Expecting ',' delimiter"),
+    (b"\xff\xfe{}", ": 'utf-8' codec can't decode"),
+], ids=["list", "string", "without-shapes", "shapes-a-list", "not-json", "not-utf-8"])
+@pytest.mark.parametrize("command", ["spectra", "fmn", "latent", "descriptors"])
+def test_a_malformed_manifest_is_refused(tmp_path, family_dir, capsys, doc, problem, command):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / "manifest.json").write_bytes(doc)
+    argv = {
+        "spectra": ["spectra", str(family_dir), "--k", "10"],
+        "fmn": ["fmn", "--topology", "clique", "--maps", "identity"],
+        "latent": ["latent", "--m", "6"],
+        "descriptors": ["ops", "descriptors"],
+    }[command]
+    assert main(argv + ["--workspace", str(ws)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: malformed manifest: {ws / 'manifest.json'}{problem}"), line
+    assert tree_bytes(ws) == {"manifest.json": doc}
 
 
 @pytest.mark.parametrize("family, defaults", [

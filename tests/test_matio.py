@@ -75,21 +75,20 @@ def test_manifest_verify_aborts_on_tamper(tmp_path):
 
 def test_verified_hashes_only_the_file_it_is_asked_for(tmp_path, monkeypatch):
     ws = Workspace(tmp_path)
-    manifest = ws.init_manifest()
     kept, other = (ws.write_tracked_matrix(name, np.eye(n)) for name, n in (("a.lsk", 2), ("b.lsk", 3)))
     with open(ws.path(other), "r+b") as fh:  # damaged, but not asked for
         fh.seek(40)
         fh.write(b"\xff")
     hashed = []
     monkeypatch.setattr(matio, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
-    assert ws.verified(manifest, kept) == ws.path(kept) and hashed == [ws.path(kept)]
+    assert ws.verified(kept) == ws.path(kept) and hashed == [ws.path(kept)]
     with pytest.raises(ManifestError, match=f"hash mismatch for {other!r}"):
-        ws.verified(manifest, other)
+        ws.verified(other)
     os.unlink(ws.path(kept))
     with pytest.raises(ManifestError, match="missing artifact"):
-        ws.verified(manifest, kept)
+        ws.verified(kept)
     with pytest.raises(ManifestError, match="missing artifact"):
-        ws.verified(manifest, "c.lsk")  # neither its name nor the manifest holds a digest
+        ws.verified("c.lsk")  # its name holds no digest
 
 
 def test_a_kept_tracked_file_is_verified_and_not_rewritten(tmp_path):
@@ -158,23 +157,3 @@ def test_tracked_matrix_is_written_only_when_its_bytes_change(tmp_path):
     mesh = ws.write_tracked(os.path.join("meshes", "x.off"), b"OFF\n0 0 0\n")
     assert mesh == os.path.join("meshes", f"x.{sha256_file(ws.path(mesh))}.off")
     assert write_matrix(tmp_path / "b.lsk", np.arange(5.0)) == sha256_file(tmp_path / "b.lsk")
-
-
-def test_an_earlier_layouts_hashes_keep_only_the_listed_names_without_a_digest(tmp_path):
-    ws = Workspace(tmp_path)
-    manifest = ws.init_manifest()
-    assert "hashes" not in manifest
-    phi = ws.write_tracked_matrix(os.path.join("spectra", "a.phi.lsk"), np.eye(2))
-    (tmp_path / "meshes").mkdir()
-    (tmp_path / "meshes" / "a.0123456789abcdef.off").write_bytes(b"OFF\n0 0 0\n")  # 16 hex digits
-    mesh = os.path.join("meshes", "a.0123456789abcdef.off")
-    manifest["shapes"]["a"] = {"mesh": mesh, "files": {"phi": phi}}
-    manifest["hashes"] = {mesh: sha256_file(tmp_path / mesh), phi: sha256_file(ws.path(phi)), "maps/gone.lsk": "0" * 64}
-    ws.save_manifest(manifest)
-    assert ws.load_manifest()["hashes"] == {mesh: sha256_file(tmp_path / mesh)}
-    assert matio.digest(manifest, mesh) == sha256_file(tmp_path / mesh)
-    assert matio.digest({}, phi) == sha256_file(ws.path(phi)) and matio.digest({}, mesh) is None
-    ws.verify(ws.load_manifest())
-    manifest["shapes"]["a"]["mesh"] = ws.write_tracked(os.path.join("meshes", "a.off"), b"OFF\n0 0 0\n")
-    ws.save_manifest(manifest)
-    assert "hashes" not in ws.load_manifest()

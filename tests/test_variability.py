@@ -181,6 +181,15 @@ def test_cross_collection_requires_nonempty_clusters():
         cross_collection_variability(diffs, Partition(("a",), ("zz",)), 1)
 
 
+def test_partition_rejects_a_shape_listed_twice_or_in_both_clusters():
+    with pytest.raises(ValueError, match=r"lists shapes \['a0', 'b1'\] more than once"):
+        Partition(("a0", "a0", "a1"), ("b0", "b1", "b1"))
+    with pytest.raises(ValueError, match="disjoint"):
+        Partition(("a0", "a1"), ("a1", "b0"))
+    with pytest.raises(UnknownShape, match=r"unknown shapes \['zz'\]"):
+        Partition(("a0",), ("zz",)).require({"a0", "b0"})
+
+
 def test_cross_collection_within_weight():
     rng = np.random.default_rng(8)
     diffs = {f"s{i}": random_spd(rng, 4) for i in range(4)}
