@@ -46,7 +46,7 @@ class _View:
     def __init__(self, args, create=False):
         self.ws = Workspace(args.workspace)
         self.create = create  # `spectra` starts a workspace that has no manifest
-        self.loaded = {}  # shape id -> Shape, for this view only
+        self.loaded = {}  # (what, shape id) -> a member's eigenvalues, spectra or shape, for this view only
         stale = self.ws.path("config.json")  # an earlier settings file: refuse it rather than ignore it
         if os.path.exists(stale):
             raise ManifestError(f"{stale} is no longer read; pass its settings as flags and remove it")
@@ -57,35 +57,57 @@ class _View:
             return self.ws.init_manifest()
         return self.ws.load_manifest()
 
+    def _member(self, what, sid, build):
+        """`build(sid's record)`, built when the view first asks for it."""
+        if (what, sid) not in self.loaded:
+            self.loaded[what, sid] = build(self.manifest["shapes"][sid])
+        return self.loaded[what, sid]
+
+    def eigenvalues(self, sid):
+        """One member's tracked eigenvalues: its shape-DNA."""
+        return self._member("lam", sid, lambda entry: read_vector(self.ws.verified(entry["files"]["lam"])))
+
+    def spectra(self, sid):
+        """One member's spectral basis, from its tracked eigenvalues and
+        eigenvectors. A command that uses no mass reads no more of it."""
+        def build(entry):
+            lam = self.eigenvalues(sid)
+            return SpectralBasis(lam, read_matrix(self.ws.verified(entry["files"]["phi"])), sid, _eigen_clusters(lam))
+
+        return self._member("spectra", sid, build)
+
     def shape(self, sid):
-        """One member's shape bundle, rebuilt from its tracked mesh and
-        spectra when the view first asks for it."""
-        if sid not in self.loaded:
-            entry = self.manifest["shapes"][sid]
+        """`spectra(sid)` with the member's mesh copy and its stiffness and
+        mass, for the commands that use the mass."""
+        def build(entry):
             mesh = load_mesh(self.ws.verified(entry["mesh"]), shape_id=sid)
-            lam = read_vector(self.ws.verified(entry["files"]["lam"]))
-            phi = read_matrix(self.ws.verified(entry["files"]["phi"]))
-            basis = SpectralBasis(lam, phi, sid, _eigen_clusters(lam))
-            self.loaded[sid] = Shape(mesh, metric_measure(mesh), basis)
-        return self.loaded[sid]
+            basis = self.spectra(sid)
+            return Shape(mesh, metric_measure(mesh), basis)
+
+        return self._member("shape", sid, build)
 
     @property
-    def shapes(self):
-        """Every member's shape bundle, in id order."""
-        return {sid: self.shape(sid) for sid in sorted(self.manifest["shapes"])}
-
-    @functools.cached_property
-    def network(self):
+    def fmn(self):
+        """The network's stage record."""
         fmn = self.manifest.get("fmn")
         if not fmn:
             raise ManifestError("no functional map network in this workspace; run `fmn` first")
-        # only the nodes the network was built over (extensions live outside it)
-        nodes = [self.shape(sid) for sid in fmn["nodes"]]
-        edges = {
+        return fmn
+
+    def maps(self, members):
+        """The network's maps between `members`, in manifest order."""
+        members = set(members)
+        return {
             (src, tgt): fmaps.FunctionalMap(read_matrix(self.ws.verified(rel)), src, tgt)
-            for src, tgt, rel in fmn["edges"]
+            for src, tgt, rel in self.fmn["edges"]
+            if src in members and tgt in members
         }
-        return network.FMNetwork(nodes, edges, fmn["topology"])
+
+    @functools.cached_property
+    def network(self):
+        # only the nodes the network was built over (extensions live outside it)
+        nodes = self.fmn["nodes"]
+        return network.FMNetwork([self.shape(sid) for sid in nodes], self.maps(nodes), self.fmn["topology"])
 
     @functools.cached_property
     def latent(self):
@@ -402,8 +424,9 @@ def _topology(value):
 
 def cmd_fmn(args):
     view = _View(args)
-    manifest, shapes = view.manifest, view.shapes
-    ids = sorted(shapes)
+    manifest = view.manifest
+    ids = sorted(manifest["shapes"])
+    shapes = {sid: view.shape(sid) for sid in ids}
     dnas = [shapes[sid].dna() for sid in ids]
 
     topology = args.topology
@@ -526,7 +549,7 @@ def cmd_variability(args):
         funcs = variability.global_variability(diffs, count=args.count)
     if args.emit_fields:  # read and verify them before the first write
         clb, _ = view.latent
-        shapes = {sid: view.shape(sid) for sid in clb.order}
+        shapes = {sid: Shape(None, None, view.spectra(sid)) for sid in clb.order}
 
     doc = {
         "mode": args.mode,
@@ -600,17 +623,12 @@ def cmd_ops(args):
             return _usage_fail("ops align requires --partition")
         part, truth = _read_partition(args.partition)
         part.require(view.manifest["shapes"])
-        manifest, shapes, net = view.manifest, view.shapes, view.network
-        descs = {}
+        stored, descs = view.manifest.get("latent"), {}
         for name, cluster in (("a", part.cluster_a), ("b", part.cluster_b)):
-            members = [shapes[sid] for sid in sorted(cluster)]
-            edges = {
-                (i, j): fm
-                for (i, j), fm in net.edges.items()
-                if i in cluster and j in cluster
-            }
-            sub = network.FMNetwork(members, edges, "intra")
-            m = min(manifest["latent"]["m"] if manifest.get("latent") else 10, min(s.basis.k for s in members))
+            # each cluster's members and the maps between them: no mass is used
+            members = [Shape(None, None, view.spectra(sid)) for sid in sorted(cluster)]
+            sub = network.FMNetwork(members, view.maps(cluster), "intra")
+            m = min(stored["m"] if stored else 10, min(s.basis.k for s in members))
             clb = latent_mod.consistent_latent_basis(sub, m)
             canonical, lat = latent_mod.canonicalize(clb, sub.spectra())
             diffs = latent_mod.latent_differences(canonical, sub.spectra(), lat, "area", normalized=True)
@@ -667,7 +685,7 @@ def cmd_extend(args):
     if not auto and args.neighbor not in members:
         return _fail(f"unknown --neighbor {args.neighbor!r}")
     # the auto choice compares shape-DNA: each member's eigenvalues
-    spectra = {sid: read_vector(view.ws.verified(members[sid]["files"]["lam"])) for sid in clb.order} if auto else None
+    spectra = {sid: view.eigenvalues(sid) for sid in clb.order} if auto else None
     with _one_blas_thread():
         new_shape = spectral.compute_shape(mesh, k)
     corr = fmaps.load_correspondence(args.corr)
@@ -677,7 +695,9 @@ def cmd_extend(args):
 
     neighbor = latent_mod.nearest_member(clb, spectra, new_shape) if auto else args.neighbor
     normalized = bool(manifest.get("diffs", {}).get("normalized", False))
-    Y_new, diffs = latent_mod.extend_to_shape(latent_shape, view.shape(neighbor), new_shape, provider, normalized)
+    # the map from the neighbor reads its basis, not its mesh or mass
+    Y_new, diffs = latent_mod.extend_to_shape(
+        latent_shape, Shape(None, None, view.spectra(neighbor)), new_shape, provider, normalized)
     if auto:
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 

@@ -95,7 +95,7 @@ def fmap_from_correspondence(src: Shape, tgt: Shape, corr: Correspondence) -> Fu
     given on source vertices onto the target vertex numbering. An identity
     correspondence between identical meshes gives C = I to solver precision.
     """
-    _check_bijection(corr, src.mesh.num_vertices, tgt.mesh.num_vertices)
+    _check_bijection(corr, src.basis.num_vertices, tgt.basis.num_vertices)
     pulled = np.empty_like(src.basis.eigenvectors)
     pulled[corr.pairs[:, 1]] = src.basis.eigenvectors[corr.pairs[:, 0]]
     matrix = tgt.basis.eigenvectors.T @ (tgt.mm.mass_diag[:, None] * pulled)

@@ -202,9 +202,9 @@ def _provider_map(map_provider, src: Shape, tgt: Shape) -> FunctionalMap:
 
 def identity_map_provider(src: Shape, tgt: Shape) -> FunctionalMap:
     """Provider for shared-connectivity collections (identity correspondence)."""
-    if src.mesh.num_vertices != tgt.mesh.num_vertices:
+    if src.basis.num_vertices != tgt.basis.num_vertices:
         raise NonBijective("identity correspondence needs equal vertex counts")
-    return fmap_from_correspondence(src, tgt, identity_correspondence(src.mesh.num_vertices))
+    return fmap_from_correspondence(src, tgt, identity_correspondence(src.basis.num_vertices))
 
 
 @dataclass(frozen=True)

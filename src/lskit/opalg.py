@@ -110,14 +110,14 @@ def localized_basis(latent: LatentShape, clb: ConsistentLatentBasis, shape: Shap
         raise EmptyRegion("localized basis needs a nonempty vertex region")
     if shape.shape_id not in clb.Y:
         raise UnknownShape(f"shape {shape.shape_id!r} has no latent basis")
-    if region.min() < 0 or region.max() >= shape.mesh.num_vertices:
+    if region.min() < 0 or region.max() >= shape.basis.num_vertices:
         raise ValueError("region index out of range")
     m = clb.m
     if p is None:
         p = min(10, m)
     p = min(p, m)
 
-    sel = np.zeros(shape.mesh.num_vertices)
+    sel = np.zeros(shape.basis.num_vertices)
     sel[region] = 1.0
     G = shape.basis.eigenvectors @ clb.Y[shape.shape_id]
     A = G.T @ ((shape.mm.mass_diag * sel)[:, None] * G)

@@ -73,7 +73,8 @@ class SpectralBasis:
 
 @dataclass(frozen=True)
 class Shape:
-    """Bundle of everything the pipeline needs per shape."""
+    """Bundle of everything the pipeline needs per shape. A consumer that
+    reads only the basis can be given one whose `mesh` and `mm` are None."""
 
     mesh: Mesh
     mm: MetricMeasure
@@ -81,7 +82,7 @@ class Shape:
 
     @property
     def shape_id(self):
-        return self.mesh.shape_id
+        return self.basis.shape_id
 
     def dna(self, d=None):
         return shape_dna(self.basis, d)

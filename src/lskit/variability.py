@@ -255,11 +255,11 @@ def adjoint_energy_commutativity_check(diffs, clb: ConsistentLatentBasis, shapes
     ids = list(clb.order)
     for sid in ids:
         shp = shapes[sid]
-        if shp.basis.k != shp.mesh.num_vertices:
+        if shp.basis.k != shp.basis.num_vertices:
             raise NotFullInformation(f"shape {sid!r} has a truncated basis")
         if clb.m != shp.basis.k:
             raise NotFullInformation(f"latent dimension m={clb.m} != k={shp.basis.k}")
-        if shp.mesh.num_vertices != shapes[ids[0]].mesh.num_vertices:
+        if shp.basis.num_vertices != shapes[ids[0]].basis.num_vertices:
             raise NotFullInformation("shapes must share connectivity")
     first = shapes[ids[0]]
     phi0 = first.basis.eigenvectors @ clb.Y[ids[0]]

@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as sla
 
-from lskit import spectral
+from lskit import cli, matio, spectral
 from lskit.fmaps import Correspondence, fmap_from_landmarks
 from lskit.meshes import validate_mesh
 from lskit.network import attach_maps, build_topology, identity_map_provider
@@ -207,6 +207,28 @@ def random_orthonormal(rng, m, p=None):
 def random_spd(rng, m, scale=1.0):
     A = rng.standard_normal((m, m))
     return scale * (A @ A.T) / m + 0.1 * np.eye(m)
+
+
+def args_during(monkeypatch, owner, name, argv):
+    """Run the CLI on `argv` with `owner.name` recording the first argument
+    of each call. Returns the exit code and the arguments, in call order."""
+    seen = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda first, *args, **kwargs: seen.append(first) or fn(first, *args, **kwargs))
+    rc = cli.main(argv)
+    monkeypatch.undo()
+    return rc, seen
+
+
+def hashed_during(monkeypatch, argv):
+    """Run a command and return the paths that `matio.sha256_file` hashed."""
+    return args_during(monkeypatch, matio, "sha256_file", argv)
+
+
+def parsed_during(monkeypatch, argv):
+    """Run a command and return the paths that it parsed a mesh from
+    (`cli.load_mesh`)."""
+    return args_during(monkeypatch, cli, "load_mesh", argv)
 
 
 def tree_bytes(root):

@@ -8,8 +8,7 @@ import shutil
 
 import pytest
 
-from helpers import tree_bytes
-from lskit import matio
+from helpers import hashed_during, parsed_during, tree_bytes
 from lskit.cli import main
 from lskit.meshes import load_mesh, save_off
 from lskit.spectral import Shape
@@ -51,16 +50,6 @@ def damage(path):
     with open(path, "r+b") as fh:
         fh.seek(40)
         fh.write(b"\x01")
-
-
-def hashed_during(monkeypatch, argv):
-    """Run a command and return the paths that `matio.sha256_file` hashed."""
-    hashed = []
-    sha256_file = matio.sha256_file
-    monkeypatch.setattr(matio, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
-    rc = main(argv)
-    monkeypatch.undo()
-    return rc, hashed
 
 
 # each tracked kind of file, and a command that reads it before any other
@@ -147,10 +136,62 @@ def test_extend_hashes_its_neighbor_the_eigenvalues_and_the_latent_files(built, 
     chosen = manifest_of(ws)["latent"]["extended"]["x0"]["neighbor"]
     assert chosen == ("a0" if neighbor == "auto" else neighbor)  # x0 is a copy of a0
     shapes, lat = manifest["shapes"], manifest["latent"]
-    expected = {shapes[chosen]["mesh"], *shapes[chosen]["files"].values(), *lat["Y"].values(), lat["lambda0"]}
-    if neighbor == "auto":  # every member's shape-DNA, and no map
-        expected |= {shapes[sid]["files"]["lam"] for sid in lat["order"]}
-    assert set(hashed) == {str(ws / rel) for rel in expected}
+    expected = [*shapes[chosen]["files"].values(), *lat["Y"].values(), lat["lambda0"]]
+    if neighbor == "auto":  # every member's shape-DNA, the chosen one's read once, and no map
+        expected += [shapes[sid]["files"]["lam"] for sid in lat["order"] if sid != chosen]
+    assert sorted(hashed) == sorted(str(ws / rel) for rel in expected)
+
+
+def align(built):
+    return ["ops", "align", "--partition", str(built / "meshes" / "ground_truth.json")]
+
+
+def emit_fields(built):
+    return ["variability", "--mode", "global", "--emit-fields"]
+
+
+def clusters(built):
+    return json.loads((built / "meshes" / "ground_truth.json").read_text())["partition"].values()
+
+
+def test_align_hashes_its_clusters_spectra_and_the_maps_within_them(built, ws, monkeypatch):
+    manifest = manifest_of(ws)
+    rc, hashed = hashed_during(monkeypatch, align(built) + ["--workspace", str(ws)])
+    assert rc == 0
+    expected = [rel for cluster in clusters(built) for sid in cluster
+                for rel in manifest["shapes"][sid]["files"].values()]
+    expected += [rel for src, tgt, rel in manifest["fmn"]["edges"]
+                 if any(src in cluster and tgt in cluster for cluster in clusters(built))]
+    assert len(expected) == 4 * 2 + 2 * 2  # each member's lam and phi, and both maps of each cluster's pair
+    assert sorted(hashed) == sorted(str(ws / rel) for rel in expected)
+
+
+def cross_map(manifest, built):
+    cluster_a, cluster_b = clusters(built)
+    return next(rel for src, tgt, rel in manifest["fmn"]["edges"] if src in cluster_a and tgt in cluster_b)
+
+
+@pytest.mark.parametrize("victim", [cross_map, lambda manifest, built: manifest["shapes"]["a0"]["mesh"]],
+                         ids=["cross-cluster map", "mesh copy"])
+@pytest.mark.parametrize("command", [align, emit_fields], ids=["align", "emit-fields"])
+def test_a_file_that_a_command_does_not_read_leaves_its_output_as_it_was(built, ws, victim, command, capsys):
+    argv = command(built) + ["--workspace", str(ws)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    damage(ws / victim(manifest_of(ws), built))
+    before = tree_bytes(ws)  # the first run's outputs, and the damaged file
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert tree_bytes(ws) == before
+
+
+@pytest.mark.parametrize("argv", [emit_fields, align, lambda built: extend(built, "x0", "--neighbor", "b1")],
+                         ids=["emit-fields", "align", "extend"])
+def test_commands_that_use_no_mass_parse_no_mesh_copy(built, ws, monkeypatch, argv):
+    rc, parsed = parsed_during(monkeypatch, argv(built) + ["--workspace", str(ws)])
+    assert rc == 0
+    assert parsed == ([str(built / "x0.off")] if "extend" in argv(built) else [])
 
 
 def test_mix_on_a_region_of_an_unknown_shape_exits_1(built, ws, tmp_path, capsys):
