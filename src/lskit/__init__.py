@@ -48,7 +48,6 @@ from .opalg import (
 )
 from .spectral import (
     MetricMeasure,
-    Shape,
     SpectralBasis,
     compute_shape,
     eigenbasis,

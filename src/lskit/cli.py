@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 computation error, 2 usage error.
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
@@ -23,7 +24,7 @@ from .errors import LskitError, ManifestError, UnknownShape
 from .matio import Workspace, digest, listed, read_matrix, read_vector, sha256_file
 from .matio import write_json, write_matrix, write_text
 from .meshes import _PARSERS, load_mesh
-from .spectral import Shape, SpectralBasis, _eigen_clusters, metric_measure
+from .spectral import SpectralBasis, _eigen_clusters, metric_measure
 
 
 def _fail(msg):
@@ -46,7 +47,7 @@ class _View:
     def __init__(self, args, create=False):
         self.ws = Workspace(args.workspace)
         self.create = create  # `spectra` starts a workspace that has no manifest
-        self.loaded = {}  # (what, shape id) -> a member's eigenvalues, spectra or shape, for this view only
+        self.loaded = {}  # (what, shape id) -> a member's eigenvalues or basis, for this view only
         stale = self.ws.path("config.json")  # an earlier settings file: refuse it rather than ignore it
         if os.path.exists(stale):
             raise ManifestError(f"{stale} is no longer read; pass its settings as flags and remove it")
@@ -77,12 +78,11 @@ class _View:
         return self._member("spectra", sid, build)
 
     def shape(self, sid):
-        """`spectra(sid)` with the member's mesh copy and its stiffness and
-        mass, for the commands that use the mass."""
+        """`spectra(sid)` with the member's mass, from its mesh copy, for the
+        commands that use the mass. Neither the mesh nor its stiffness is kept."""
         def build(entry):
-            mesh = load_mesh(self.ws.verified(entry["mesh"]), shape_id=sid)
-            basis = self.spectra(sid)
-            return Shape(mesh, metric_measure(mesh), basis)
+            mass = metric_measure(load_mesh(self.ws.verified(entry["mesh"]), shape_id=sid)).mass_diag
+            return dataclasses.replace(self.spectra(sid), mass=mass)
 
         return self._member("shape", sid, build)
 
@@ -219,20 +219,19 @@ def cmd_synth(args):
 # spectra
 
 
-def _write_spectra(ws: Workspace, shape: Shape):
-    """Write a shape's spectra files. Returns the fields of its manifest
-    record that they determine."""
-    sid = shape.shape_id
+def _write_spectra(ws: Workspace, mesh, basis: SpectralBasis):
+    """Write the spectra files of a mesh's basis. Returns the fields of its
+    manifest record that they determine."""
     files = {
-        name: ws.write_tracked_matrix(os.path.join("spectra", f"{sid}.{name}.lsk"), arr)
-        for name, arr in (("phi", shape.basis.eigenvectors), ("lam", shape.basis.eigenvalues))
+        name: ws.write_tracked_matrix(os.path.join("spectra", f"{basis.shape_id}.{name}.lsk"), arr)
+        for name, arr in (("phi", basis.eigenvectors), ("lam", basis.eigenvalues))
     }
     return {
-        "k": shape.basis.k,
-        "vertices": shape.mesh.num_vertices,
-        "triangles": shape.mesh.num_triangles,
+        "k": basis.k,
+        "vertices": mesh.num_vertices,
+        "triangles": mesh.num_triangles,
         "files": files,
-        "clusters": [list(c) for c in shape.basis.clusters],
+        "clusters": [list(c) for c in basis.clusters],
     }
 
 
@@ -295,11 +294,12 @@ def _solve_shape(root, sid, src, k):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the parent's filters decide when it re-emits them
         try:
-            shape = spectral.compute_shape(load_mesh(src, shape_id=sid), k)
+            mesh = load_mesh(src, shape_id=sid)
+            basis = spectral.compute_shape(mesh, k)
         except (LskitError, OSError) as exc:
             record, error = None, str(exc)
         else:
-            record, error = _write_spectra(Workspace(root), shape), None
+            record, error = _write_spectra(Workspace(root), mesh, basis), None
     return record, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
@@ -399,7 +399,7 @@ def _file_provider(args):
         raise ManifestError(f"--maps {args.maps} requires --corr-dir")
     landmarks = args.maps == "landmarks"
 
-    def provider(src: Shape, tgt: Shape):
+    def provider(src: SpectralBasis, tgt: SpectralBasis):
         path = fmaps.correspondence_path(args.corr_dir, src.shape_id, tgt.shape_id)
         if not os.path.isfile(path):
             raise FileNotFoundError(f"missing {'landmark' if landmarks else 'correspondence'} file {path}")
@@ -427,7 +427,7 @@ def cmd_fmn(args):
     manifest = view.manifest
     ids = sorted(manifest["shapes"])
     shapes = {sid: view.shape(sid) for sid in ids}
-    dnas = [shapes[sid].dna() for sid in ids]
+    dnas = [spectral.shape_dna(shapes[sid]) for sid in ids]
 
     topology = args.topology
     cross_pairs = []
@@ -484,7 +484,7 @@ def cmd_latent(args):
         return _usage_fail(f"--m must be at least 1, got {args.m}")
     view = _View(args)
     ws, manifest, net = view.ws, view.manifest, view.network
-    k_min = min(s.basis.k for s in net.shapes)
+    k_min = min(s.k for s in net.shapes)
     if args.m > k_min:
         return _usage_fail(f"--m {args.m} exceeds the smallest basis truncation {k_min}")
 
@@ -549,7 +549,7 @@ def cmd_variability(args):
         funcs = variability.global_variability(diffs, count=args.count)
     if args.emit_fields:  # read and verify them before the first write
         clb, _ = view.latent
-        shapes = {sid: Shape(None, None, view.spectra(sid)) for sid in clb.order}
+        shapes = {sid: view.spectra(sid) for sid in clb.order}
 
     doc = {
         "mode": args.mode,
@@ -575,13 +575,12 @@ def cmd_variability(args):
     if args.emit_fields:
         bundle = {"mode": args.mode, "shapes": {}}
         for sid in clb.order:
-            raw, norm = variability.transfer_to_shape(funcs[0], shapes[sid], clb.Y[sid])
+            raw, _ = variability.transfer_to_shape(funcs[0], shapes[sid], clb.Y[sid])
             txt = ws.path("fields", f"{args.mode}.{sid}.txt")
             write_text(txt, "".join(f"{idx} {float(val)!r}\n" for idx, val in enumerate(raw)))
             bundle["shapes"][sid] = {
                 "field": os.path.relpath(txt, ws.root),
                 "max_abs": float(np.max(np.abs(raw))),
-                "normalized": norm.tolist(),
             }
         write_json(ws.path("fields", f"{args.mode}.json"), bundle)
 
@@ -623,12 +622,15 @@ def cmd_ops(args):
             return _usage_fail("ops align requires --partition")
         part, truth = _read_partition(args.partition)
         part.require(view.manifest["shapes"])
+        outside = sorted((set(part.cluster_a) | set(part.cluster_b)) - set(view.fmn["nodes"]))
+        if outside:  # a member that `extend` added has no maps
+            return _fail(f"shape {outside[0]!r} is not in the functional map network")
         stored, descs = view.manifest.get("latent"), {}
         for name, cluster in (("a", part.cluster_a), ("b", part.cluster_b)):
             # each cluster's members and the maps between them: no mass is used
-            members = [Shape(None, None, view.spectra(sid)) for sid in sorted(cluster)]
+            members = [view.spectra(sid) for sid in sorted(cluster)]
             sub = network.FMNetwork(members, view.maps(cluster), "intra")
-            m = min(stored["m"] if stored else 10, min(s.basis.k for s in members))
+            m = min(stored["m"] if stored else 10, min(s.k for s in members))
             clb = latent_mod.consistent_latent_basis(sub, m)
             canonical, lat = latent_mod.canonicalize(clb, sub.spectra())
             diffs = latent_mod.latent_differences(canonical, sub.spectra(), lat, "area", normalized=True)
@@ -690,19 +692,18 @@ def cmd_extend(args):
         new_shape = spectral.compute_shape(mesh, k)
     corr = fmaps.load_correspondence(args.corr)
 
-    def provider(src: Shape, tgt: Shape):
+    def provider(src: SpectralBasis, tgt: SpectralBasis):
         return fmaps.fmap_from_correspondence(src, tgt, corr)
 
     neighbor = latent_mod.nearest_member(clb, spectra, new_shape) if auto else args.neighbor
     normalized = bool(manifest.get("diffs", {}).get("normalized", False))
-    # the map from the neighbor reads its basis, not its mesh or mass
-    Y_new, diffs = latent_mod.extend_to_shape(
-        latent_shape, Shape(None, None, view.spectra(neighbor)), new_shape, provider, normalized)
+    # the map from the neighbor reads its basis, not its mass
+    Y_new, diffs = latent_mod.extend_to_shape(latent_shape, view.spectra(neighbor), new_shape, provider, normalized)
     if auto:
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id
-    view.record_shape(sid, args.mesh, _write_spectra(ws, new_shape))
+    view.record_shape(sid, args.mesh, _write_spectra(ws, mesh, new_shape))
     y_rel = ws.write_tracked_matrix(os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
     diff_rels = {
         kind: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonBijective, UnderDeterminedWarning
-from .spectral import Shape
+from .spectral import SpectralBasis
 
 PINV_REL_TOL = 1e-8
 TIKHONOV_FLOOR = 1e-12
@@ -88,24 +88,24 @@ def _check_bijection(corr, n_src, n_tgt):
         raise NonBijective("correspondence has duplicate indices")
 
 
-def fmap_from_correspondence(src: Shape, tgt: Shape, corr: Correspondence) -> FunctionalMap:
+def fmap_from_correspondence(src: SpectralBasis, tgt: SpectralBasis, corr: Correspondence) -> FunctionalMap:
     """Functional map induced by a full vertex bijection.
 
     C = Phi_tgt^T M_tgt P Phi_src, with P the permutation pulling a function
     given on source vertices onto the target vertex numbering. An identity
     correspondence between identical meshes gives C = I to solver precision.
     """
-    _check_bijection(corr, src.basis.num_vertices, tgt.basis.num_vertices)
-    pulled = np.empty_like(src.basis.eigenvectors)
-    pulled[corr.pairs[:, 1]] = src.basis.eigenvectors[corr.pairs[:, 0]]
-    matrix = tgt.basis.eigenvectors.T @ (tgt.mm.mass_diag[:, None] * pulled)
+    _check_bijection(corr, src.num_vertices, tgt.num_vertices)
+    pulled = np.empty_like(src.eigenvectors)
+    pulled[corr.pairs[:, 1]] = src.eigenvectors[corr.pairs[:, 0]]
+    matrix = tgt.eigenvectors.T @ (tgt.mass[:, None] * pulled)
     return FunctionalMap(matrix, src.shape_id, tgt.shape_id)
 
 
-def _spectral_distance_sq(shape: Shape, center):
+def _spectral_distance_sq(basis: SpectralBasis, center):
     """Biharmonic-style squared spectral distance from one vertex to all."""
-    lam = shape.basis.eigenvalues
-    phi = shape.basis.eigenvectors
+    lam = basis.eigenvalues
+    phi = basis.eigenvectors
     keep = lam > PINV_REL_TOL * max(lam.max(), 1.0)
     w = np.zeros_like(lam)
     w[keep] = 1.0 / lam[keep] ** 2
@@ -113,7 +113,7 @@ def _spectral_distance_sq(shape: Shape, center):
     return (diff * diff) @ w
 
 
-def _landmark_descriptors(shape: Shape, landmarks):
+def _landmark_descriptors(basis: SpectralBasis, landmarks):
     """Unit-mass Gaussian blobs around landmark vertices, as spectral coeffs.
 
     Blob radius is LANDMARK_RADIUS_FACTOR of the spectral-distance range seen
@@ -122,19 +122,21 @@ def _landmark_descriptors(shape: Shape, landmarks):
     """
     cols = []
     for v in landmarks:
-        d = np.sqrt(np.maximum(_spectral_distance_sq(shape, int(v)), 0.0))
+        d = np.sqrt(np.maximum(_spectral_distance_sq(basis, int(v)), 0.0))
         sigma = LANDMARK_RADIUS_FACTOR * float(d.max())
         if sigma <= 0:
             sigma = 1.0
         g = np.exp(-(d * d) / (2.0 * sigma * sigma))
-        norm = np.sqrt(float(np.sum(shape.mm.mass_diag * g * g)))
+        norm = np.sqrt(float(np.sum(basis.mass * g * g)))
         if norm > 0:
             g = g / norm
-        cols.append(shape.basis.eigenvectors.T @ (shape.mm.mass_diag * g))
+        cols.append(basis.eigenvectors.T @ (basis.mass * g))
     return np.stack(cols, axis=1)
 
 
-def fmap_from_landmarks(src: Shape, tgt: Shape, landmarks: Correspondence, regularizer_weight=0.0) -> FunctionalMap:
+def fmap_from_landmarks(
+    src: SpectralBasis, tgt: SpectralBasis, landmarks: Correspondence, regularizer_weight=0.0
+) -> FunctionalMap:
     """Least-squares functional map from sparse landmark pairs.
 
     Fits C so that C (source descriptors) matches the target descriptors,
@@ -147,9 +149,9 @@ def fmap_from_landmarks(src: Shape, tgt: Shape, landmarks: Correspondence, regul
     if regularizer_weight < 0:
         raise ValueError("regularizer_weight must be nonnegative")
     pairs = landmarks.pairs
-    if pairs.shape[0] < 3 or pairs.shape[0] < src.basis.k:
+    if pairs.shape[0] < 3 or pairs.shape[0] < src.k:
         warnings.warn(
-            f"{pairs.shape[0]} landmarks under-determine a {tgt.basis.k}x{src.basis.k} map",
+            f"{pairs.shape[0]} landmarks under-determine a {tgt.k}x{src.k} map",
             UnderDeterminedWarning,
             stacklevel=2,
         )
@@ -157,10 +159,10 @@ def fmap_from_landmarks(src: Shape, tgt: Shape, landmarks: Correspondence, regul
     B = _landmark_descriptors(tgt, pairs[:, 1])  # (k_tgt, p)
     AAt = A @ A.T
     scale = max(float(np.trace(AAt)) / max(A.shape[0], 1), 1e-30)
-    lam_s, lam_t = src.basis.eigenvalues, tgt.basis.eigenvalues
-    C = np.empty((tgt.basis.k, src.basis.k))
-    eye = np.eye(src.basis.k)
-    for r in range(tgt.basis.k):
+    lam_s, lam_t = src.eigenvalues, tgt.eigenvalues
+    C = np.empty((tgt.k, src.k))
+    eye = np.eye(src.k)
+    for r in range(tgt.k):
         penalty = regularizer_weight * (lam_t[r] - lam_s) ** 2
         lhs = AAt + np.diag(penalty) + TIKHONOV_FLOOR * scale * eye
         C[r] = np.linalg.solve(lhs, A @ B[r])

@@ -26,7 +26,7 @@ from .fmaps import _difference_matrix
 from .network import FMNetwork, _provider_map
 from .spectral import (
     CLUSTER_GAP_TOL,
-    Shape,
+    SpectralBasis,
     _eigen_clusters,
     _fix_signs,
     _lowest_eigenpairs,
@@ -89,7 +89,7 @@ def _block_matrix(net: FMNetwork, order):
     For each directed edge (i, j): block(i,i) += C^T C, block(j,j) += I,
     block(i,j) += -C^T, block(j,i) += -C.
     """
-    ks = [net.shape(i).basis.k for i in order]
+    ks = [net.shape(i).k for i in order]
     offsets = np.concatenate([[0], np.cumsum(ks)])
     pos = {sid: idx for idx, sid in enumerate(order)}
     size = int(offsets[-1])
@@ -129,7 +129,7 @@ def consistent_latent_basis(net: FMNetwork, m: int) -> ConsistentLatentBasis:
     is below GAP_WARN_TOL (the subspace is then ill-defined).
     """
     order = tuple(net.ids)
-    k_min = min(net.shape(i).basis.k for i in order)
+    k_min = min(net.shape(i).k for i in order)
     if not 1 <= m <= k_min:
         raise ValueError(f"m={m} must be in 1..min(k_i)={k_min}")
     W, offsets = _block_matrix(net, order)
@@ -221,11 +221,11 @@ def latent_differences(clb: ConsistentLatentBasis, spectra: dict, latent: Latent
     }
 
 
-def nearest_member(clb: ConsistentLatentBasis, spectra: dict, new_shape: Shape):
+def nearest_member(clb: ConsistentLatentBasis, spectra: dict, new_shape: SpectralBasis):
     """The member of the latent basis nearest `new_shape` by shape-DNA
     distance, ties by collection order. spectra: shape_id -> eigenvalue
     vector (the full shape-DNA) of every member."""
-    d_new = shape_dna(new_shape.basis, None)
+    d_new = shape_dna(new_shape, None)
     best, best_dist = None, np.inf
     for sid in clb.order:
         d = np.asarray(spectra[sid], dtype=np.float64)
@@ -236,7 +236,9 @@ def nearest_member(clb: ConsistentLatentBasis, spectra: dict, new_shape: Shape):
     return best
 
 
-def extend_to_shape(latent: LatentShape, neighbor: Shape, new_shape: Shape, map_provider, normalized=False):
+def extend_to_shape(
+    latent: LatentShape, neighbor: SpectralBasis, new_shape: SpectralBasis, map_provider, normalized=False
+):
     """Attach a new shape without recomputing the latent basis.
 
     Pulls the latent basis of `neighbor`, a member of the collection (for
@@ -257,7 +259,7 @@ def extend_to_shape(latent: LatentShape, neighbor: Shape, new_shape: Shape, map_
     Y_new = _provider_map(map_provider, neighbor, new_shape).matrix @ clb.Y[neighbor.shape_id]
     diffs = {
         kind: _shape_difference(
-            Y_new, new_shape.basis.eigenvalues, latent, clb.n_shapes, kind, new_shape.shape_id, normalized)
+            Y_new, new_shape.eigenvalues, latent, clb.n_shapes, kind, new_shape.shape_id, normalized)
         for kind in ("area", "conformal")
     }
     return Y_new, diffs

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientShapes, NonBijective, ProviderFailure
 from .fmaps import FunctionalMap, fmap_from_correspondence, identity_correspondence
-from .spectral import Shape
+from .spectral import SpectralBasis
 
 logger = logging.getLogger(__name__)
 
@@ -132,7 +132,7 @@ def two_cluster_topology(dnas, labels):
 
 @dataclass(frozen=True)
 class FMNetwork:
-    """Nodes are shapes; `edges` maps every directed id pair to its map."""
+    """Nodes are spectral bases; `edges` maps every directed id pair to its map."""
 
     shapes: list
     edges: dict
@@ -163,21 +163,22 @@ class FMNetwork:
     def ids(self):
         return [s.shape_id for s in self.shapes]
 
-    def shape(self, shape_id) -> Shape:
+    def shape(self, shape_id) -> SpectralBasis:
         return self._by_id[shape_id]
 
     def undirected_edges(self):
         return sorted({(min(i, j), max(i, j)) for i, j in self.edges})
 
     def spectra(self):
-        return {s.shape_id: s.basis.eigenvalues for s in self.shapes}
+        return {s.shape_id: s.eigenvalues for s in self.shapes}
 
 
 def attach_maps(shapes, topology, map_provider, topology_tag="custom") -> FMNetwork:
     """Populate both directions of every topology edge via the provider.
 
-    map_provider(src: Shape, tgt: Shape) -> FunctionalMap. Reverse maps are
-    requested from the provider, never derived by inverting the forward map.
+    map_provider(src: SpectralBasis, tgt: SpectralBasis) -> FunctionalMap.
+    Reverse maps are requested from the provider, never derived by inverting
+    the forward map.
     """
     edges = {}
     for i, j in topology:
@@ -186,7 +187,7 @@ def attach_maps(shapes, topology, map_provider, topology_tag="custom") -> FMNetw
     return FMNetwork(list(shapes), edges, topology_tag)
 
 
-def _provider_map(map_provider, src: Shape, tgt: Shape) -> FunctionalMap:
+def _provider_map(map_provider, src: SpectralBasis, tgt: SpectralBasis) -> FunctionalMap:
     """The provider's map for the directed edge (src, tgt). Any exception it
     raises, and a result that is not a finite FunctionalMap, becomes a
     ProviderFailure naming the edge: the one place that names it."""
@@ -200,11 +201,11 @@ def _provider_map(map_provider, src: Shape, tgt: Shape) -> FunctionalMap:
     return fm
 
 
-def identity_map_provider(src: Shape, tgt: Shape) -> FunctionalMap:
+def identity_map_provider(src: SpectralBasis, tgt: SpectralBasis) -> FunctionalMap:
     """Provider for shared-connectivity collections (identity correspondence)."""
-    if src.basis.num_vertices != tgt.basis.num_vertices:
+    if src.num_vertices != tgt.num_vertices:
         raise NonBijective("identity correspondence needs equal vertex counts")
-    return fmap_from_correspondence(src, tgt, identity_correspondence(src.basis.num_vertices))
+    return fmap_from_correspondence(src, tgt, identity_correspondence(src.num_vertices))
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ def consistency_report(net: FMNetwork) -> ConsistencyReport:
         cycles.append(tuple(up + down + [i]))  # close through the non-tree edge
     residuals = []
     for cycle in cycles:
-        k0 = net.shape(cycle[0]).basis.k
+        k0 = net.shape(cycle[0]).k
         T = np.eye(k0)
         for a, b in zip(cycle[:-1], cycle[1:]):
             T = net.edges[(a, b)].matrix @ T

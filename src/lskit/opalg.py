@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import EmptyRegion, IllConditioned, UnknownShape
 from .latent import ConsistentLatentBasis, LatentDifference, LatentShape
-from .spectral import CLUSTER_GAP_TOL, Shape
+from .spectral import CLUSTER_GAP_TOL, SpectralBasis
 from .variability import ProjectionBasis, _as_F, _as_matrix
 
 CONDITION_LIMIT = 1e8
@@ -92,7 +92,9 @@ def replay(recipe) -> OperatorExpression:
 CONCENTRATION_CUTOFF = 0.5  # keep latent modes with most of their mass inside
 
 
-def localized_basis(latent: LatentShape, clb: ConsistentLatentBasis, shape: Shape, region, p=None) -> ProjectionBasis:
+def localized_basis(
+    latent: LatentShape, clb: ConsistentLatentBasis, shape: SpectralBasis, region, p=None
+) -> ProjectionBasis:
     """Latent functions supported on a vertex region of one member shape.
 
     Solves the concentration problem in latent coordinates: with
@@ -110,18 +112,18 @@ def localized_basis(latent: LatentShape, clb: ConsistentLatentBasis, shape: Shap
         raise EmptyRegion("localized basis needs a nonempty vertex region")
     if shape.shape_id not in clb.Y:
         raise UnknownShape(f"shape {shape.shape_id!r} has no latent basis")
-    if region.min() < 0 or region.max() >= shape.basis.num_vertices:
+    if region.min() < 0 or region.max() >= shape.num_vertices:
         raise ValueError("region index out of range")
     m = clb.m
     if p is None:
         p = min(10, m)
     p = min(p, m)
 
-    sel = np.zeros(shape.basis.num_vertices)
+    sel = np.zeros(shape.num_vertices)
     sel[region] = 1.0
-    G = shape.basis.eigenvectors @ clb.Y[shape.shape_id]
-    A = G.T @ ((shape.mm.mass_diag * sel)[:, None] * G)
-    B = G.T @ (shape.mm.mass_diag[:, None] * G)
+    G = shape.eigenvectors @ clb.Y[shape.shape_id]
+    A = G.T @ ((shape.mass * sel)[:, None] * G)
+    B = G.T @ (shape.mass[:, None] * G)
     mu, U = scipy.linalg.eigh(0.5 * (A + A.T), 0.5 * (B + B.T))
     mu, U = mu[::-1], U[:, ::-1]  # concentration ratio, descending
 

@@ -48,19 +48,23 @@ class MetricMeasure:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Truncated Laplace-Beltrami eigenbasis of one shape.
+    """Truncated Laplace-Beltrami eigenbasis of one shape: all that the
+    pipeline uses of a shape after the per-shape stage.
 
     eigenvalues : (k,) ascending, nonnegative
     eigenvectors : (n, k), M-orthonormal columns
     clusters : list of (start, stop) index ranges of near-degenerate eigenvalues
         (relative gap below CLUSTER_GAP_TOL); comparisons of individual
         eigenvectors are only well-posed outside these ranges.
+    mass : (n,) lumped vertex areas, the diagonal of the M that the
+        eigenvectors are orthonormal in; None for a basis read without it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     shape_id: str = ""
     clusters: tuple = field(default_factory=tuple)
+    mass: np.ndarray = None
 
     @property
     def k(self):
@@ -69,23 +73,6 @@ class SpectralBasis:
     @property
     def num_vertices(self):
         return self.eigenvectors.shape[0]
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Bundle of everything the pipeline needs per shape. A consumer that
-    reads only the basis can be given one whose `mesh` and `mm` are None."""
-
-    mesh: Mesh
-    mm: MetricMeasure
-    basis: SpectralBasis
-
-    @property
-    def shape_id(self):
-        return self.basis.shape_id
-
-    def dna(self, d=None):
-        return shape_dna(self.basis, d)
 
 
 def metric_measure(mesh: Mesh) -> MetricMeasure:
@@ -207,7 +194,8 @@ def _lowest_eigenpairs(A, count, M=None, what="matrix"):
 
 
 def eigenbasis(mm: MetricMeasure, k: int) -> SpectralBasis:
-    """k smallest generalized eigenpairs of (L, M), M-orthonormal, ascending.
+    """k smallest generalized eigenpairs of (L, M), M-orthonormal, ascending,
+    with M's diagonal as the basis's mass.
 
     Solved by `_lowest_eigenpairs` (dense or shift-invert by size), which
     fixes the start vector and the sign of each eigenvector, so the output is
@@ -236,7 +224,7 @@ def eigenbasis(mm: MetricMeasure, k: int) -> SpectralBasis:
     clusters = _eigen_clusters(lam)
     if clusters:
         logger.debug("shape '%s': eigenvalue clusters %s", mm.shape_id, clusters)
-    return SpectralBasis(lam, vecs, mm.shape_id, clusters)
+    return SpectralBasis(lam, vecs, mm.shape_id, clusters, mm.mass_diag)
 
 
 def shape_dna(basis: SpectralBasis, d=None) -> np.ndarray:
@@ -248,7 +236,6 @@ def shape_dna(basis: SpectralBasis, d=None) -> np.ndarray:
     return basis.eigenvalues[:d].copy()
 
 
-def compute_shape(mesh: Mesh, k: int) -> Shape:
+def compute_shape(mesh: Mesh, k: int) -> SpectralBasis:
     """Run the per-shape stage: metric/measure then truncated eigenbasis."""
-    mm = metric_measure(mesh)
-    return Shape(mesh, mm, eigenbasis(mm, k))
+    return eigenbasis(metric_measure(mesh), k)

@@ -21,7 +21,7 @@ from .errors import (
     UnknownShape,
 )
 from .latent import ConsistentLatentBasis, LatentDifference
-from .spectral import CLUSTER_GAP_TOL, Shape, _fix_signs
+from .spectral import CLUSTER_GAP_TOL, SpectralBasis, _fix_signs
 
 ORTHONORMAL_TOL = 1e-10
 
@@ -188,7 +188,7 @@ def cross_collection_variability(diffs, partition: Partition, count=3, within_we
     return _top_eigvecs(across - within_weight * within, count, "cross_collection")
 
 
-def transfer_to_shape(alpha, shape: Shape, Y_i):
+def transfer_to_shape(alpha, shape: SpectralBasis, Y_i):
     """Map a latent function to a per-vertex field: f = Phi_i Y_i alpha.
 
     Returns (raw field, |f| rescaled to [0, 1] for visualization).
@@ -196,12 +196,12 @@ def transfer_to_shape(alpha, shape: Shape, Y_i):
     alpha = np.asarray(alpha.alpha if isinstance(alpha, DistinctiveFunction) else alpha)
     if Y_i is None:
         raise UnknownShape(f"shape {shape.shape_id!r} has no latent basis")
-    if Y_i.shape[0] != shape.basis.k or Y_i.shape[1] != alpha.shape[0]:
+    if Y_i.shape[0] != shape.k or Y_i.shape[1] != alpha.shape[0]:
         raise UnknownShape(
             f"latent basis of {shape.shape_id!r} is {Y_i.shape}, "
-            f"expected ({shape.basis.k}, {alpha.shape[0]})"
+            f"expected ({shape.k}, {alpha.shape[0]})"
         )
-    f = shape.basis.eigenvectors @ (Y_i @ alpha)
+    f = shape.eigenvectors @ (Y_i @ alpha)
     mag = np.abs(f)
     top = float(mag.max())
     return f, mag / top if top > 0 else mag
@@ -249,21 +249,20 @@ def adjoint_energy_commutativity_check(diffs, clb: ConsistentLatentBasis, shapes
     the commutators vanish identically. Terms that are zero up to rounding
     (identical shapes in a pair) carry no signal and are excluded.
 
-    shapes: dict shape_id -> Shape. Raises NotFullInformation unless every
-    basis is full (k_i = num_vertices) and m = k_i.
+    shapes: dict shape_id -> SpectralBasis, each with its mass. Raises
+    NotFullInformation unless every basis is full (k_i = num_vertices) and
+    m = k_i.
     """
     ids = list(clb.order)
     for sid in ids:
         shp = shapes[sid]
-        if shp.basis.k != shp.basis.num_vertices:
+        if shp.k != shp.num_vertices:
             raise NotFullInformation(f"shape {sid!r} has a truncated basis")
-        if clb.m != shp.basis.k:
-            raise NotFullInformation(f"latent dimension m={clb.m} != k={shp.basis.k}")
-        if shp.basis.num_vertices != shapes[ids[0]].basis.num_vertices:
+        if clb.m != shp.k:
+            raise NotFullInformation(f"latent dimension m={clb.m} != k={shp.k}")
+        if shp.num_vertices != shapes[ids[0]].num_vertices:
             raise NotFullInformation("shapes must share connectivity")
-    first = shapes[ids[0]]
-    phi0 = first.basis.eigenvectors @ clb.Y[ids[0]]
-    masses = {sid: shapes[sid].mm.mass_diag for sid in ids}
+    phi0 = shapes[ids[0]].eigenvectors @ clb.Y[ids[0]]
 
     pairs = [(a, b) for a in range(len(ids)) for b in range(a + 1, len(ids))]
     H_D, H_X = {}, {}
@@ -273,7 +272,7 @@ def adjoint_energy_commutativity_check(diffs, clb: ConsistentLatentBasis, shapes
         # a noise-level difference of operators squares to pure rounding
         if np.linalg.norm(d, "fro") > 1e-10 * (np.linalg.norm(Da, "fro") + np.linalg.norm(Db, "fro")):
             H_D[(a, b)] = d @ d
-        mk, ml = masses[ids[a]], masses[ids[b]]
+        mk, ml = shapes[ids[a]].mass, shapes[ids[b]].mass
         dm = mk - ml
         if np.linalg.norm(dm) > 1e-10 * max(np.linalg.norm(mk), np.linalg.norm(ml)):
             H_X[(a, b)] = phi0.T @ ((dm * dm / ml)[:, None] * phi0)

@@ -22,7 +22,7 @@ from lskit import cli, matio, spectral
 from lskit.fmaps import Correspondence, fmap_from_landmarks
 from lskit.meshes import validate_mesh
 from lskit.network import attach_maps, build_topology, identity_map_provider
-from lskit.spectral import compute_shape
+from lskit.spectral import compute_shape, metric_measure, shape_dna
 from lskit.synth import BumpSpec, apply_bumps, icosphere
 
 
@@ -54,35 +54,33 @@ def cached_bumpy_shape(seed, subdivisions, k):
     return compute_shape(bumpy_sphere(seed, subdivisions), k)
 
 
-def full_info_family(subdivisions=1, count=3):
-    """Shared-connectivity deformed spheres with full bases and exact
-    identity-correspondence maps: every 'full information' hypothesis holds."""
+def full_info_meshes(subdivisions=1, count=3):
+    """Shared-connectivity deformed spheres s0, s1, ..."""
     v, t = icosphere(subdivisions)
     directions = [(1, 0, 0), (0, 0, 1), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
-    shapes = []
-    for i in range(count):
-        bumps = [BumpSpec(directions[i % len(directions)], 0.7, 0.15 + 0.05 * i)]
-        mesh = validate_mesh(apply_bumps(v, bumps), t, f"s{i}")
-        shapes.append(compute_shape(mesh, mesh.num_vertices))
-    net = attach_maps(
-        shapes,
-        build_topology([s.dna() for s in shapes], "clique"),
-        identity_map_provider,
-        "clique",
-    )
-    return shapes, net
+    return [
+        validate_mesh(apply_bumps(v, [BumpSpec(directions[i % len(directions)], 0.7, 0.15 + 0.05 * i)]), t, f"s{i}")
+        for i in range(count)
+    ]
+
+
+def full_info_family(subdivisions=1, count=3):
+    """`full_info_meshes` with full bases and exact identity-correspondence
+    maps: every 'full information' hypothesis holds."""
+    shapes = [compute_shape(mesh, mesh.num_vertices) for mesh in full_info_meshes(subdivisions, count)]
+    return shapes, identity_net(shapes)
 
 
 def identity_net(shapes, kind="clique", **kw):
     return attach_maps(
-        shapes, build_topology([s.dna() for s in shapes], kind, **kw), identity_map_provider, kind
+        shapes, build_topology([shape_dna(s) for s in shapes], kind, **kw), identity_map_provider, kind
     )
 
 
 def landmark_net(shapes, stride=4, weight=1e-2, kind="clique"):
     """Network with maps fitted from shared landmark vertices (computed maps
     with genuine inconsistency, unlike exact identity maps)."""
-    n = shapes[0].mesh.num_vertices
+    n = shapes[0].num_vertices
     marks = np.arange(0, n, stride)
     corr = Correspondence(np.stack([marks, marks], axis=1), "sparse_landmarks")
 
@@ -90,7 +88,7 @@ def landmark_net(shapes, stride=4, weight=1e-2, kind="clique"):
         return fmap_from_landmarks(src, tgt, corr, regularizer_weight=weight)
 
     return attach_maps(
-        shapes, build_topology([s.dna() for s in shapes], kind), provider, kind
+        shapes, build_topology([shape_dna(s) for s in shapes], kind), provider, kind
     )
 
 
@@ -139,11 +137,11 @@ def dense_generalized_eigh(L, mass_diag):
     return np.maximum(lam, 0.0), u * inv[:, None]
 
 
-def mean_shape_oracle(shapes):
+def mean_shape_oracle(meshes):
     """Theorem-style ground truth: eigenpairs of the averaged metric/measure."""
-    n = len(shapes)
-    Lbar = sum(s.mm.stiffness.toarray() for s in shapes) / n
-    Mbar = sum(s.mm.mass_diag for s in shapes) / n
+    mms = [metric_measure(mesh) for mesh in meshes]
+    Lbar = sum(mm.stiffness.toarray() for mm in mms) / len(mms)
+    Mbar = sum(mm.mass_diag for mm in mms) / len(mms)
     lam, phi = dense_generalized_eigh(Lbar, Mbar)
     return lam, phi, Mbar
 

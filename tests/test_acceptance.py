@@ -69,10 +69,10 @@ def test_criterion_01_mean_shape_oracle_equivalence():
     net = identity_net(shapes)
     clb = consistent_latent_basis(net, n)
     can, lat = canonicalize(clb, net.spectra())
-    lam_o, phi_o, Mbar = mean_shape_oracle(shapes)
+    lam_o, phi_o, Mbar = mean_shape_oracle(fam.meshes)
 
     spec_err = float(np.abs(lat.spectrum - lam_o).max() / lam_o.max())
-    phi0 = shapes[0].basis.eigenvectors @ can.Y[shapes[0].shape_id]
+    phi0 = shapes[0].eigenvectors @ can.Y[shapes[0].shape_id]
     phi0 = phi0 * np.sqrt(len(shapes))  # sum(M) vs mean(M) normalization
     num = np.abs(np.einsum("vi,v,vi->i", phi0, Mbar, phi_o))
     den = np.sqrt(
@@ -242,7 +242,7 @@ def test_criterion_06_chain_topology_loop():
 def test_criterion_07_functoriality():
     t0 = time.perf_counter()
     shapes, net = full_info_family(subdivisions=1, count=3)
-    n = shapes[0].mesh.num_vertices
+    n = shapes[0].num_vertices
     clb = consistent_latent_basis(net, n)
     can, lat = canonicalize(clb, net.spectra())
     diffs = latent_differences(can, net.spectra(), lat, "area")
@@ -254,8 +254,8 @@ def test_criterion_07_functoriality():
             si, sj = f"s{i}", f"s{j}"
             direct = pair_difference(
                 net.edges[(si, sj)],
-                net.shape(si).basis.eigenvalues,
-                net.shape(sj).basis.eigenvalues,
+                net.shape(si).eigenvalues,
+                net.shape(sj).eigenvalues,
                 "area",
             ).matrix
             Yi = can.Y[si]
@@ -305,7 +305,7 @@ def test_criterion_08_projection_laws():
 def test_criterion_09_commutativity():
     t0 = time.perf_counter()
     shapes, net = full_info_family(subdivisions=1, count=4)
-    n = shapes[0].mesh.num_vertices
+    n = shapes[0].num_vertices
     clb = consistent_latent_basis(net, n)
     can, lat = canonicalize(clb, net.spectra())
     diffs = latent_differences(can, net.spectra(), lat, "area")

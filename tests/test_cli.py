@@ -218,6 +218,15 @@ def test_variability_global_and_cross(workspace, family_dir):
     float(val)
 
 
+def test_a_fields_bundle_entry_is_its_field_file_and_max_abs(workspace):
+    assert main(["variability", "--workspace", str(workspace), "--mode", "global", "--emit-fields"]) == 0
+    bundle = json.loads((workspace / "fields" / "global.json").read_text())
+    assert sorted(bundle["shapes"]) == ["a0", "a1", "b0", "b1"]
+    for entry in bundle["shapes"].values():
+        assert sorted(entry) == ["field", "max_abs"]
+        assert entry["max_abs"] == np.max(np.abs(np.loadtxt(workspace / entry["field"], usecols=1)))
+
+
 def test_variability_cross_requires_partition(workspace):
     assert main(["variability", "--workspace", str(workspace), "--mode", "cross"]) == 2
 

@@ -10,8 +10,8 @@ import pytest
 
 from helpers import hashed_during, parsed_during, tree_bytes
 from lskit.cli import main
-from lskit.meshes import load_mesh, save_off
-from lskit.spectral import Shape
+from lskit.meshes import Mesh, load_mesh, save_off
+from lskit.spectral import MetricMeasure, SpectralBasis
 from lskit.synth import sphere_bump_family, sphere_bump_ground_truth, write_family
 
 
@@ -213,9 +213,20 @@ def test_extend_through_a_member_with_no_latent_basis_exits_1(built, ws, capsys)
     assert tree_bytes(ws) == before
 
 
+def test_align_with_an_extended_member_exits_1(built, ws, tmp_path, capsys):
+    assert main(extend(built) + ["--workspace", str(ws)]) == 0
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps({"cluster_a": ["a0", "a1", "x0"], "cluster_b": ["b0", "b1"]}))
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["ops", "align", "--partition", str(partition), "--workspace", str(ws)]) == 1
+    assert capsys.readouterr().err == "error: shape 'x0' is not in the functional map network\n"
+    assert tree_bytes(ws) == before
+
+
 def live_shapes():
     gc.collect()
-    return [obj for obj in gc.get_objects() if isinstance(obj, Shape)]
+    return [obj for obj in gc.get_objects() if isinstance(obj, (SpectralBasis, Mesh, MetricMeasure))]
 
 
 def test_no_shape_outlives_the_command_that_loaded_it(built, ws):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cached_bumpy_shape, full_info_family, random_orthonormal
+from helpers import bumpy_sphere, cached_bumpy_shape, full_info_family, random_orthonormal
 from lskit.errors import DimensionMismatch, NonBijective, UnderDeterminedWarning
 from lskit.fmaps import (
     Correspondence,
@@ -24,15 +24,15 @@ def bumpy20():
 
 
 def test_identity_correspondence_gives_identity_map(bumpy20):
-    corr = identity_correspondence(bumpy20.mesh.num_vertices)
+    corr = identity_correspondence(bumpy20.num_vertices)
     C = fmap_from_correspondence(bumpy20, bumpy20, corr).matrix
     assert np.abs(C - np.eye(20)).max() <= 1e-9
 
 
 def test_relabeling_permutation_is_orthonormal(bumpy20):
     rng = np.random.default_rng(2)
-    perm = rng.permutation(bumpy20.mesh.num_vertices)
-    twin_mesh, pairs = permute_vertices(bumpy20.mesh, perm, "twin")
+    perm = rng.permutation(bumpy20.num_vertices)
+    twin_mesh, pairs = permute_vertices(bumpy_sphere(1, 2), perm, "twin")
     twin = compute_shape(twin_mesh, 20)
     C = fmap_from_correspondence(bumpy20, twin, Correspondence(pairs)).matrix
     assert np.abs(C.T @ C - np.eye(20)).max() <= 1e-8
@@ -42,21 +42,21 @@ def test_scaled_icosphere_area_difference():
     v, t = icosphere(2)
     src = compute_shape(validate_mesh(v, t, "unit"), 20)
     tgt = compute_shape(validate_mesh(2.0 * v, t, "double"), 20)
-    corr = identity_correspondence(src.mesh.num_vertices)
+    corr = identity_correspondence(src.num_vertices)
     C = fmap_from_correspondence(src, tgt, corr).matrix
     # areas scale by 4 uniformly, so C^T C = 4 I
     np.testing.assert_allclose(C.T @ C, 4.0 * np.eye(20), rtol=0.05, atol=0.05)
     D = pair_difference(
         fmap_from_correspondence(src, tgt, corr),
-        src.basis.eigenvalues,
-        tgt.basis.eigenvalues,
+        src.eigenvalues,
+        tgt.eigenvalues,
         "area",
     )
     np.testing.assert_allclose(D.matrix, 4.0 * np.eye(20), rtol=0.05, atol=0.05)
 
 
 def test_non_bijective_rejected(bumpy20):
-    n = bumpy20.mesh.num_vertices
+    n = bumpy20.num_vertices
     pairs = np.stack([np.zeros(n, dtype=int), np.arange(n)], axis=1)  # duplicate sources
     with pytest.raises(NonBijective):
         fmap_from_correspondence(bumpy20, bumpy20, Correspondence(pairs))
@@ -76,7 +76,7 @@ def test_correspondence_file_roundtrip(tmp_path):
 
 
 def test_landmark_identity_fit(bumpy20):
-    marks = np.arange(0, bumpy20.mesh.num_vertices, 6)
+    marks = np.arange(0, bumpy20.num_vertices, 6)
     corr = Correspondence(np.stack([marks, marks], axis=1), "sparse_landmarks")
     fm = fmap_from_landmarks(bumpy20, bumpy20, corr, regularizer_weight=0.0)
     from lskit.fmaps import _landmark_descriptors
@@ -90,7 +90,7 @@ def test_landmark_identity_fit(bumpy20):
 def test_landmark_large_weight_drives_diagonal():
     a = cached_bumpy_shape(7, 2, 15)
     b = cached_bumpy_shape(8, 2, 15)
-    marks = np.arange(0, a.mesh.num_vertices, 4)
+    marks = np.arange(0, a.num_vertices, 4)
     corr = Correspondence(np.stack([marks, marks], axis=1), "sparse_landmarks")
     fm = fmap_from_landmarks(a, b, corr, regularizer_weight=1e6)
     C = fm.matrix
@@ -139,7 +139,7 @@ def test_pair_difference_dimension_mismatch():
 
 def test_composition_consistency_full_information():
     shapes, net = full_info_family(subdivisions=1, count=3)
-    lam = [s.basis.eigenvalues for s in shapes]
+    lam = [s.eigenvalues for s in shapes]
     C01 = net.edges[("s0", "s1")].matrix
     C12 = net.edges[("s1", "s2")].matrix
     C02 = net.edges[("s0", "s2")].matrix

@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse.linalg as sla
 
 from helpers import (
+    bumpy_sphere,
     cached_bumpy_shape,
     full_info_family,
+    full_info_meshes,
     identity_net,
     landmark_net,
     mean_shape_oracle,
@@ -32,7 +34,7 @@ from lskit.synth import chain_family, perturbation_family
 
 def identical_collection(n=3, k=12, seed=2):
     base = cached_bumpy_shape(seed, 1, k)
-    return [base] + [compute_shape(base.mesh.with_id(f"twin{i}"), k) for i in range(1, n)]
+    return [base] + [compute_shape(bumpy_sphere(seed, 1, shape_id=f"twin{i}"), k) for i in range(1, n)]
 
 
 def test_identical_shapes_kernel_structure():
@@ -56,7 +58,7 @@ def test_single_shape_no_edges():
 
 def test_exact_clique_zero_residual():
     _, net = full_info_family(subdivisions=1, count=3)
-    clb = consistent_latent_basis(net, net.shapes[0].basis.k)
+    clb = consistent_latent_basis(net, net.shapes[0].k)
     assert clb.consistency_residual <= 1e-8
 
 
@@ -78,18 +80,18 @@ def test_identical_shapes_latent_spectrum_matches_member():
     net = identity_net(shapes)
     clb = consistent_latent_basis(net, 12)
     can, lat = canonicalize(clb, net.spectra())
-    lam = shapes[0].basis.eigenvalues
+    lam = shapes[0].eigenvalues
     assert np.abs(lat.spectrum - lam).max() <= 1e-8 * max(1.0, lam.max())
 
 
 def test_mean_shape_oracle_equivalence():
     shapes, net = full_info_family(subdivisions=1, count=4)
-    n = shapes[0].mesh.num_vertices
+    n = shapes[0].num_vertices
     clb = consistent_latent_basis(net, n)
     can, lat = canonicalize(clb, net.spectra())
-    lam_o, phi_o, Mbar = mean_shape_oracle(shapes)
+    lam_o, phi_o, Mbar = mean_shape_oracle(full_info_meshes(subdivisions=1, count=4))
     assert np.abs(lat.spectrum - lam_o).max() / lam_o.max() <= 1e-6
-    phi0 = shapes[0].basis.eigenvectors @ can.Y[shapes[0].shape_id]
+    phi0 = shapes[0].eigenvectors @ can.Y[shapes[0].shape_id]
     # recovered basis is orthonormal wrt sum(M) = count * mean(M)
     phi0 = phi0 * np.sqrt(len(shapes))
     num = np.abs(np.einsum("vi,v,vi->i", phi0, Mbar, phi_o))
@@ -150,7 +152,7 @@ def test_sum_rule_generic_family():
 
 def test_functoriality_full_information():
     shapes, net = full_info_family(subdivisions=1, count=3)
-    n = shapes[0].mesh.num_vertices
+    n = shapes[0].num_vertices
     clb = consistent_latent_basis(net, n)
     can, lat = canonicalize(clb, net.spectra())
     diffs = latent_differences(can, net.spectra(), lat, "area")
@@ -161,8 +163,8 @@ def test_functoriality_full_information():
             si, sj = f"s{i}", f"s{j}"
             direct = pair_difference(
                 net.edges[(si, sj)],
-                net.shape(si).basis.eigenvalues,
-                net.shape(sj).basis.eigenvalues,
+                net.shape(si).eigenvalues,
+                net.shape(sj).eigenvalues,
                 "area",
             ).matrix
             Yi = can.Y[si]
@@ -185,8 +187,8 @@ def test_informativeness_probe():
 def test_isometry_invariance_within_collection():
     base = cached_bumpy_shape(9, 1, 12)
     rng = np.random.default_rng(4)
-    moved = apply_rigid(base.mesh, random_rotation(rng), np.array([0.3, 0.1, -2.0]), "copy")
-    twin_mesh, pairs = permute_vertices(moved, rng.permutation(base.mesh.num_vertices), "copy")
+    moved = apply_rigid(bumpy_sphere(9, 1), random_rotation(rng), np.array([0.3, 0.1, -2.0]), "copy")
+    twin_mesh, pairs = permute_vertices(moved, rng.permutation(base.num_vertices), "copy")
     twin = compute_shape(twin_mesh, 12)
     corr = Correspondence(pairs)
     rev = Correspondence(pairs[:, ::-1])
@@ -210,11 +212,11 @@ def test_extend_identical_twin_exact():
     shapes, net = full_info_family(subdivisions=1, count=3)
     clb = consistent_latent_basis(net, 20)
     can, lat = canonicalize(clb, net.spectra())
-    twin = compute_shape(net.shape("s0").mesh.with_id("new"), net.shape("s0").basis.k)
+    twin = compute_shape(full_info_meshes(count=1)[0].with_id("new"), net.shape("s0").k)
 
     def provider(src, tgt):
         return fmap_from_correspondence(
-            src, tgt, Correspondence(np.stack([np.arange(tgt.mesh.num_vertices)] * 2, axis=1))
+            src, tgt, Correspondence(np.stack([np.arange(tgt.num_vertices)] * 2, axis=1))
         )
 
     neighbor = nearest_member(can, net.spectra(), twin)
@@ -231,10 +233,10 @@ def test_extend_identical_twin_exact():
 def test_extend_rejects_non_finite_map():
     _, net = full_info_family(subdivisions=1, count=3)
     can, lat = canonicalize(consistent_latent_basis(net, 20), net.spectra())
-    twin = compute_shape(net.shape("s0").mesh.with_id("new"), net.shape("s0").basis.k)
+    twin = compute_shape(full_info_meshes(count=1)[0].with_id("new"), net.shape("s0").k)
 
     def provider(src, tgt):
-        matrix = np.eye(tgt.basis.k, src.basis.k)
+        matrix = np.eye(tgt.k, src.k)
         matrix[1, 1] = np.nan
         return FunctionalMap(matrix, src.shape_id, tgt.shape_id)
 
@@ -252,7 +254,7 @@ def test_extend_requires_canonical_basis():
 def test_stability_probe_duplicate_extra():
     fam = perturbation_family(seed=0, count=4)
     shapes = [compute_shape(m, 20) for m in fam.meshes]
-    dup = compute_shape(shapes[0].mesh.with_id("dup"), 20)
+    dup = compute_shape(fam.meshes[0].with_id("dup"), 20)
     net = landmark_net(shapes + [dup], stride=4, weight=1e-2)
     probe = stability_probe(net, "dup", m=10)
     assert probe.r_canonical >= 0.99

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import all_spanning_trees, cached_bumpy_shape, full_info_family, identity_net
+from helpers import all_spanning_trees, bumpy_sphere, cached_bumpy_shape, full_info_family, identity_net
 from lskit.errors import DimensionMismatch, InsufficientShapes, ProviderFailure
 from lskit.fmaps import FunctionalMap
 from lskit.network import (
@@ -13,7 +13,7 @@ from lskit.network import (
     identity_map_provider,
     two_cluster_topology,
 )
-from lskit.spectral import compute_shape
+from lskit.spectral import compute_shape, shape_dna
 from lskit.synth import chain_family
 
 
@@ -52,8 +52,8 @@ def test_clique_count():
     edges = build_topology(dnas, "clique")
     assert len(edges) == 10
     base = cached_bumpy_shape(0, 0, 6)
-    five = [base] + [compute_shape(base.mesh.with_id(f"t{i}"), 6) for i in range(4)]
-    net = attach_maps(five, build_topology([s.dna() for s in five], "clique"), identity_map_provider, "clique")
+    five = [base] + [compute_shape(bumpy_sphere(0, 0, shape_id=f"t{i}"), 6) for i in range(4)]
+    net = attach_maps(five, build_topology([shape_dna(s) for s in five], "clique"), identity_map_provider, "clique")
     assert len(net.edges) == 20  # n(n-1) directed maps
 
 
@@ -95,7 +95,7 @@ def test_attach_maps_identity_and_chain_count():
 
 def test_identity_maps_on_identical_shapes():
     shape = cached_bumpy_shape(1, 1, 10)
-    twins = [shape, compute_shape(shape.mesh.with_id("b"), 10), compute_shape(shape.mesh.with_id("c"), 10)]
+    twins = [shape] + [compute_shape(bumpy_sphere(1, 1, shape_id=sid), 10) for sid in "bc"]
     net = identity_net(twins)
     for fm in net.edges.values():
         assert np.abs(fm.matrix - np.eye(10)).max() <= 1e-9
@@ -127,7 +127,7 @@ def test_network_invariants_enforced():
 
 def test_consistency_identity_maps_zero():
     shapes = [cached_bumpy_shape(4, 1, 8)]
-    twins = [shapes[0], compute_shape(shapes[0].mesh.with_id("t1"), 8), compute_shape(shapes[0].mesh.with_id("t2"), 8)]
+    twins = shapes + [compute_shape(bumpy_sphere(4, 1, shape_id=sid), 8) for sid in ("t1", "t2")]
     net = identity_net(twins)
     report = consistency_report(net)
     assert report.max <= 1e-9

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ def localized_setup():
 
 def test_localized_basis_full_region(localized_setup):
     shapes, net, can, lat = localized_setup
-    region = np.arange(shapes[0].mesh.num_vertices)
+    region = np.arange(shapes[0].num_vertices)
     F = localized_basis(lat, can, shapes[0], region, p=5)
     assert np.abs(F.F.T @ F.F - np.eye(F.p)).max() <= 1e-10
     # indicator of everything is the constant: first direction ~ e1
@@ -129,13 +131,13 @@ def test_localized_basis_disjoint_regions():
     # measured on the sphere-bump family: the two bump caps support a couple
     # of well-concentrated latent modes each, and those are near-orthogonal
     from lskit.network import attach_maps, build_topology, identity_map_provider
-    from lskit.spectral import compute_shape
+    from lskit.spectral import compute_shape, shape_dna
     from lskit.synth import sphere_bump_family
 
     fam = sphere_bump_family(subdivisions=2)
     shapes = [compute_shape(mesh, 50) for mesh in fam.meshes]
     net = attach_maps(
-        shapes, build_topology([s.dna() for s in shapes], "clique"), identity_map_provider, "clique"
+        shapes, build_topology([shape_dna(s) for s in shapes], "clique"), identity_map_provider, "clique"
     )
     clb = consistent_latent_basis(net, 30)
     can, lat = canonicalize(clb, net.spectra())
@@ -149,11 +151,9 @@ def test_localized_basis_errors(localized_setup):
     shapes, net, can, lat = localized_setup
     with pytest.raises(EmptyRegion):
         localized_basis(lat, can, shapes[0], np.array([], dtype=int))
-    foreign = shapes[0].mesh.with_id("stranger")
-    from lskit.spectral import compute_shape
-
+    foreign = dataclasses.replace(shapes[0], shape_id="stranger")
     with pytest.raises(UnknownShape):
-        localized_basis(lat, can, compute_shape(foreign, 20), np.array([0, 1]))
+        localized_basis(lat, can, foreign, np.array([0, 1]))
 
 
 def test_partial_mix_on_latent_operators(localized_setup):

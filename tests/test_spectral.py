@@ -76,7 +76,7 @@ def test_k1_constant_eigenvector(ico2):
 def test_unit_sphere_low_spectrum(ico2):
     # continuous sphere Laplacian eigenvalues are l(l+1); the l=1 triple is 2
     shape = compute_shape(ico2, 10)
-    lam = shape.basis.eigenvalues
+    lam = shape.eigenvalues
     assert lam[0] <= 1e-10
     np.testing.assert_allclose(lam[1:4], 2.0, rtol=0.05)
     np.testing.assert_allclose(lam[4:9], 6.0, rtol=0.05)
@@ -94,15 +94,15 @@ def test_full_basis_against_dense_oracle():
 
 def test_generalized_residual_and_orthonormality():
     shape = cached_bumpy_shape(1, 2, 25)
-    L = shape.mm.stiffness
+    L = metric_measure(bumpy_sphere(1, 2)).stiffness
     scale = sparse.linalg.norm(L, "fro")
-    resid = L @ shape.basis.eigenvectors - (
-        shape.mm.mass_diag[:, None] * shape.basis.eigenvectors
-    ) * shape.basis.eigenvalues[None, :]
+    resid = L @ shape.eigenvectors - (
+        shape.mass[:, None] * shape.eigenvectors
+    ) * shape.eigenvalues[None, :]
     assert np.linalg.norm(resid, axis=0).max() <= 1e-8 * scale
-    gram = shape.basis.eigenvectors.T @ (shape.mm.mass_diag[:, None] * shape.basis.eigenvectors)
+    gram = shape.eigenvectors.T @ (shape.mass[:, None] * shape.eigenvectors)
     assert np.abs(gram - np.eye(25)).max() <= 1e-8
-    lam = shape.basis.eigenvalues
+    lam = shape.eigenvalues
     assert lam[0] <= 1e-8 * lam[-1]
     assert np.all(np.diff(lam) >= -1e-12)
 
@@ -123,7 +123,7 @@ def test_rigid_motion_invariance():
 @pytest.mark.filterwarnings("ignore::lskit.errors.SpectralGapWarning")  # k=6 splits the icosphere's eigenvalue cluster at 5.86
 def test_connected_sphere_has_single_zero_mode(ico2):
     shape = compute_shape(ico2, 6)
-    lam = shape.basis.eigenvalues
+    lam = shape.eigenvalues
     assert lam[0] <= 1e-10
     assert lam[1] > 1e-3  # next mode well away from zero
     assert np.all(lam >= 0)
@@ -133,13 +133,13 @@ def test_eigenbasis_deterministic():
     a = cached_bumpy_shape(3, 1, 12)
     mm = metric_measure(bumpy_sphere(3, 1))
     again = eigenbasis(mm, 12)
-    np.testing.assert_array_equal(a.basis.eigenvectors, again.eigenvectors)
-    np.testing.assert_array_equal(a.basis.eigenvalues, again.eigenvalues)
+    np.testing.assert_array_equal(a.eigenvectors, again.eigenvectors)
+    np.testing.assert_array_equal(a.eigenvalues, again.eigenvalues)
 
 
 def test_sign_convention():
     shape = cached_bumpy_shape(4, 1, 10)
-    vecs = shape.basis.eigenvectors
+    vecs = shape.eigenvectors
     idx = np.argmax(np.abs(vecs), axis=0)
     assert np.all(vecs[idx, np.arange(10)] > 0)
 
@@ -157,8 +157,8 @@ def test_shape_dna_rigid_invariance():
     mesh = bumpy_sphere(6, 1)
     rng = np.random.default_rng(11)
     moved = apply_rigid(mesh, random_rotation(rng), np.array([1.0, 1.0, -3.0]), "m")
-    d1 = shape_dna(compute_shape(mesh, 12).basis)
-    d2 = shape_dna(compute_shape(moved, 12).basis)
+    d1 = shape_dna(compute_shape(mesh, 12))
+    d2 = shape_dna(compute_shape(moved, 12))
     scale = max(d1.max(), 1.0)
     assert np.abs(d1 - d2).max() <= 1e-9 * scale
 

@@ -209,18 +209,18 @@ def test_transfer_to_shape():
     assert np.all(raw == 0) and np.all(norm == 0)
     alpha = DistinctiveFunction(np.eye(10)[:, 1], 1.0, "global")
     raw, norm = transfer_to_shape(alpha, shapes[0], can.Y["s0"])
-    assert raw.shape == (shapes[0].mesh.num_vertices,)
+    assert raw.shape == (shapes[0].num_vertices,)
     assert abs(norm.max() - 1.0) < 1e-12
     with pytest.raises(UnknownShape):
         transfer_to_shape(alpha, shapes[0], None)
 
 
 def test_transfer_identical_members_equal_fields():
-    from helpers import cached_bumpy_shape, identity_net
+    from helpers import bumpy_sphere, cached_bumpy_shape, identity_net
     from lskit.spectral import compute_shape
 
     base = cached_bumpy_shape(3, 1, 8)
-    twin = compute_shape(base.mesh.with_id("twin"), 8)
+    twin = compute_shape(bumpy_sphere(3, 1, shape_id="twin"), 8)
     net = identity_net([base, twin])
     with pytest.warns(Warning):
         clb = consistent_latent_basis(net, 5)
@@ -251,7 +251,7 @@ def test_separation_embedding():
 
 def test_adjoint_energy_commutativity():
     shapes, net = full_info_family(subdivisions=1, count=3)
-    n = shapes[0].mesh.num_vertices
+    n = shapes[0].num_vertices
     clb = consistent_latent_basis(net, n)
     can, lat = canonicalize(clb, net.spectra())
     diffs = latent_differences(can, net.spectra(), lat, "area")
@@ -261,11 +261,11 @@ def test_adjoint_energy_commutativity():
 
 
 def test_commutativity_identical_shapes_zero():
-    from helpers import cached_bumpy_shape, identity_net
+    from helpers import bumpy_sphere, cached_bumpy_shape, identity_net
     from lskit.spectral import compute_shape
 
     base = cached_bumpy_shape(2, 0, 12)  # 12-vertex icosahedron, full basis
-    twins = [base, compute_shape(base.mesh.with_id("t"), 12)]
+    twins = [base, compute_shape(bumpy_sphere(2, 0, shape_id="t"), 12)]
     net = identity_net(twins)
     clb = consistent_latent_basis(net, 12)
     can, lat = canonicalize(clb, net.spectra())
