@@ -245,15 +245,17 @@ BLAS_THREAD_SETTERS = (
 )
 
 
+@functools.cache
 def _blas_setters(verb="set"):
     """Thread-count setters of the BLAS libraries loaded in this process, or
     with verb "get" their getters, in the same order; none where the loaded
-    libraries cannot be listed."""
+    libraries cannot be listed. Resolved once per process: this module's
+    imports (numpy, and scipy's linalg) load every BLAS that it pins."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh}
     except OSError:
-        return []
+        return ()
     argtypes, restype = ((ctypes.c_int,), None) if verb == "set" else ((), ctypes.c_int)
     funcs = []
     for path in sorted(paths):
@@ -266,7 +268,7 @@ def _blas_setters(verb="set"):
                     func = getattr(lib, sym)
                     func.argtypes, func.restype = argtypes, restype
                     funcs.append(func)
-    return funcs
+    return tuple(funcs)
 
 
 @contextlib.contextmanager
@@ -627,8 +629,9 @@ def cmd_ops(args):
             return _fail(f"shape {outside[0]!r} is not in the functional map network")
         stored, descs = view.manifest.get("latent"), {}
         for name, cluster in (("a", part.cluster_a), ("b", part.cluster_b)):
-            # each cluster's members and the maps between them: no mass is used
-            members = [view.spectra(sid) for sid in sorted(cluster)]
+            # each cluster's eigenvalues and the maps between its members: the
+            # latent basis of a network uses no eigenvector and no mass
+            members = [SpectralBasis(view.eigenvalues(sid), None, sid) for sid in sorted(cluster)]
             sub = network.FMNetwork(members, view.maps(cluster), "intra")
             m = min(stored["m"] if stored else 10, min(s.k for s in members))
             clb = latent_mod.consistent_latent_basis(sub, m)

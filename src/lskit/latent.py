@@ -84,41 +84,47 @@ class LatentDifference:
 
 
 def _block_matrix(net: FMNetwork, order):
-    """Quadratic form of the consistency energy, assembled blockwise sparse.
+    """Quadratic form of the consistency energy, assembled straight into CSC.
 
-    For each directed edge (i, j): block(i,i) += C^T C, block(j,j) += I,
-    block(i,j) += -C^T, block(j,i) += -C.
+    For each directed edge (i, j), in edge order: block(i,i) += C^T C,
+    block(j,j) += I, block(i,j) -= C^T, block(j,i) -= C. Every block that an
+    edge touches is stored whole, explicit zeros included, with row indices
+    ascending in each column; the summation happens in place, in `data`.
     """
     ks = [net.shape(i).k for i in order]
     offsets = np.concatenate([[0], np.cumsum(ks)])
     pos = {sid: idx for idx, sid in enumerate(order)}
     size = int(offsets[-1])
-    blocks = {}
-
-    def add(bi, bj, mat):
-        key = (bi, bj)
-        blocks[key] = blocks.get(key, 0) + mat
-
-    for (i, j), fm in net.edges.items():
-        C = fm.matrix
-        bi, bj = pos[i], pos[j]
-        add(bi, bi, C.T @ C)
-        add(bj, bj, np.eye(C.shape[0]))
-        add(bi, bj, -C.T)
-        add(bj, bi, -C)
-    if not blocks:  # single shape, no edges: zero energy everywhere
-        return sparse.csr_matrix((size, size)), offsets
-    rows, cols, vals = [], [], []
-    for (bi, bj), mat in blocks.items():
-        r, c = np.divmod(np.arange(mat.size), mat.shape[1])
-        rows.append(r + offsets[bi])
-        cols.append(c + offsets[bj])
-        vals.append(mat.ravel())
-    W = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsr()
-    return W, offsets
+    edges = [(pos[i], pos[j], fm.matrix) for (i, j), fm in net.edges.items()]
+    # edge (i, j) puts block rows i and j into block columns i and j
+    col_rows = [set() for _ in order]
+    for bi, bj, _ in edges:
+        col_rows[bi].update((bi, bj))
+        col_rows[bj].update((bi, bj))
+    heights = np.array([sum(ks[b] for b in rows) for rows in col_rows], dtype=np.int64)
+    nnz = int(heights @ np.asarray(ks, dtype=np.int64))
+    idx_dtype = np.int32 if max(nnz, size) <= np.iinfo(np.int32).max else np.int64
+    data = np.zeros(nnz)
+    indices = np.empty(nnz, dtype=idx_dtype)
+    indptr = np.zeros(size + 1, dtype=idx_dtype)
+    np.cumsum(np.repeat(heights, ks), out=indptr[1:])
+    block = {}  # (bi, bj) -> the block's (k_bi, k_bj) view into `data`
+    for bj, rows in enumerate(col_rows):
+        start, h = indptr[offsets[bj]], heights[bj]
+        # block column bj, column-major: panel[c, r] is entry (r, c)
+        panel = data[start : start + h * ks[bj]].reshape(ks[bj], h)
+        panel_rows = indices[start : start + h * ks[bj]].reshape(ks[bj], h)
+        r = 0
+        for bi in sorted(rows):
+            panel_rows[:, r : r + ks[bi]] = np.arange(offsets[bi], offsets[bi + 1])
+            block[bi, bj] = panel[:, r : r + ks[bi]].T
+            r += ks[bi]
+    for bi, bj, C in edges:
+        block[bi, bi] += C.T @ C
+        block[bj, bj] += np.eye(C.shape[0])
+        block[bi, bj] -= C.T
+        block[bj, bi] -= C
+    return sparse.csc_matrix((data, indices, indptr), shape=(size, size)), offsets
 
 
 def consistent_latent_basis(net: FMNetwork, m: int) -> ConsistentLatentBasis:

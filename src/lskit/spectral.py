@@ -52,7 +52,9 @@ class SpectralBasis:
     pipeline uses of a shape after the per-shape stage.
 
     eigenvalues : (k,) ascending, nonnegative
-    eigenvectors : (n, k), M-orthonormal columns
+    eigenvectors : (n, k), M-orthonormal columns; None for a basis read
+        without them (`ops align` builds its per-cluster latent bases from
+        the eigenvalues alone), which then has no `num_vertices`.
     clusters : list of (start, stop) index ranges of near-degenerate eigenvalues
         (relative gap below CLUSTER_GAP_TOL); comparisons of individual
         eigenvectors are only well-posed outside these ranges.

@@ -150,6 +150,23 @@ def _interrupted_worker(root, sid, src, k):
     raise KeyboardInterrupt
 
 
+def test_a_second_pin_lists_the_loaded_libraries_no_more(monkeypatch, two_blas_threads):
+    with cli._one_blas_thread():  # the first pin of the process may list them
+        pass
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)  # cli's own reads only
+    with cli._one_blas_thread() as pinned:
+        counts = _blas_thread_counts()
+    assert pinned and set(counts) == {1}
+    assert "/proc/self/maps" not in opened
+    assert set(_blas_thread_counts()) == {2}
+
+
 def test_pool_workers_run_blas_on_one_thread(tmp_path, monkeypatch, two_blas_threads):
     monkeypatch.setattr(cli, "_solve_shape", _counts_in_worker)  # the forked workers inherit it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 from helpers import (
@@ -315,3 +318,67 @@ def test_m_out_of_range():
     net = identity_net(shapes)
     with pytest.raises(ValueError):
         consistent_latent_basis(net, 7)
+
+
+def coo_block_matrix(net, order):
+    """Oracle for `_block_matrix`: every summed block expanded into COO
+    triplets, then converted to CSC through CSR."""
+    ks = [net.shape(i).k for i in order]
+    offsets = np.concatenate([[0], np.cumsum(ks)])
+    pos = {sid: idx for idx, sid in enumerate(order)}
+    blocks = {}
+    for (i, j), fm in net.edges.items():
+        C, bi, bj = fm.matrix, pos[i], pos[j]
+        for key, mat in (((bi, bi), C.T @ C), ((bj, bj), np.eye(C.shape[0])), ((bi, bj), -C.T), ((bj, bi), -C)):
+            blocks[key] = blocks.get(key, 0) + mat
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for (bi, bj), mat in blocks.items():
+        r, c = np.divmod(np.arange(mat.size), mat.shape[1])
+        rows.append(r + offsets[bi])
+        cols.append(c + offsets[bj])
+        vals.append(mat.ravel())
+    size = int(offsets[-1])
+    coo = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size))
+    return coo.tocsr().tocsc()
+
+
+@pytest.fixture(scope="module")
+def chain_120():
+    """The 120-member chain at k=40 under a knn:4 topology: a 4800-wide form."""
+    shapes = [compute_shape(mesh, 40) for mesh in chain_family(count=120, subdivisions=2).meshes]
+    return identity_net(shapes, "knn", k_nn=4)
+
+
+def _unequal_k():
+    shapes = [compute_shape(mesh, k) for mesh, k in zip(full_info_meshes(subdivisions=1, count=4), (8, 13, 11, 17))]
+    return identity_net(shapes, "clique")  # the other topologies compare equal-length shape-DNA
+
+
+def _single_node():
+    return FMNetwork([cached_bumpy_shape(0, 1, 10)], {}, "single")
+
+
+@pytest.mark.parametrize("build", [None, _unequal_k, _single_node], ids=["chain-120", "unequal-k", "single-node"])
+def test_block_matrix_is_the_coo_assembly_in_csc(build, request):
+    net = request.getfixturevalue("chain_120") if build is None else build()
+    order = tuple(net.ids)
+    W, offsets = _block_matrix(net, order)
+    oracle = coo_block_matrix(net, order)
+    assert W.format == "csc" and W.shape == oracle.shape
+    assert list(offsets) == list(np.concatenate([[0], np.cumsum([net.shape(i).k for i in order])]))
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(W, name), getattr(oracle, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+    assert W.tocsc() is W  # the solver's conversion copies nothing
+
+
+def test_block_matrix_allocates_little_beyond_the_matrix(chain_120):
+    order = tuple(chain_120.ids)
+    tracemalloc.start()
+    try:
+        W, _ = _block_matrix(chain_120, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.shape == (4800, 4800)
+    assert peak <= 1.5 * (W.data.nbytes + W.indices.nbytes + W.indptr.nbytes)
