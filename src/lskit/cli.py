@@ -9,7 +9,6 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import hashlib
 import json
 import multiprocessing
 import os
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
 from .errors import LskitError, ManifestError, UnknownShape
-from .matio import Workspace, digest, listed, read_matrix, read_vector, sha256_file
+from .matio import DIRECTORIES, STAGES, Workspace, digest, drop_after, listed, read_matrix, read_vector, sha256_file
 from .matio import write_json, write_matrix, write_text
 from .meshes import _PARSERS, load_mesh
 from .spectral import SpectralBasis, _eigen_clusters, metric_measure
@@ -42,11 +41,18 @@ class _View:
     artifacts that it lists, built from the tracked files only when the
     command asks for them, each file verified before it is parsed. Settings
     come from the command's flags alone, and each stage records those it
-    consumed in its own manifest record."""
+    consumed in its own manifest record.
 
-    def __init__(self, args, create=False):
+    `mode` "read": each stage record is checked against its declaration
+    (`matio.STAGES`) when the command first reads it. "save": every record
+    is checked as the manifest loads, before the command's first write,
+    since `save` lists them all. "create": "save", and `spectra` starts a
+    workspace that has no manifest."""
+
+    def __init__(self, args, mode="read"):
         self.ws = Workspace(args.workspace)
-        self.create = create  # `spectra` starts a workspace that has no manifest
+        self.mode = mode
+        self.checked = set()  # the stage records checked so far
         self.loaded = {}  # (what, shape id) -> a member's eigenvalues or basis, for this view only
         stale = self.ws.path("config.json")  # an earlier settings file: refuse it rather than ignore it
         if os.path.exists(stale):
@@ -54,14 +60,28 @@ class _View:
 
     @functools.cached_property
     def manifest(self):
-        if self.create and not self.ws.exists():
-            return self.ws.init_manifest()
-        return self.ws.load_manifest()
+        if self.mode == "create" and not self.ws.exists():
+            manifest = self.ws.init_manifest()
+        else:
+            manifest = self.ws.load_manifest()
+        if self.mode != "read":
+            listed(manifest)
+            self.checked.update(STAGES)
+        return manifest
+
+    def record(self, stage):
+        """The manifest's `stage` record, checked when the view first reads it."""
+        if stage not in self.manifest:
+            raise ManifestError(f"no {stage} record in this workspace; run `{'latent' if stage == 'diffs' else stage}` first")
+        if stage not in self.checked:
+            listed(self.manifest, [stage])
+            self.checked.add(stage)
+        return self.manifest[stage]
 
     def _member(self, what, sid, build):
         """`build(sid's record)`, built when the view first asks for it."""
         if (what, sid) not in self.loaded:
-            self.loaded[what, sid] = build(self.manifest["shapes"][sid])
+            self.loaded[what, sid] = build(self.record("shapes")[sid])
         return self.loaded[what, sid]
 
     def eigenvalues(self, sid):
@@ -86,47 +106,35 @@ class _View:
 
         return self._member("shape", sid, build)
 
-    @property
-    def fmn(self):
-        """The network's stage record."""
-        fmn = self.manifest.get("fmn")
-        if not fmn:
-            raise ManifestError("no functional map network in this workspace; run `fmn` first")
-        return fmn
-
     def maps(self, members):
         """The network's maps between `members`, in manifest order."""
         members = set(members)
         return {
             (src, tgt): fmaps.FunctionalMap(read_matrix(self.ws.verified(rel)), src, tgt)
-            for src, tgt, rel in self.fmn["edges"]
+            for src, tgt, rel in self.record("fmn")["edges"]
             if src in members and tgt in members
         }
 
     @functools.cached_property
     def network(self):
         # only the nodes the network was built over (extensions live outside it)
-        nodes = self.fmn["nodes"]
-        return network.FMNetwork([self.shape(sid) for sid in nodes], self.maps(nodes), self.fmn["topology"])
+        fmn = self.record("fmn")
+        return network.FMNetwork([self.shape(sid) for sid in fmn["nodes"]], self.maps(fmn["nodes"]), fmn["topology"])
 
     @functools.cached_property
     def latent(self):
         """The canonical latent basis and the latent shape."""
-        lat = self.manifest.get("latent")
-        if not lat:
-            raise ManifestError("no latent artifacts in this workspace; run `latent` first")
+        lat = self.record("latent")
         Y = {sid: read_matrix(self.ws.verified(rel)) for sid, rel in lat["Y"].items()}
-        clb = latent_mod.ConsistentLatentBasis(
-            Y, lat["m"], tuple(lat["order"]), lat["canonical"], lat["consistency_residual"]
-        )
+        clb = latent_mod.ConsistentLatentBasis(Y, lat["m"], tuple(lat["order"]), True, lat["consistency_residual"])
         spectrum = read_vector(self.ws.verified(lat["lambda0"]))
         return clb, latent_mod.LatentShape(spectrum, clb)
 
     def diffs(self, kind, ids=None):
         """The stored differences of one kind: every shape's, or those of the
         shapes in `ids` that have them."""
-        diffs = self.manifest.get("diffs", {})
-        if kind not in diffs.get("kinds", []):
+        diffs = self.record("diffs")
+        if kind not in diffs["kinds"]:
             raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
         files = diffs["files"][kind]
         return {
@@ -139,7 +147,7 @@ class _View:
         `_write_spectra` wrote."""
         with open(src, "rb") as fh:
             rel_mesh = self.ws.write_tracked(os.path.join("meshes", os.path.basename(src)), fh.read())
-        self.manifest["shapes"][sid] = {"mesh": rel_mesh, **record}
+        self.record("shapes")[sid] = {"mesh": rel_mesh, **record}
 
     def save(self):
         """Save the manifest, then delete the files in the stage directories
@@ -147,7 +155,7 @@ class _View:
         interrupted command left."""
         self.ws.save_manifest(self.manifest)
         files = listed(self.manifest)
-        for sub in ("meshes", "spectra", "maps", "latent", "diffs"):
+        for sub in DIRECTORIES:
             if os.path.isdir(self.ws.path(sub)):
                 for entry in os.scandir(self.ws.path(sub)):
                     if os.path.join(sub, entry.name) not in files and not entry.is_dir():
@@ -219,20 +227,14 @@ def cmd_synth(args):
 # spectra
 
 
-def _write_spectra(ws: Workspace, mesh, basis: SpectralBasis):
-    """Write the spectra files of a mesh's basis. Returns the fields of its
+def _write_spectra(ws: Workspace, basis: SpectralBasis):
+    """Write the spectra files of a shape's basis. Returns the fields of its
     manifest record that they determine."""
     files = {
         name: ws.write_tracked_matrix(os.path.join("spectra", f"{basis.shape_id}.{name}.lsk"), arr)
         for name, arr in (("phi", basis.eigenvectors), ("lam", basis.eigenvalues))
     }
-    return {
-        "k": basis.k,
-        "vertices": mesh.num_vertices,
-        "triangles": mesh.num_triangles,
-        "files": files,
-        "clusters": [list(c) for c in basis.clusters],
-    }
+    return {"k": basis.k, "files": files}
 
 
 # OpenBLAS thread-count setters: the plain build's, and the prefixed ones of
@@ -301,7 +303,7 @@ def _solve_shape(root, sid, src, k):
         except (LskitError, OSError) as exc:
             record, error = None, str(exc)
         else:
-            record, error = _write_spectra(Workspace(root), mesh, basis), None
+            record, error = _write_spectra(Workspace(root), basis), None
     return record, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
@@ -331,7 +333,7 @@ def _solve_in_pool(ws: Workspace, stale, k):
 def cmd_spectra(args):
     if args.k < 1:
         return _usage_fail(f"--k must be at least 1, got {args.k}")
-    view = _View(args, create=True)
+    view = _View(args, "create")
     manifest = view.manifest
 
     files = sorted(f for f in os.listdir(args.mesh_dir) if os.path.splitext(f)[1].lower() in _PARSERS)
@@ -374,8 +376,7 @@ def cmd_spectra(args):
                 print(f"error: {os.path.basename(src)}: {error}", file=sys.stderr)
     finally:
         if changed:  # the network and everything built on it used the old spectra
-            for stage in ("fmn", "latent", "diffs"):
-                manifest.pop(stage, None)
+            drop_after(manifest, "shapes")
         view.save()
     # after the save, so that a warning filtered into an error leaves a saved workspace
     for category, message, filename, lineno in caught:
@@ -425,14 +426,13 @@ def _topology(value):
 
 
 def cmd_fmn(args):
-    view = _View(args)
+    view = _View(args, "save")
     manifest = view.manifest
     ids = sorted(manifest["shapes"])
     shapes = {sid: view.shape(sid) for sid in ids}
     dnas = [spectral.shape_dna(shapes[sid]) for sid in ids]
 
     topology = args.topology
-    cross_pairs = []
     if topology == "two-cluster":
         if not args.partition:
             return _usage_fail("--topology two-cluster requires --partition")
@@ -440,7 +440,7 @@ def cmd_fmn(args):
         if set(part.cluster_a) | set(part.cluster_b) != set(ids):
             return _fail("partition must cover exactly the workspace shapes")
         labels = [0 if sid in part.cluster_a else 1 for sid in ids]
-        edges, cross_pairs = network.two_cluster_topology(dnas, labels)
+        edges, _ = network.two_cluster_topology(dnas, labels)
     else:  # k_nn is read by knn alone
         kind, _, k_nn = topology.partition(":")
         edges = network.build_topology(dnas, kind, k_nn=int(k_nn or 10))
@@ -455,18 +455,11 @@ def cmd_fmn(args):
         [src, tgt, view.ws.write_tracked_matrix(os.path.join("maps", f"{src}__{tgt}.lsk"), fm.matrix)]
         for (src, tgt), fm in sorted(net.edges.items())
     ]
-    manifest["fmn"] = {
-        "topology": topology,
-        "maps": args.maps,
-        "nodes": ids,
-        "edges": edge_entries,
-        "cross_edges": [[ids[i], ids[j]] for i, j in cross_pairs],
-    }
+    manifest["fmn"] = {"topology": topology, "maps": args.maps, "nodes": ids, "edges": edge_entries}
     if args.maps == "landmarks":
         manifest["fmn"]["landmark_weight"] = args.landmark_weight
     if manifest["fmn"] != consumed:  # latent results describe another network
-        manifest.pop("latent", None)
-        manifest.pop("diffs", None)
+        drop_after(manifest, "fmn")
     view.save()
 
     report = network.consistency_report(net)
@@ -484,7 +477,7 @@ def cmd_fmn(args):
 def cmd_latent(args):
     if args.m < 1:
         return _usage_fail(f"--m must be at least 1, got {args.m}")
-    view = _View(args)
+    view = _View(args, "save")
     ws, manifest, net = view.ws, view.manifest, view.network
     k_min = min(s.k for s in net.shapes)
     if args.m > k_min:
@@ -500,14 +493,9 @@ def cmd_latent(args):
         for sid in canonical.order
     }
     lam0_rel = ws.write_tracked_matrix(os.path.join("latent", "lambda0.lsk"), latent_shape.spectrum)
-    collection = hashlib.sha256(
-        "\n".join(f"{sid}:{digest(manifest['shapes'][sid]['mesh'])}" for sid in canonical.order).encode()
-    ).hexdigest()
     manifest["latent"] = {
         "m": args.m,
-        "canonical": True,
         "order": list(canonical.order),
-        "collection_hash": collection,
         "consistency_residual": canonical.consistency_residual,
         "Y": y_files,
         "lambda0": lam0_rel,
@@ -623,11 +611,11 @@ def cmd_ops(args):
         if not args.partition:
             return _usage_fail("ops align requires --partition")
         part, truth = _read_partition(args.partition)
-        part.require(view.manifest["shapes"])
-        outside = sorted((set(part.cluster_a) | set(part.cluster_b)) - set(view.fmn["nodes"]))
+        part.require(view.record("shapes"))
+        outside = sorted((set(part.cluster_a) | set(part.cluster_b)) - set(view.record("fmn")["nodes"]))
         if outside:  # a member that `extend` added has no maps
             return _fail(f"shape {outside[0]!r} is not in the functional map network")
-        stored, descs = view.manifest.get("latent"), {}
+        stored, descs = view.record("latent") if "latent" in view.manifest else None, {}
         for name, cluster in (("a", part.cluster_a), ("b", part.cluster_b)):
             # each cluster's eigenvalues and the maps between its members: the
             # latent basis of a network uses no eigenvector and no mass
@@ -660,7 +648,7 @@ def cmd_ops(args):
     else:  # mix: only the region's host is loaded
         region_doc = _read_input(args.region, "region", vertices=int)
         host = region_doc.get("shape")
-        if not isinstance(host, str) or host not in view.manifest["shapes"]:
+        if not isinstance(host, str) or host not in view.record("shapes"):
             raise UnknownShape(f"region shape {host!r} is not in the workspace")
         host = view.shape(host)
         clb, latent_shape = view.latent
@@ -675,10 +663,9 @@ def cmd_ops(args):
 
 
 def cmd_extend(args):
-    view = _View(args)
+    view = _View(args, "save")
     clb, latent_shape = view.latent
-    ws, manifest = view.ws, view.manifest
-    members = manifest["shapes"]
+    ws, members = view.ws, view.record("shapes")
     # the k the latent members were computed at: fmn compares their k-long
     # shape-DNA, so they share it
     k = members[clb.order[0]]["k"]
@@ -699,27 +686,24 @@ def cmd_extend(args):
         return fmaps.fmap_from_correspondence(src, tgt, corr)
 
     neighbor = latent_mod.nearest_member(clb, spectra, new_shape) if auto else args.neighbor
-    normalized = bool(manifest.get("diffs", {}).get("normalized", False))
+    stored = view.record("diffs")
     # the map from the neighbor reads its basis, not its mass
-    Y_new, diffs = latent_mod.extend_to_shape(latent_shape, view.spectra(neighbor), new_shape, provider, normalized)
+    Y_new, diffs = latent_mod.extend_to_shape(
+        latent_shape, view.spectra(neighbor), new_shape, provider, stored["normalized"]
+    )
     if auto:
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id
-    view.record_shape(sid, args.mesh, _write_spectra(ws, mesh, new_shape))
+    view.record_shape(sid, args.mesh, _write_spectra(ws, new_shape))
     y_rel = ws.write_tracked_matrix(os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
     diff_rels = {
         kind: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
         for kind, D in diffs.items()
     }
-    for kind in manifest["diffs"]["kinds"]:  # extend_to_shape returns both kinds
-        manifest["diffs"]["files"][kind][sid] = diff_rels[kind]
-    manifest["latent"]["extended"][sid] = {
-        "neighbor": neighbor,
-        "Y": y_rel,
-        "diffs": diff_rels,
-        "extended": True,
-    }
+    for kind in stored["kinds"]:  # extend_to_shape returns both kinds
+        stored["files"][kind][sid] = diff_rels[kind]
+    view.record("latent")["extended"][sid] = {"neighbor": neighbor, "Y": y_rel, "diffs": diff_rels}
     view.save()
     print(f"extended collection with {sid!r} via neighbor {neighbor!r}")
     return 0
@@ -816,7 +800,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LskitError, ValueError, OSError) as exc:
+    except (LskitError, OSError) as exc:
         return _fail(exc)
 
 

@@ -29,9 +29,13 @@ class RankDeficientMass(LskitError):
     """Mass matrix has a non-positive diagonal entry."""
 
 
-class DimensionMismatch(LskitError, ValueError):
+class InvalidArgument(LskitError, ValueError):
+    """An argument outside the values a function accepts (a ValueError too)."""
+
+
+class DimensionMismatch(InvalidArgument):
     """Matrix dimensions incompatible with the declared basis truncations
-    (a ValueError too: a truncation k outside 1..n is a bad argument)."""
+    (a truncation k outside 1..n is a bad argument)."""
 
 
 class NonBijective(LskitError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonBijective, UnderDeterminedWarning
+from .errors import DimensionMismatch, InvalidArgument, NonBijective, ParseError, UnderDeterminedWarning
 from .spectral import SpectralBasis
 
 PINV_REL_TOL = 1e-8
@@ -36,7 +36,7 @@ class Correspondence:
     def __post_init__(self):
         object.__setattr__(self, "pairs", np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2))
         if self.kind not in ("full_bijection", "sparse_landmarks"):
-            raise ValueError(f"unknown correspondence kind {self.kind!r}")
+            raise InvalidArgument(f"unknown correspondence kind {self.kind!r}")
 
 
 def identity_correspondence(n):
@@ -45,7 +45,14 @@ def identity_correspondence(n):
 
 
 def load_correspondence(path, kind="full_bijection"):
-    pairs = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    """The vertex pairs of a text file, one "<source> <target>" pair a line;
+    ParseError naming the file otherwise."""
+    try:
+        pairs = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if pairs.size and pairs.shape[1] != 2:
+        raise ParseError(f"{path}: expected two vertex indices a line, got {pairs.shape[1]}")
     return Correspondence(pairs, kind)
 
 
@@ -147,7 +154,7 @@ def fmap_from_landmarks(
     floored least-norm solution is returned.
     """
     if regularizer_weight < 0:
-        raise ValueError("regularizer_weight must be nonnegative")
+        raise InvalidArgument("regularizer_weight must be nonnegative")
     pairs = landmarks.pairs
     if pairs.shape[0] < 3 or pairs.shape[0] < src.k:
         warnings.warn(
@@ -202,7 +209,7 @@ def _difference_matrix(Y, kind, base_eigs, eigs, scale=1.0, zero_mode=1.0):
         eigs = np.asarray(eigs, dtype=np.float64)
         D = scale * (_pinv_diag(base_eigs)[:, None] * (Y.T @ (eigs[:, None] * Y)))
         return _restore_zero_mode(D, zero_mode)
-    raise ValueError(f"unknown difference kind {kind!r}")
+    raise InvalidArgument(f"unknown difference kind {kind!r}")
 
 
 def pair_difference(cmap: FunctionalMap, eigs_source, eigs_target, kind="area") -> PairDifference:

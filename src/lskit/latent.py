@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .errors import InsufficientShapes, RequiresCanonical, SpectralGapWarning
+from .errors import InsufficientShapes, InvalidArgument, RequiresCanonical, SpectralGapWarning
 from .fmaps import _difference_matrix
 from .network import FMNetwork, _provider_map
 from .spectral import (
@@ -137,7 +137,7 @@ def consistent_latent_basis(net: FMNetwork, m: int) -> ConsistentLatentBasis:
     order = tuple(net.ids)
     k_min = min(net.shape(i).k for i in order)
     if not 1 <= m <= k_min:
-        raise ValueError(f"m={m} must be in 1..min(k_i)={k_min}")
+        raise InvalidArgument(f"m={m} must be in 1..min(k_i)={k_min}")
     W, offsets = _block_matrix(net, order)
     lam, vecs = _lowest_eigenpairs(W, m, what="the latent basis")
     if lam.size > m and lam[m] - lam[m - 1] < GAP_WARN_TOL:
@@ -261,7 +261,7 @@ def extend_to_shape(
     if not clb.order:
         raise InsufficientShapes("cannot extend an empty collection")
     if neighbor.shape_id not in clb.order:
-        raise ValueError(f"neighbor {neighbor.shape_id!r} has no latent basis")
+        raise InvalidArgument(f"neighbor {neighbor.shape_id!r} has no latent basis")
     Y_new = _provider_map(map_provider, neighbor, new_shape).matrix @ clb.Y[neighbor.shape_id]
     diffs = {
         kind: _shape_difference(
@@ -300,7 +300,7 @@ def stability_probe(net: FMNetwork, extra_id: str, m: int) -> StabilityProbe:
     remaining order.
     """
     if extra_id not in net.ids:
-        raise ValueError(f"unknown shape {extra_id!r}")
+        raise InvalidArgument(f"unknown shape {extra_id!r}")
     keep = [s for s in net.shapes if s.shape_id != extra_id]
     if len(keep) < 3:
         raise InsufficientShapes("stability probe needs >= 3 shapes besides the extra one")

@@ -3,13 +3,16 @@
 The matrix container is a fixed little-endian binary layout (magic
 "LSKMAT01", dtype code, dimensions, row-major float64 payload) so artifacts
 round-trip bit-exactly across platforms. A collection workspace is a single
-directory whose manifest.json is the source of truth: its stage records list
-the tracked files, each named `<stem>.<sha256><ext>`: the name is the one
-record of its digest. `Workspace.load_manifest` refuses an earlier layout. A
-command verifies a tracked file when it reads it, or keeps it in place of a
-write (`Workspace.verified`), and no other file; `Workspace.verify` checks them all.
+directory whose manifest.json is the source of truth: its stage records
+(`STAGES`, declared once here) list the tracked files, each named
+`<stem>.<sha256><ext>`: the name is the one record of its digest.
+`Workspace.load_manifest` refuses an earlier layout, and `listed` checks a
+record against its declaration. A command verifies a tracked file when it
+reads it, or keeps it in place of a write (`Workspace.verified`), and no
+other file; `Workspace.verify` checks them all.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import ManifestError, ParseError
+from .errors import InvalidArgument, ManifestError, ParseError
 
 MAGIC = b"LSKMAT01"
 _DTYPE_F64 = 1
@@ -58,16 +61,14 @@ def _container(array):
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
-        raise ValueError(f"container stores 2D matrices, got ndim={arr.ndim}")
+        raise InvalidArgument(f"container stores 2D matrices, got ndim={arr.ndim}")
     header = _HEADER.pack(MAGIC, _DTYPE_F64, arr.shape[0], arr.shape[1])
     return header + np.ascontiguousarray(arr).tobytes()
 
 
 def write_matrix(path, array):
-    """Write an array's container. Returns the sha256 of the bytes written."""
-    data = _container(array)
-    _atomic_write(path, data)
-    return hashlib.sha256(data).hexdigest()
+    """Write an array's container."""
+    _atomic_write(path, _container(array))
 
 
 def write_text(path, text):
@@ -110,18 +111,133 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def listed(manifest):
-    """The workspace files that the manifest's stage records list."""
-    files = {rel for entry in manifest["shapes"].values() for rel in (entry["mesh"], *entry["files"].values())}
-    if manifest.get("fmn"):
-        files.update(rel for *_, rel in manifest["fmn"]["edges"])
-    if manifest.get("latent"):
-        lat = manifest["latent"]
-        files.update((*lat["Y"].values(), lat["lambda0"]))
-        files.update(rel for ext in lat["extended"].values() for rel in (ext["Y"], *ext["diffs"].values()))
-    if manifest.get("diffs"):
-        files.update(rel for kind in manifest["diffs"]["files"].values() for rel in kind.values())
+@dataclasses.dataclass(frozen=True)
+class File:
+    """In a declaration: a tracked file's name, in `directory`."""
+
+    directory: str
+
+
+@dataclasses.dataclass(frozen=True)
+class Maybe:
+    """In a declaration: a record key that may be absent."""
+
+    value: object
+
+
+# The stage records of manifest.json, in pipeline order: rebuilding a stage
+# drops every record after it (`drop_after`). In a declaration a dict is a
+# record holding its keys and no other, {str: d} an object whose keys are
+# names, each holding d, [d] a list of d, a tuple a list of exactly its items,
+# and a type a JSON value of that type.
+STAGES = {
+    "shapes": {str: {"mesh": File("meshes"), "k": int, "files": {"phi": File("spectra"), "lam": File("spectra")}}},
+    "fmn": {
+        "topology": str,
+        "maps": str,
+        "nodes": [str],
+        "edges": [(str, str, File("maps"))],
+        "landmark_weight": Maybe(float),  # under --maps landmarks
+    },
+    "latent": {
+        "m": int,
+        "order": [str],
+        "consistency_residual": float,
+        "Y": {str: File("latent")},
+        "lambda0": File("latent"),
+        "extended": {str: {"neighbor": str, "Y": File("latent"), "diffs": {str: File("diffs")}}},
+    },
+    "diffs": {"kinds": [str], "normalized": bool, "files": {str: {str: File("diffs")}}},
+}
+HEAD = ("tool", "version", "tolerances")  # the other top-level entries, for a reader of the file; no command reads them
+
+
+def _directories(decl):
+    """The directories of the tracked files that declaration `decl` holds."""
+    if isinstance(decl, File):
+        return {decl.directory}
+    if isinstance(decl, Maybe):
+        return _directories(decl.value)
+    parts = decl.values() if isinstance(decl, dict) else decl if isinstance(decl, (list, tuple)) else ()
+    return set().union(*map(_directories, parts))
+
+
+DIRECTORIES = sorted(_directories(STAGES))
+
+
+def _earlier_layout(where, keys):
+    return f"{where} holds {sorted(keys)}: it is in an earlier layout; build a new workspace with `spectra`"
+
+
+class _Malformed(Exception):
+    """A value unlike its declaration. `path` gathers the keys and list
+    indices that lead to it as the exception leaves each enclosing value."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.path = []
+
+
+def _wrong(expected, value):
+    return _Malformed(f": expected {expected}, got {json.dumps(value)[:40]}")
+
+
+def _check(decl, value, files):
+    """Check `value` against declaration `decl`, adding the tracked file names
+    it holds to `files`; _Malformed otherwise."""
+    if type(decl) is type:
+        if type(value) is not decl and not (decl is float and type(value) is int):
+            raise _wrong(decl.__name__, value)
+    elif type(decl) is File:
+        if type(value) is not str or os.path.dirname(value) != decl.directory:
+            raise _wrong(f"a file name in {decl.directory}/", value)
+        files.add(value)
+    elif type(decl) is dict:
+        if type(value) is not dict:
+            raise _wrong("an object", value)
+        if str not in decl:  # a record
+            if value.keys() - decl.keys():
+                raise _Malformed(_earlier_layout("", value.keys() - decl.keys()))
+            for key, sub in decl.items():
+                if key not in value and type(sub) is not Maybe:
+                    raise _Malformed(f": missing {key!r}")
+        for key, item in value.items():
+            sub = decl[str] if str in decl else decl[key]
+            try:
+                _check(sub.value if type(sub) is Maybe else sub, item, files)
+            except _Malformed as exc:
+                exc.path.append(f".{key}")
+                raise
+    else:  # a list: [d] of d, or a tuple of exactly its items
+        if type(value) is not list or type(decl) is tuple and len(value) != len(decl):
+            raise _wrong("a list" if type(decl) is list else f"a list of {len(decl)}", value)
+        for i, item in enumerate(value):
+            try:
+                _check(decl[0] if type(decl) is list else decl[i], item, files)
+            except _Malformed as exc:
+                exc.path.append(f"[{i}]")
+                raise
+
+
+def listed(manifest, stages=STAGES):
+    """The tracked files that the manifest's `stages` records list, each
+    record checked against its declaration: ManifestError naming the path
+    to a value unlike it."""
+    files = set()
+    for stage in stages:
+        if stage in manifest:
+            try:
+                _check(STAGES[stage], manifest[stage], files)
+            except _Malformed as exc:
+                raise ManifestError(f"{Workspace.MANIFEST}: {stage}{''.join(reversed(exc.path))}{exc}") from None
     return files
+
+
+def drop_after(manifest, stage):
+    """Remove the stage records after `stage`: each was built on it."""
+    order = list(STAGES)
+    for later in order[order.index(stage) + 1:]:
+        manifest.pop(later, None)
 
 
 def digest(rel):
@@ -134,7 +250,6 @@ class Workspace:
     """Single-writer collection directory with manifest integrity checks."""
 
     MANIFEST = "manifest.json"
-    ENTRIES = {"tool", "version", "tolerances", "config", "shapes", "fmn", "latent", "diffs"}  # config: read by nothing
 
     def __init__(self, root):
         self.root = os.path.abspath(os.fspath(root))
@@ -168,8 +283,10 @@ class Workspace:
         return {"tool": "lskit", "version": __version__, "tolerances": tolerances, "shapes": {}}
 
     def load_manifest(self):
-        """The saved manifest, parsed; no tracked file is read (`verified`). An
-        earlier layout held its files' digests in an entry not in ENTRIES."""
+        """The saved manifest, parsed, with its top level checked; `listed`
+        checks its stage records, and no tracked file is read (`verified`).
+        An earlier layout held a top-level entry that `STAGES` and `HEAD` do
+        not declare, such as the digests of its files."""
         if not self.exists():
             raise ManifestError(f"no manifest at {self.manifest_path}")
         with open(self.manifest_path, "r", encoding="utf-8") as fh:
@@ -179,15 +296,14 @@ class Workspace:
                 raise ManifestError(f"malformed manifest: {self.manifest_path}: {exc}") from exc
         if not isinstance(manifest, dict) or not isinstance(manifest.get("shapes"), dict):
             raise ManifestError(f"malformed manifest: {self.manifest_path} is not an object holding a 'shapes' object")
-        earlier = sorted(manifest.keys() - self.ENTRIES)
+        earlier = manifest.keys() - STAGES.keys() - set(HEAD)
         if earlier:
-            raise ManifestError(f"{self.manifest_path} holds {earlier}: it is in an earlier layout; "
-                                "build a new workspace with `spectra`")
+            raise ManifestError(_earlier_layout(self.manifest_path, earlier))
         return manifest
 
     def save_manifest(self, manifest):
         """Write manifest.json, left as it is when it holds the same bytes."""
-        data = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n"
+        data = json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n"  # no indent: json's C encoder
         _atomic_write(self.manifest_path, data)
 
     def verified(self, rel):

@@ -39,9 +39,6 @@ class Mesh:
     def num_triangles(self):
         return self.triangles.shape[0]
 
-    def with_id(self, shape_id):
-        return Mesh(self.vertices, self.triangles, shape_id)
-
 
 def triangle_areas(vertices, triangles):
     p0 = vertices[triangles[:, 0]]
@@ -321,41 +318,3 @@ def save_off(mesh, path):
     ))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-# ---------------------------------------------------------------------------
-# transforms used when building test collections
-
-
-def apply_rigid(mesh, rotation, translation, shape_id=None):
-    """Rigidly move a mesh: v -> R v + t."""
-    rotation = np.asarray(rotation, dtype=np.float64)
-    translation = np.asarray(translation, dtype=np.float64)
-    verts = mesh.vertices @ rotation.T + translation
-    return Mesh(verts, mesh.triangles.copy(), shape_id or mesh.shape_id)
-
-
-def permute_vertices(mesh, perm, shape_id=None):
-    """Relabel vertices so that new vertex p = old vertex perm[p].
-
-    Returns the relabeled mesh together with the correspondence pairs
-    (old index, new index) mapping the original onto the relabeled copy.
-    """
-    perm = np.asarray(perm, dtype=np.int64)
-    if np.sort(perm).tolist() != list(range(mesh.num_vertices)):
-        raise ValueError("perm must be a permutation of all vertex indices")
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(mesh.num_vertices)
-    verts = mesh.vertices[perm]
-    tris = inverse[mesh.triangles]
-    pairs = np.stack([perm, np.arange(mesh.num_vertices)], axis=1)
-    return Mesh(verts, tris, shape_id or mesh.shape_id), pairs
-
-
-def random_rotation(rng):
-    """Uniform random rotation matrix (QR of a Gaussian, sign-fixed)."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientShapes, NonBijective, ProviderFailure
+from .errors import DimensionMismatch, InsufficientShapes, InvalidArgument, NonBijective, ProviderFailure
 from .fmaps import FunctionalMap, fmap_from_correspondence, identity_correspondence
 from .spectral import SpectralBasis
 
@@ -83,7 +83,7 @@ def build_topology(dnas, kind, k_nn=None, order=None):
         return sorted(_mst_edges(dist))
     if kind == "knn":
         if k_nn is None or k_nn < 1:
-            raise ValueError("knn topology requires k_nn >= 1")
+            raise InvalidArgument("knn topology requires k_nn >= 1")
         if k_nn >= n - 1:
             logger.info("k_nn=%d saturates %d shapes; using the clique", k_nn, n)
             return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -100,7 +100,7 @@ def build_topology(dnas, kind, k_nn=None, order=None):
                     edges.add((i, j))
                     logger.info("knn graph disconnected; added mst edge (%d, %d)", i, j)
         return sorted(edges)
-    raise ValueError(f"unknown topology kind {kind!r}")
+    raise InvalidArgument(f"unknown topology kind {kind!r}")
 
 
 def two_cluster_topology(dnas, labels):
@@ -143,16 +143,16 @@ class FMNetwork:
         object.__setattr__(self, "_by_id", {s.shape_id: s for s in self.shapes})
         ids = set(self._by_id)
         if len(ids) != len(self.shapes):
-            raise ValueError("duplicate shape ids")
+            raise InvalidArgument("duplicate shape ids")
         for (i, j), fm in self.edges.items():
             if i not in ids or j not in ids:
-                raise ValueError(f"edge ({i}, {j}) references unknown shape")
+                raise InvalidArgument(f"edge ({i}, {j}) references unknown shape")
             if (j, i) not in self.edges:
-                raise ValueError(f"network not symmetric: missing reverse of ({i}, {j})")
+                raise InvalidArgument(f"network not symmetric: missing reverse of ({i}, {j})")
             if fm.source_id != i or fm.target_id != j:
-                raise ValueError(f"edge ({i}, {j}) carries a map for ({fm.source_id}, {fm.target_id})")
+                raise InvalidArgument(f"edge ({i}, {j}) carries a map for ({fm.source_id}, {fm.target_id})")
         if not self._connected():
-            raise ValueError("functional map network must be connected")
+            raise InvalidArgument("functional map network must be connected")
 
     def _connected(self):
         index = {sid: pos for pos, sid in enumerate(self._by_id)}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import EmptyRegion, IllConditioned, UnknownShape
+from .errors import EmptyRegion, IllConditioned, InvalidArgument, UnknownShape
 from .latent import ConsistentLatentBasis, LatentDifference, LatentShape
 from .spectral import CLUSTER_GAP_TOL, SpectralBasis
 from .variability import ProjectionBasis, _as_F, _as_matrix
@@ -51,10 +51,10 @@ def analogy(D_A, D_B, D_C) -> OperatorExpression:
 def interpolate(D_A, D_B, t) -> OperatorExpression:
     """Convex combination (1 - t) A + t B; endpoints returned exactly."""
     if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
+        raise InvalidArgument(f"t={t} outside [0, 1]")
     A, B = _operand(D_A), _operand(D_B)
     if A.shape != B.shape:
-        raise ValueError(f"operand shapes differ: {A.shape} vs {B.shape}")
+        raise InvalidArgument(f"operand shapes differ: {A.shape} vs {B.shape}")
     if t == 0.0:
         result = A.copy()
     elif t == 1.0:
@@ -86,7 +86,7 @@ def replay(recipe) -> OperatorExpression:
         return interpolate(ops["A"], ops["B"], recipe["t"])
     if recipe["op"] == "partial_mix":
         return partial_mix(ops["A"], ops["B"], ops["F"])
-    raise ValueError(f"unknown recipe op {recipe.get('op')!r}")
+    raise InvalidArgument(f"unknown recipe op {recipe.get('op')!r}")
 
 
 CONCENTRATION_CUTOFF = 0.5  # keep latent modes with most of their mass inside
@@ -113,7 +113,7 @@ def localized_basis(
     if shape.shape_id not in clb.Y:
         raise UnknownShape(f"shape {shape.shape_id!r} has no latent basis")
     if region.min() < 0 or region.max() >= shape.num_vertices:
-        raise ValueError("region index out of range")
+        raise InvalidArgument("region index out of range")
     m = clb.m
     if p is None:
         p = min(10, m)

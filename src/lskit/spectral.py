@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-from .errors import DegenerateGeometry, DimensionMismatch, RankDeficientMass, SolverFailure, SpectralGapWarning
+from .errors import DegenerateGeometry, DimensionMismatch, InvalidArgument, RankDeficientMass, SolverFailure, SpectralGapWarning
 from .meshes import Mesh
 
 logger = logging.getLogger(__name__)
@@ -40,10 +40,6 @@ class MetricMeasure:
     @property
     def num_vertices(self):
         return self.mass_diag.shape[0]
-
-    @property
-    def total_area(self):
-        return float(self.mass_diag.sum())
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ def shape_dna(basis: SpectralBasis, d=None) -> np.ndarray:
     if d is None:
         d = basis.k
     if not 1 <= d <= basis.k:
-        raise ValueError(f"d={d} must be in 1..{basis.k}")
+        raise InvalidArgument(f"d={d} must be in 1..{basis.k}")
     return basis.eigenvalues[:d].copy()
 
 

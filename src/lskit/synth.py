@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .meshes import Mesh, save_off
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -61,22 +62,6 @@ def icosphere(subdivisions=3):
     return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64)
 
 
-def grid_patch(res=6, shape_id="grid"):
-    """Flat triangulated unit square with (res+1)^2 vertices."""
-    ax = np.linspace(0.0, 1.0, res + 1)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    verts = np.stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)], axis=1)
-    tris = []
-    for i in range(res):
-        for j in range(res):
-            a = i * (res + 1) + j
-            b = a + 1
-            c = a + (res + 1)
-            d = c + 1
-            tris += [(a, b, d), (a, d, c)]
-    return Mesh(verts, np.asarray(tris, dtype=np.int64), shape_id)
-
-
 @dataclass(frozen=True)
 class BumpSpec:
     """Radial C2 bump on the unit sphere: support is the spherical cap of
@@ -120,7 +105,7 @@ class FamilySpec:
     """Reproducible recipe for one generated family. Same spec (including
     seed) regenerates bit-identical meshes."""
 
-    base: str  # "icosphere:<subdiv>" or "grid:<res>"
+    base: str  # "icosphere:<subdiv>", the one base `realize` builds
     bumps_per_shape: tuple  # tuple of tuples of BumpSpec
     seed: int = 0
     shape_ids: tuple = ()
@@ -135,7 +120,7 @@ def realize(spec: FamilySpec):
     """Generate the meshes described by a FamilySpec."""
     kind, _, arg = spec.base.partition(":")
     if kind != "icosphere":
-        raise ValueError(f"unsupported family base {spec.base!r}")
+        raise InvalidArgument(f"unsupported family base {spec.base!r}")
     unit, tris = icosphere(int(arg))
     axes = np.asarray(spec.axes, dtype=np.float64)
     meshes = []
@@ -176,9 +161,9 @@ def sphere_bump_family(
     clusters. Identity correspondences are exact by construction.
     """
     if len(vertical_heights) != 2:
-        raise ValueError("vertical_heights must hold one height per cluster")
+        raise InvalidArgument("vertical_heights must hold one height per cluster")
     if horizontal_height < 0 or any(h < 0 for h in vertical_heights):
-        raise ValueError("bump heights must be nonnegative")
+        raise InvalidArgument("bump heights must be nonnegative")
     sweep = np.linspace(0.0, horizontal_height, n_per_cluster)
     bumps, ids, clusters = [], [], ([], [])
     for c, vh in enumerate(vertical_heights):
@@ -221,7 +206,7 @@ def chain_family(count=23, cycle=True, subdivisions=2, base_height=0.3, bump_rad
     monotonically. Consecutive-frame correspondences are the identity.
     """
     if count < 3:
-        raise ValueError("count must be >= 3")
+        raise InvalidArgument("count must be >= 3")
     f = np.arange(count)
     if cycle:
         theta = 2.0 * np.pi * f / count
@@ -259,7 +244,7 @@ def perturbation_family(seed=0, count=5, spread=0.2, subdivisions=2, axes=(1.0, 
     treated as an extra shape.
     """
     if count < 2:
-        raise ValueError("count must be >= 2")
+        raise InvalidArgument("count must be >= 2")
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(3)
     d /= np.linalg.norm(d)
@@ -295,7 +280,7 @@ def two_cluster_family(n_per_cluster=3, intra_spread=0.15, inter_gap=0.4, seed=0
     inter_gap = 0 the paired meshes are identical.
     """
     if n_per_cluster < 2:
-        raise ValueError("n_per_cluster must be >= 2")
+        raise InvalidArgument("n_per_cluster must be >= 2")
     rng = np.random.default_rng(seed)
     # pose levels stay well separated after jitter (jitter < 20% of spacing each way)
     levels = np.linspace(0.35, 1.0, n_per_cluster)
@@ -345,7 +330,7 @@ def write_identity_correspondences(meshes, pairs, directory):
     lines = None
     for a, b in pairs:
         if by_id[a].num_vertices != by_id[b].num_vertices:
-            raise ValueError(f"shapes {a!r} and {b!r} do not share connectivity")
+            raise InvalidArgument(f"shapes {a!r} and {b!r} do not share connectivity")
         n = by_id[a].num_vertices
         if lines is None or len(lines) != n:
             lines = "".join(f"{i} {i}\n" for i in range(n))
@@ -369,7 +354,7 @@ def family_pairs(ground_truth):
         clusters = [sorted(ground_truth["partition"][name]) for name in ("cluster_a", "cluster_b")]
         pairs = [(a, b) for ids in clusters for i, a in enumerate(ids) for b in ids[i + 1 :]]
         return pairs + [(a, b) for a in clusters[0] for b in clusters[1]]
-    raise ValueError(f"unknown family kind {kind!r}")
+    raise InvalidArgument(f"unknown family kind {kind!r}")
 
 
 def sphere_bump_ground_truth(family: SphereBumpFamily):

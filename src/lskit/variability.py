@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumWarning,
     InsufficientShapes,
+    InvalidArgument,
     NonOrthonormalF,
     NotFullInformation,
     UnknownShape,
@@ -100,9 +101,9 @@ class Partition:
             raise InsufficientShapes("both clusters must be nonempty")
         repeated = sorted({sid for c in (self.cluster_a, self.cluster_b) for sid in c if c.count(sid) > 1})
         if repeated:
-            raise ValueError(f"partition lists shapes {repeated} more than once")
+            raise InvalidArgument(f"partition lists shapes {repeated} more than once")
         if set(self.cluster_a) & set(self.cluster_b):
-            raise ValueError("clusters must be disjoint")
+            raise InvalidArgument("clusters must be disjoint")
 
     def require(self, ids):
         """UnknownShape unless every shape the partition lists is in `ids`."""
@@ -225,15 +226,6 @@ def separation_embedding(diffs, alpha):
     take = min(2, comps.shape[0])
     coords[:, :take] = centered @ comps[:take].T
     return ids, betas, coords
-
-
-def suppression_gain(diffs, F):
-    """Total drop of squared pairwise distances after projecting on F: the sum
-    of `delta` over unordered pairs, trace(F^T Q F) with Q the global form."""
-    mats = [mat for _, mat in _ordered(diffs)]
-    mean, scatter = _scatter(mats)
-    Fm = _as_F(F, mean.shape[0])
-    return float(len(mats) * np.sum(Fm * (scatter @ Fm)))
 
 
 def adjoint_energy_commutativity_check(diffs, clb: ConsistentLatentBasis, shapes, max_quads=256, seed=0):

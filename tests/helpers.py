@@ -20,14 +20,69 @@ import scipy.sparse.linalg as sla
 
 from lskit import cli, matio, spectral
 from lskit.fmaps import Correspondence, fmap_from_landmarks
-from lskit.meshes import validate_mesh
+from lskit.meshes import Mesh, validate_mesh
 from lskit.network import attach_maps, build_topology, identity_map_provider
 from lskit.spectral import compute_shape, metric_measure, shape_dna
 from lskit.synth import BumpSpec, apply_bumps, icosphere
+from lskit.variability import _as_F, _ordered, _scatter
 
 
 # ---------------------------------------------------------------------------
 # mesh builders
+
+
+def with_id(mesh, shape_id):
+    return Mesh(mesh.vertices, mesh.triangles, shape_id)
+
+
+def grid_patch(res=6, shape_id="grid"):
+    """Flat triangulated unit square with (res+1)^2 vertices."""
+    ax = np.linspace(0.0, 1.0, res + 1)
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    verts = np.stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)], axis=1)
+    tris = []
+    for i in range(res):
+        for j in range(res):
+            a = i * (res + 1) + j
+            b = a + 1
+            c = a + (res + 1)
+            d = c + 1
+            tris += [(a, b, d), (a, d, c)]
+    return Mesh(verts, np.asarray(tris, dtype=np.int64), shape_id)
+
+
+def apply_rigid(mesh, rotation, translation, shape_id=None):
+    """Rigidly move a mesh: v -> R v + t."""
+    rotation = np.asarray(rotation, dtype=np.float64)
+    translation = np.asarray(translation, dtype=np.float64)
+    verts = mesh.vertices @ rotation.T + translation
+    return Mesh(verts, mesh.triangles.copy(), shape_id or mesh.shape_id)
+
+
+def permute_vertices(mesh, perm, shape_id=None):
+    """Relabel vertices so that new vertex p = old vertex perm[p].
+
+    Returns the relabeled mesh together with the correspondence pairs
+    (old index, new index) mapping the original onto the relabeled copy.
+    """
+    perm = np.asarray(perm, dtype=np.int64)
+    if np.sort(perm).tolist() != list(range(mesh.num_vertices)):
+        raise ValueError("perm must be a permutation of all vertex indices")
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(mesh.num_vertices)
+    verts = mesh.vertices[perm]
+    tris = inverse[mesh.triangles]
+    pairs = np.stack([perm, np.arange(mesh.num_vertices)], axis=1)
+    return Mesh(verts, tris, shape_id or mesh.shape_id), pairs
+
+
+def random_rotation(rng):
+    """Uniform random rotation matrix (QR of a Gaussian, sign-fixed)."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def unit_area_triangle():
@@ -135,6 +190,20 @@ def dense_generalized_eigh(L, mass_diag):
     A = 0.5 * (A + A.T)
     lam, u = np.linalg.eigh(A)
     return np.maximum(lam, 0.0), u * inv[:, None]
+
+
+def total_area(mm):
+    """The surface area of a `MetricMeasure`: the sum of its lumped masses."""
+    return float(mm.mass_diag.sum())
+
+
+def suppression_gain(diffs, F):
+    """Total drop of squared pairwise distances after projecting on F: the sum
+    of `delta` over unordered pairs, trace(F^T Q F) with Q the global form."""
+    mats = [mat for _, mat in _ordered(diffs)]
+    mean, scatter = _scatter(mats)
+    Fm = _as_F(F, mean.shape[0])
+    return float(len(mats) * np.sum(Fm * (scatter @ Fm)))
 
 
 def mean_shape_oracle(meshes):

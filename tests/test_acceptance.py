@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 
 from helpers import (
+    apply_rigid,
     full_info_family,
     identity_net,
     landmark_net,
     mean_shape_oracle,
+    permute_vertices,
     polygon_is_simple,
     random_orthonormal,
+    random_rotation,
     random_spd,
 )
 from lskit.cli import main as cli_main
@@ -32,7 +35,7 @@ from lskit.latent import (
     stability_probe,
 )
 from lskit.matio import read_matrix
-from lskit.meshes import apply_rigid, permute_vertices, random_rotation, save_off
+from lskit.meshes import save_off
 from lskit.opalg import analogy, interpolate, lssd_spectrum_descriptor, partial_mix
 from lskit.spectral import compute_shape
 from lskit.synth import (

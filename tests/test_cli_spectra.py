@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from helpers import bumpy_sphere, listed_files, tracked, tree_bytes
+from helpers import bumpy_sphere, listed_files, tracked, tree_bytes, with_id
 from lskit import cli, matio, spectral
 from lskit.cli import main
 from lskit.errors import SpectralGapWarning
@@ -414,7 +414,7 @@ def test_spectra_gives_the_caller_its_blas_threads_back(tmp_path, chain_dir, mon
 def test_extend_solves_as_spectra_does_and_restores_the_blas_threads(tmp_path, two_blas_threads):
     fam_dir, solo = tmp_path / "meshes", tmp_path / "solo"
     write_family(two_cluster_family(n_per_cluster=2, subdivisions=2).meshes, fam_dir)
-    x0 = two_cluster_family(n_per_cluster=2, subdivisions=2, seed=4).meshes[0].with_id("x0")
+    x0 = with_id(two_cluster_family(n_per_cluster=2, subdivisions=2, seed=4).meshes[0], "x0")
     solo.mkdir()
     save_off(x0, solo / "x0.off")
     corr = tmp_path / "corr.txt"

@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from helpers import hashed_during, parsed_during, tree_bytes
+from helpers import hashed_during, parsed_during, tree_bytes, with_id
 from lskit.cli import main
 from lskit.meshes import Mesh, load_mesh, save_off
 from lskit.spectral import MetricMeasure, SpectralBasis
@@ -28,9 +28,9 @@ def built(tmp_path_factory):
     assert main(["fmn", "--workspace", ws, "--topology", "clique", "--maps", "identity"]) == 0
     assert main(["latent", "--workspace", ws, "--m", "10", "--kind", "both"]) == 0
     (root / "region.json").write_text(json.dumps({"shape": "a0", "vertices": fam.vertical_region.tolist()}))
-    x0 = load_mesh(root / "meshes" / "a0.off").with_id("x0")
+    x0 = with_id(load_mesh(root / "meshes" / "a0.off"), "x0")
     save_off(x0, root / "x0.off")
-    save_off(x0.with_id("x1"), root / "x1.off")
+    save_off(with_id(x0, "x1"), root / "x1.off")
     (root / "x0_corr.txt").write_text("".join(f"{i} {i}\n" for i in range(x0.num_vertices)))
     return root
 

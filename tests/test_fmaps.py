@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import bumpy_sphere, cached_bumpy_shape, full_info_family, random_orthonormal
+from helpers import bumpy_sphere, cached_bumpy_shape, full_info_family, permute_vertices, random_orthonormal
 from lskit.errors import DimensionMismatch, NonBijective, UnderDeterminedWarning
 from lskit.fmaps import (
     Correspondence,
@@ -13,7 +13,7 @@ from lskit.fmaps import (
     pair_difference,
     save_correspondence,
 )
-from lskit.meshes import permute_vertices, validate_mesh
+from lskit.meshes import validate_mesh
 from lskit.spectral import compute_shape
 from lskit.synth import icosphere
 

@@ -6,6 +6,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 from helpers import (
+    apply_rigid,
     bumpy_sphere,
     cached_bumpy_shape,
     full_info_family,
@@ -13,8 +14,11 @@ from helpers import (
     identity_net,
     landmark_net,
     mean_shape_oracle,
+    permute_vertices,
+    random_rotation,
     solver_path,
     subspace_sine,
+    with_id,
 )
 from lskit.errors import InsufficientShapes, ProviderFailure, RequiresCanonical, SpectralGapWarning
 from lskit.fmaps import Correspondence, FunctionalMap, fmap_from_correspondence, pair_difference
@@ -29,7 +33,6 @@ from lskit.latent import (
     nearest_member,
     stability_probe,
 )
-from lskit.meshes import apply_rigid, permute_vertices, random_rotation
 from lskit.network import FMNetwork
 from lskit.spectral import compute_shape
 from lskit.synth import chain_family, perturbation_family
@@ -215,7 +218,7 @@ def test_extend_identical_twin_exact():
     shapes, net = full_info_family(subdivisions=1, count=3)
     clb = consistent_latent_basis(net, 20)
     can, lat = canonicalize(clb, net.spectra())
-    twin = compute_shape(full_info_meshes(count=1)[0].with_id("new"), net.shape("s0").k)
+    twin = compute_shape(with_id(full_info_meshes(count=1)[0], "new"), net.shape("s0").k)
 
     def provider(src, tgt):
         return fmap_from_correspondence(
@@ -236,7 +239,7 @@ def test_extend_identical_twin_exact():
 def test_extend_rejects_non_finite_map():
     _, net = full_info_family(subdivisions=1, count=3)
     can, lat = canonicalize(consistent_latent_basis(net, 20), net.spectra())
-    twin = compute_shape(full_info_meshes(count=1)[0].with_id("new"), net.shape("s0").k)
+    twin = compute_shape(with_id(full_info_meshes(count=1)[0], "new"), net.shape("s0").k)
 
     def provider(src, tgt):
         matrix = np.eye(tgt.k, src.k)
@@ -257,7 +260,7 @@ def test_extend_requires_canonical_basis():
 def test_stability_probe_duplicate_extra():
     fam = perturbation_family(seed=0, count=4)
     shapes = [compute_shape(m, 20) for m in fam.meshes]
-    dup = compute_shape(fam.meshes[0].with_id("dup"), 20)
+    dup = compute_shape(with_id(fam.meshes[0], "dup"), 20)
     net = landmark_net(shapes + [dup], stride=4, weight=1e-2)
     probe = stability_probe(net, "dup", m=10)
     assert probe.r_canonical >= 0.99

@@ -59,8 +59,12 @@ def test_container_errors(tmp_path):
 def test_manifest_verify_aborts_on_tamper(tmp_path):
     ws = Workspace(tmp_path)
     manifest = ws.init_manifest()
-    rel = ws.write_tracked_matrix("a.lsk", np.eye(2))
-    manifest["shapes"]["a"] = {"mesh": ws.write_tracked("a.off", b"OFF\n0 0 0\n"), "files": {"phi": rel}}
+    rel = ws.write_tracked_matrix("spectra/a.phi.lsk", np.eye(2))
+    manifest["shapes"]["a"] = {
+        "mesh": ws.write_tracked("meshes/a.off", b"OFF\n0 0 0\n"),
+        "k": 2,
+        "files": {"phi": rel, "lam": ws.write_tracked_matrix("spectra/a.lam.lsk", np.ones(2))},
+    }
     ws.save_manifest(manifest)
     ws.load_manifest()  # clean: fine
     with open(ws.path(rel), "r+b") as fh:
@@ -104,8 +108,8 @@ def test_a_kept_tracked_file_is_verified_and_not_rewritten(tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
-    """A new manifest records the library's tolerances and no `config`; the
-    `config` entry of an earlier manifest is kept as it is, and nothing reads it."""
+    """A new manifest records the library's tolerances and no `config`; a
+    manifest with the `config` entry of an earlier layout is refused."""
     ws = Workspace(tmp_path)
     manifest = ws.init_manifest()
     assert "config" not in manifest
@@ -121,7 +125,8 @@ def test_config_roundtrip(tmp_path):
     }
     config = {"k": 33, "m": 12, "kind": "both", "mesh_format": "", "tolerances": manifest.pop("tolerances")}
     ws.save_manifest({**manifest, "config": config})
-    assert ws.load_manifest() == {**manifest, "config": config}
+    with pytest.raises(ManifestError, match=r"holds \['config'\]: it is in an earlier layout"):
+        ws.load_manifest()
 
 
 def test_sha256_file(tmp_path):
@@ -156,4 +161,5 @@ def test_tracked_matrix_is_written_only_when_its_bytes_change(tmp_path):
     # bytes of any kind, such as a mesh copy, are named the same way
     mesh = ws.write_tracked(os.path.join("meshes", "x.off"), b"OFF\n0 0 0\n")
     assert mesh == os.path.join("meshes", f"x.{sha256_file(ws.path(mesh))}.off")
-    assert write_matrix(tmp_path / "b.lsk", np.arange(5.0)) == sha256_file(tmp_path / "b.lsk")
+    write_matrix(tmp_path / "b.lsk", np.arange(5.0))  # the bytes that a tracked matrix is named by
+    assert sha256_file(tmp_path / "b.lsk") == matio.digest(ws.write_tracked_matrix("b.lsk", np.arange(5.0)))

@@ -6,16 +6,14 @@ import pytest
 
 from lskit import meshes
 from lskit.errors import DegenerateGeometry, IndexOutOfRange, MeshWarning, NonManifoldMesh, ParseError
+from helpers import apply_rigid, grid_patch, permute_vertices, random_rotation
 from lskit.meshes import (
     Mesh,
-    apply_rigid,
     load_mesh,
-    permute_vertices,
-    random_rotation,
     save_off,
     validate_mesh,
 )
-from lskit.synth import chain_family, grid_patch, icosphere, perturbation_family, sphere_bump_family, two_cluster_family
+from lskit.synth import chain_family, icosphere, perturbation_family, sphere_bump_family, two_cluster_family
 
 TETRA_OFF = """OFF
 4 4 6

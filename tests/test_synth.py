@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from helpers import grid_patch
 from lskit.meshes import load_mesh
 from lskit.synth import (
     FamilySpec,
     bump_region,
     chain_family,
     chain_ground_truth,
-    grid_patch,
     icosphere,
     perturbation_family,
     realize,

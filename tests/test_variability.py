@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import full_info_family, random_orthonormal, random_spd
+from helpers import full_info_family, random_orthonormal, random_spd, suppression_gain
 from lskit.errors import (
     DegenerateSpectrumWarning,
     InsufficientShapes,
@@ -20,7 +20,6 @@ from lskit.variability import (
     adjoint_energy_commutativity_check,
     project_difference,
     separation_embedding,
-    suppression_gain,
     transfer_to_shape,
 )
 
