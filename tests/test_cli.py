@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import bumpy_sphere, listed_files, name_digest, tracked, tree_bytes, with_id
-from lskit import matio
+from lskit import matio, opalg
 from lskit.cli import build_parser, main
 from lskit.latent import LatentDifference
 from lskit.matio import read_matrix, sha256_file
@@ -615,6 +615,42 @@ def test_a_partition_that_lists_a_shape_twice_exits_1(tmp_path, workspace, capsy
     assert main(argv + ["--partition", str(partition), "--workspace", str(workspace)]) == 1
     assert capsys.readouterr().err == "error: partition lists shapes ['a0'] more than once\n"
     assert tree_bytes(workspace) == before
+
+
+@pytest.mark.parametrize("case", ["corr-token", "interp-t", "synth-count", "region-vertex"])
+def test_a_library_argument_error_exits_1_with_one_line(tmp_path, family_dir, workspace, capsys, case):
+    """A library's refusal of an argument is an `LskitError`: one `error:`
+    line and exit 1, with nothing written. (A partition that lists a shape
+    twice: `test_a_partition_that_lists_a_shape_twice_exits_1`.)"""
+    corr, region, x0 = tmp_path / "corr.txt", tmp_path / "region.json", tmp_path / "x0.off"
+    corr.write_text("0 0\n1 x\n")
+    region.write_text(json.dumps({"shape": "a0", "vertices": [0, 10**6]}))
+    save_off(with_id(load_mesh(family_dir / "a0.off"), "x0"), x0)
+    argv, problem = {
+        "corr-token": (["extend", "--mesh", str(x0), "--corr", str(corr)], f"{corr}: could not convert string 'x'"),
+        "interp-t": (["ops", "interp", "a0", "b0", "--t", "2"], "t=2.0 outside [0, 1]"),
+        "synth-count": (["synth", "chain", "--count", "2", "--out", str(tmp_path / "out")], "count must be >= 3"),
+        "region-vertex": (["ops", "mix", "a0", "b0", "--region", str(region)], "region index out of range"),
+    }[case]
+    if argv[0] != "synth":
+        argv += ["--workspace", str(workspace)]
+    before = tree_bytes(workspace)
+    capsys.readouterr()
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {problem}"), line
+    assert tree_bytes(workspace) == before and not (tmp_path / "out").exists()
+
+
+def test_a_value_error_of_a_fault_is_not_taken_for_bad_input(workspace, monkeypatch):
+    """`main` reports `LskitError`s and `OSError`s; a plain ValueError from
+    inside the library is a fault, and its traceback is kept."""
+    def broken(D):
+        raise ValueError("a fault inside the library")
+
+    monkeypatch.setattr(opalg, "lssd_spectrum_descriptor", broken)
+    with pytest.raises(ValueError, match="a fault inside the library"):
+        main(["ops", "descriptors", "--workspace", str(workspace)])
 
 
 def test_variability_fields_fail_before_any_write(tmp_path, workspace, capsys):
