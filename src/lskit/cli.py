@@ -44,10 +44,9 @@ class _View:
     consumed in its own manifest record.
 
     `mode` "read": each stage record is checked against its declaration
-    (`matio.STAGES`) when the command first reads it. "save": every record
-    is checked as the manifest loads, before the command's first write,
-    since `save` lists them all. "create": "save", and `spectra` starts a
-    workspace that has no manifest."""
+    (`matio.STAGES`) when the command first reads it. "save": every record is
+    checked as the manifest loads, before the first write, since `save` lists
+    them all. "create": "save", and a missing manifest is a new one."""
 
     def __init__(self, args, mode="read"):
         self.ws = Workspace(args.workspace)
@@ -72,7 +71,8 @@ class _View:
     def record(self, stage):
         """The manifest's `stage` record, checked when the view first reads it."""
         if stage not in self.manifest:
-            raise ManifestError(f"no {stage} record in this workspace; run `{'latent' if stage == 'diffs' else stage}` first")
+            command = "latent" if stage == "diffs" else stage
+            raise ManifestError(f"no {stage} record in this workspace; run `{command}` first")
         if stage not in self.checked:
             listed(self.manifest, [stage])
             self.checked.add(stage)

@@ -12,7 +12,7 @@ reads it, or keeps it in place of a write (`Workspace.verified`), and no
 other file; `Workspace.verify` checks them all.
 """
 
-import dataclasses
+import collections
 import hashlib
 import json
 import os
@@ -111,55 +111,29 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-@dataclasses.dataclass(frozen=True)
-class File:
-    """In a declaration: a tracked file's name, in `directory`."""
-
-    directory: str
-
-
-@dataclasses.dataclass(frozen=True)
-class Maybe:
-    """In a declaration: a record key that may be absent."""
-
-    value: object
-
-
 # The stage records of manifest.json, in pipeline order: rebuilding a stage
 # drops every record after it (`drop_after`). In a declaration a dict is a
-# record holding its keys and no other, {str: d} an object whose keys are
-# names, each holding d, [d] a list of d, a tuple a list of exactly its items,
-# and a type a JSON value of that type.
+# record of exactly its keys (one holding a Maybe may be absent), {str: d} an
+# object whose keys are names, each holding d, [d] a list of d, a tuple a list
+# of exactly its items, a type a JSON value of that type, and a string the
+# name of a tracked file in that directory.
+Maybe = collections.namedtuple("Maybe", "value")
 STAGES = {
-    "shapes": {str: {"mesh": File("meshes"), "k": int, "files": {"phi": File("spectra"), "lam": File("spectra")}}},
-    "fmn": {
-        "topology": str,
-        "maps": str,
-        "nodes": [str],
-        "edges": [(str, str, File("maps"))],
-        "landmark_weight": Maybe(float),  # under --maps landmarks
-    },
-    "latent": {
-        "m": int,
-        "order": [str],
-        "consistency_residual": float,
-        "Y": {str: File("latent")},
-        "lambda0": File("latent"),
-        "extended": {str: {"neighbor": str, "Y": File("latent"), "diffs": {str: File("diffs")}}},
-    },
-    "diffs": {"kinds": [str], "normalized": bool, "files": {str: {str: File("diffs")}}},
+    "shapes": {str: {"mesh": "meshes", "k": int, "files": {"phi": "spectra", "lam": "spectra"}}},
+    "fmn": {"topology": str, "maps": str, "nodes": [str], "edges": [(str, str, "maps")],
+            "landmark_weight": Maybe(float)},  # under --maps landmarks
+    "latent": {"m": int, "order": [str], "consistency_residual": float, "Y": {str: "latent"}, "lambda0": "latent",
+               "extended": {str: {"neighbor": str, "Y": "latent", "diffs": {str: "diffs"}}}},
+    "diffs": {"kinds": [str], "normalized": bool, "files": {str: {str: "diffs"}}},
 }
-HEAD = ("tool", "version", "tolerances")  # the other top-level entries, for a reader of the file; no command reads them
 
 
 def _directories(decl):
     """The directories of the tracked files that declaration `decl` holds."""
-    if isinstance(decl, File):
-        return {decl.directory}
-    if isinstance(decl, Maybe):
-        return _directories(decl.value)
-    parts = decl.values() if isinstance(decl, dict) else decl if isinstance(decl, (list, tuple)) else ()
-    return set().union(*map(_directories, parts))
+    if type(decl) is str:
+        return {decl}
+    inner = decl.values() if type(decl) is dict else decl if isinstance(decl, tuple | list) else ()
+    return set().union(*map(_directories, inner))
 
 
 DIRECTORIES = sorted(_directories(STAGES))
@@ -169,74 +143,50 @@ def _earlier_layout(where, keys):
     return f"{where} holds {sorted(keys)}: it is in an earlier layout; build a new workspace with `spectra`"
 
 
-class _Malformed(Exception):
-    """A value unlike its declaration. `path` gathers the keys and list
-    indices that lead to it as the exception leaves each enclosing value."""
-
-    def __init__(self, problem):
-        super().__init__(problem)
-        self.path = []
-
-
-def _wrong(expected, value):
-    return _Malformed(f": expected {expected}, got {json.dumps(value)[:40]}")
-
-
-def _check(decl, value, files):
-    """Check `value` against declaration `decl`, adding the tracked file names
-    it holds to `files`; _Malformed otherwise."""
-    if type(decl) is type:
-        if type(value) is not decl and not (decl is float and type(value) is int):
-            raise _wrong(decl.__name__, value)
-    elif type(decl) is File:
-        if type(value) is not str or os.path.dirname(value) != decl.directory:
-            raise _wrong(f"a file name in {decl.directory}/", value)
-        files.add(value)
-    elif type(decl) is dict:
-        if type(value) is not dict:
-            raise _wrong("an object", value)
-        if str not in decl:  # a record
-            if value.keys() - decl.keys():
-                raise _Malformed(_earlier_layout("", value.keys() - decl.keys()))
-            for key, sub in decl.items():
-                if key not in value and type(sub) is not Maybe:
-                    raise _Malformed(f": missing {key!r}")
-        for key, item in value.items():
-            sub = decl[str] if str in decl else decl[key]
-            try:
-                _check(sub.value if type(sub) is Maybe else sub, item, files)
-            except _Malformed as exc:
-                exc.path.append(f".{key}")
-                raise
-    else:  # a list: [d] of d, or a tuple of exactly its items
-        if type(value) is not list or type(decl) is tuple and len(value) != len(decl):
-            raise _wrong("a list" if type(decl) is list else f"a list of {len(decl)}", value)
+def _check(decl, value, files, where):
+    """Check `value`, at path `where`, against declaration `decl`, adding the
+    tracked file names it holds to `files`; ManifestError naming the path
+    otherwise."""
+    kind = type(decl)
+    if kind is dict and type(value) is dict:
+        if str in decl:
+            for key, item in value.items():
+                _check(decl[str], item, files, f"{where}.{key}")
+            return
+        if value.keys() - decl.keys():
+            raise ManifestError(_earlier_layout(f"{Workspace.MANIFEST}: {where}", value.keys() - decl.keys()))
+        for key, sub in decl.items():
+            if key in value:
+                _check(sub.value if type(sub) is Maybe else sub, value[key], files, f"{where}.{key}")
+            elif type(sub) is not Maybe:
+                raise ManifestError(f"{Workspace.MANIFEST}: {where}: missing {key!r}")
+    elif kind is list and type(value) is list:
         for i, item in enumerate(value):
-            try:
-                _check(decl[0] if type(decl) is list else decl[i], item, files)
-            except _Malformed as exc:
-                exc.path.append(f"[{i}]")
-                raise
+            _check(decl[0], item, files, f"{where}[{i}]")
+    elif kind is tuple and type(value) is list and len(value) == len(decl):
+        for i, (sub, item) in enumerate(zip(decl, value)):
+            _check(sub, item, files, f"{where}[{i}]")
+    elif kind is str and type(value) is str and value.rpartition(os.sep)[0] == decl:
+        files.add(value)
+    elif kind is not type or type(value) is not decl and not (decl is float and type(value) is int):
+        expected = ("an object" if kind is dict else "a list" if kind is list else f"a list of {len(decl)}"
+                    if kind is tuple else f"a file name in {decl}{os.sep}" if kind is str else decl.__name__)
+        raise ManifestError(f"{Workspace.MANIFEST}: {where}: expected {expected}, got {json.dumps(value)[:40]}")
 
 
 def listed(manifest, stages=STAGES):
     """The tracked files that the manifest's `stages` records list, each
-    record checked against its declaration: ManifestError naming the path
-    to a value unlike it."""
+    record checked against its declaration (ManifestError otherwise)."""
     files = set()
     for stage in stages:
         if stage in manifest:
-            try:
-                _check(STAGES[stage], manifest[stage], files)
-            except _Malformed as exc:
-                raise ManifestError(f"{Workspace.MANIFEST}: {stage}{''.join(reversed(exc.path))}{exc}") from None
+            _check(STAGES[stage], manifest[stage], files, stage)
     return files
 
 
 def drop_after(manifest, stage):
     """Remove the stage records after `stage`: each was built on it."""
-    order = list(STAGES)
-    for later in order[order.index(stage) + 1:]:
+    for later in list(STAGES)[list(STAGES).index(stage) + 1:]:
         manifest.pop(later, None)
 
 
@@ -285,8 +235,8 @@ class Workspace:
     def load_manifest(self):
         """The saved manifest, parsed, with its top level checked; `listed`
         checks its stage records, and no tracked file is read (`verified`).
-        An earlier layout held a top-level entry that `STAGES` and `HEAD` do
-        not declare, such as the digests of its files."""
+        An earlier layout held another top-level entry, such as the digests
+        of its files."""
         if not self.exists():
             raise ManifestError(f"no manifest at {self.manifest_path}")
         with open(self.manifest_path, "r", encoding="utf-8") as fh:
@@ -296,7 +246,7 @@ class Workspace:
                 raise ManifestError(f"malformed manifest: {self.manifest_path}: {exc}") from exc
         if not isinstance(manifest, dict) or not isinstance(manifest.get("shapes"), dict):
             raise ManifestError(f"malformed manifest: {self.manifest_path} is not an object holding a 'shapes' object")
-        earlier = manifest.keys() - STAGES.keys() - set(HEAD)
+        earlier = manifest.keys() - STAGES.keys() - {"tool", "version", "tolerances"}  # these: read by no command
         if earlier:
             raise ManifestError(_earlier_layout(self.manifest_path, earlier))
         return manifest

@@ -147,7 +147,7 @@ def test_a_record_key_of_an_earlier_layout_is_refused(built, capsys, record, key
         put_manifest(ws, original)
 
 
-@pytest.mark.filterwarnings("ignore::lskit.errors.SpectralGapWarning")  # `ops align`'s per-cluster m=10 cuts a 7e-12 gap
+@pytest.mark.filterwarnings("ignore::lskit.errors.SpectralGapWarning")  # `ops align`'s m=10 cuts a 7e-12 gap
 def test_the_listing_is_the_files_in_the_stage_directories(tmp_path, monkeypatch):
     """After every command of the two-cluster and landmark pipelines, `listed`
     names what the independent oracle names, and the stage directories hold
