@@ -144,34 +144,43 @@ def _earlier_layout(where, keys):
 
 
 def _check(decl, value, files, where):
-    """Check `value`, at path `where`, against declaration `decl`, adding the
-    tracked file names it holds to `files`; ManifestError naming the path
-    otherwise."""
+    """Check `value` against declaration `decl`, adding the tracked file names
+    it holds to `files`; ManifestError naming its path otherwise. `where` is
+    that path: a stage, or (the enclosing path, a key or list index)."""
     kind = type(decl)
     if kind is dict and type(value) is dict:
         if str in decl:
             for key, item in value.items():
-                _check(decl[str], item, files, f"{where}.{key}")
+                _check(decl[str], item, files, (where, key))
             return
         if value.keys() - decl.keys():
-            raise ManifestError(_earlier_layout(f"{Workspace.MANIFEST}: {where}", value.keys() - decl.keys()))
+            raise ManifestError(_earlier_layout(_path(where), value.keys() - decl.keys()))
         for key, sub in decl.items():
             if key in value:
-                _check(sub.value if type(sub) is Maybe else sub, value[key], files, f"{where}.{key}")
+                _check(sub.value if type(sub) is Maybe else sub, value[key], files, (where, key))
             elif type(sub) is not Maybe:
-                raise ManifestError(f"{Workspace.MANIFEST}: {where}: missing {key!r}")
+                raise ManifestError(f"{_path(where)}: missing {key!r}")
     elif kind is list and type(value) is list:
         for i, item in enumerate(value):
-            _check(decl[0], item, files, f"{where}[{i}]")
+            _check(decl[0], item, files, (where, i))
     elif kind is tuple and type(value) is list and len(value) == len(decl):
         for i, (sub, item) in enumerate(zip(decl, value)):
-            _check(sub, item, files, f"{where}[{i}]")
+            _check(sub, item, files, (where, i))
     elif kind is str and type(value) is str and value.rpartition(os.sep)[0] == decl:
         files.add(value)
     elif kind is not type or type(value) is not decl and not (decl is float and type(value) is int):
         expected = ("an object" if kind is dict else "a list" if kind is list else f"a list of {len(decl)}"
                     if kind is tuple else f"a file name in {decl}{os.sep}" if kind is str else decl.__name__)
-        raise ManifestError(f"{Workspace.MANIFEST}: {where}: expected {expected}, got {json.dumps(value)[:40]}")
+        raise ManifestError(f"{_path(where)}: expected {expected}, got {json.dumps(value)[:40]}")
+
+
+def _path(where):
+    """A `_check` path as text, such as manifest.json: fmn.edges[0][2]."""
+    keys = []
+    while type(where) is tuple:
+        where, key = where
+        keys.append(f"[{key}]" if type(key) is int else f".{key}")
+    return f"{Workspace.MANIFEST}: {where}{''.join(reversed(keys))}"
 
 
 def listed(manifest, stages=STAGES):
