@@ -53,6 +53,9 @@ def built(tmp_path_factory):
                  ["latent", "--m", "6", "--kind", "both"],
                  ["extend", "--mesh", str(root / "x0.off"), "--corr", str(root / "corr.txt")]):
         assert main(argv + ["--workspace", str(ws)]) == 0
+    manifest = json.loads((ws / "manifest.json").read_text())
+    assert "landmark_weight" in manifest["fmn"] and "x0" in manifest["latent"]["extended"]
+    assert set(manifest) == {"tool", "version", "tolerances", *READER}
     return root / "meshes", ws
 
 
@@ -116,13 +119,6 @@ def test_a_malformed_record_fails_its_reader_before_any_write(built, capsys, sta
     finally:
         put_manifest(ws, original)
     assert checked >= 3
-
-
-def test_each_record_of_the_built_workspace_is_covered(built):
-    _, ws = built
-    manifest = json.loads((ws / "manifest.json").read_text())
-    assert "landmark_weight" in manifest["fmn"] and "x0" in manifest["latent"]["extended"]
-    assert set(manifest) == {"tool", "version", "tolerances", *READER}
 
 
 @pytest.mark.parametrize("record, key", [("shapes.a0", "clusters"), ("latent", "canonical"), ("fmn", "cross_edges")])
