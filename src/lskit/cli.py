@@ -59,10 +59,8 @@ class _View:
 
     @functools.cached_property
     def manifest(self):
-        if self.mode == "create" and not self.ws.exists():
-            manifest = self.ws.init_manifest()
-        else:
-            manifest = self.ws.load_manifest()
+        new = self.mode == "create" and not self.ws.exists()
+        manifest = self.ws.init_manifest() if new else self.ws.load_manifest()
         if self.mode != "read":
             listed(manifest)
             self.checked.update(STAGES)

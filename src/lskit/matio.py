@@ -4,12 +4,11 @@ The matrix container is a fixed little-endian binary layout (magic
 "LSKMAT01", dtype code, dimensions, row-major float64 payload) so artifacts
 round-trip bit-exactly across platforms. A collection workspace is a single
 directory whose manifest.json is the source of truth: its stage records
-(`STAGES`, declared once here) list the tracked files, each named
-`<stem>.<sha256><ext>`: the name is the one record of its digest.
-`Workspace.load_manifest` refuses an earlier layout, and `listed` checks a
-record against its declaration. A command verifies a tracked file when it
-reads it, or keeps it in place of a write (`Workspace.verified`), and no
-other file; `Workspace.verify` checks them all.
+(`STAGES`) list the tracked files, each named `<stem>.<sha256><ext>`: the
+name is the one record of its digest. `Workspace.load_manifest` refuses an
+earlier layout. A command verifies a tracked file when it reads it, or
+keeps it in place of a write (`Workspace.verified`), and no other file;
+`Workspace.verify` checks them all.
 """
 
 import collections
@@ -139,8 +138,7 @@ def _directories(decl):
 DIRECTORIES = sorted(_directories(STAGES))
 
 
-def _earlier_layout(where, keys):
-    return f"{where} holds {sorted(keys)}: it is in an earlier layout; build a new workspace with `spectra`"
+_EARLIER_LAYOUT = "{} holds {}: it is in an earlier layout; build a new workspace with `spectra`"
 
 
 def _check(decl, value, files, where):
@@ -154,7 +152,7 @@ def _check(decl, value, files, where):
                 _check(decl[str], item, files, (where, key))
             return
         if value.keys() - decl.keys():
-            raise ManifestError(_earlier_layout(_path(where), value.keys() - decl.keys()))
+            raise ManifestError(_EARLIER_LAYOUT.format(_path(where), sorted(value.keys() - decl.keys())))
         for key, sub in decl.items():
             if key in value:
                 _check(sub.value if type(sub) is Maybe else sub, value[key], files, (where, key))
@@ -257,7 +255,7 @@ class Workspace:
             raise ManifestError(f"malformed manifest: {self.manifest_path} is not an object holding a 'shapes' object")
         earlier = manifest.keys() - STAGES.keys() - {"tool", "version", "tolerances"}  # these: read by no command
         if earlier:
-            raise ManifestError(_earlier_layout(self.manifest_path, earlier))
+            raise ManifestError(_EARLIER_LAYOUT.format(self.manifest_path, sorted(earlier)))
         return manifest
 
     def save_manifest(self, manifest):
