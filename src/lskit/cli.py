@@ -79,7 +79,10 @@ class _View:
     def _member(self, what, sid, build):
         """`build(sid's record)`, built when the view first asks for it."""
         if (what, sid) not in self.loaded:
-            self.loaded[what, sid] = build(self.record("shapes")[sid])
+            shapes = self.record("shapes")
+            if sid not in shapes:  # named by another record: fmn.nodes, say
+                raise ManifestError(f"{self.ws.manifest_path}: no shape record {sid!r}, which another record names")
+            self.loaded[what, sid] = build(shapes[sid])
         return self.loaded[what, sid]
 
     def eigenvalues(self, sid):
@@ -134,6 +137,8 @@ class _View:
         diffs = self.record("diffs")
         if kind not in diffs["kinds"]:
             raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
+        if kind not in diffs["files"]:
+            raise ManifestError(f"{self.ws.manifest_path}: diffs.kinds lists {kind!r}, which diffs.files does not hold")
         files = diffs["files"][kind]
         return {
             sid: latent_mod.LatentDifference(read_matrix(self.ws.verified(files[sid])), kind, sid, diffs["normalized"])
@@ -375,7 +380,8 @@ def cmd_spectra(args):
     finally:
         if changed:  # the network and everything built on it used the old spectra
             drop_after(manifest, "shapes")
-        view.save()
+        if stale:  # otherwise the manifest is as loaded and nothing was written
+            view.save()
     # after the save, so that a warning filtered into an error leaves a saved workspace
     for category, message, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno)
@@ -711,6 +717,7 @@ def cmd_extend(args):
 # parser
 
 
+@functools.cache  # built once per process; each `parse_args` returns a new namespace
 def build_parser():
     p = argparse.ArgumentParser(prog="lskit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

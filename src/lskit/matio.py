@@ -75,7 +75,8 @@ def write_text(path, text):
 
 
 def write_json(path, doc):
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True))
+    """One line of JSON with sorted keys: no indent, so json's C encoder."""
+    write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def read_matrix(path):
@@ -260,8 +261,7 @@ class Workspace:
 
     def save_manifest(self, manifest):
         """Write manifest.json, left as it is when it holds the same bytes."""
-        data = json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n"  # no indent: json's C encoder
-        _atomic_write(self.manifest_path, data)
+        write_json(self.manifest_path, manifest)
 
     def verified(self, rel):
         """The path of tracked file `rel`; ManifestError when it is missing or

@@ -858,6 +858,24 @@ def test_the_parser_holds_each_default():
     assert (lat.m, lat.kind, lat.normalized) == (40, "area", False)
 
 
+def test_consecutive_calls_share_no_parse_state(tmp_path, workspace, capsys):
+    """The parser is built once per process, and each call parses into a new
+    namespace: a flag given to one call is not there in the next."""
+    assert build_parser() is build_parser()
+    assert main(["synth", "chain", "--out", str(tmp_path / "chain"), "--count", "5", "--subdivisions", "1"]) == 0
+    assert main(["synth", "two-cluster", "--out", str(tmp_path / "two"), "--subdivisions", "1"]) == 0
+    capsys.readouterr()
+    assert main(["synth", "two-cluster", "--out", str(tmp_path / "three"), "--count", "3"]) == 2
+    assert "usage error: synth two-cluster takes no --count" in capsys.readouterr().err
+    ws = tmp_path / "ws"
+    shutil.copytree(workspace, ws)
+    interp = ["ops", "interp", "a0", "a1", "--workspace", str(ws)]
+    assert main([*interp, "--t", "0.3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(interp)
+    assert exc.value.code == 2
+
+
 @pytest.fixture(scope="module", params=["16-hex", "undigested"])
 def earlier_layout(request, tmp_path_factory):
     """A four-shape workspace through `latent`, rewritten to an earlier

@@ -50,6 +50,37 @@ class FakeExecutor:
         return future
 
 
+def test_a_cache_hit_writes_renames_and_deletes_nothing(tmp_path, chain_dir, monkeypatch, capsys):
+    ws = tmp_path / "ws"
+    spectra = ["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]
+    assert main(spectra) == 0
+    before = tree_bytes(ws)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a cache-hit spectra wrote, renamed, deleted or listed a file")
+
+    for owner, name in ((matio, "_atomic_write"), (os, "replace"), (os, "remove"), (os, "scandir")):
+        monkeypatch.setattr(owner, name, refused)
+    capsys.readouterr()
+    assert main(spectra) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out.strip() == "up to date (4 shapes)"
+    assert tree_bytes(ws) == before
+
+
+def test_a_file_left_in_spectra_goes_at_the_next_save(tmp_path, chain_dir):
+    ws = tmp_path / "ws"
+    spectra = ["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]
+    assert main(spectra) == 0
+    left = ws / "spectra" / "frame00.phi.left.lsk"  # as an interrupted command leaves it
+    left.write_bytes(b"unlisted")
+    assert main(spectra) == 0
+    assert left.exists()  # a cache hit saves nothing, so it deletes nothing
+    assert main(["fmn", "--workspace", str(ws), "--topology", "chain", "--maps", "identity"]) == 0
+    listed, on_disk = listed_and_on_disk(ws)
+    assert listed == on_disk
+
+
 def test_pool_size_is_clamped_to_the_stale_shapes(tmp_path, chain_dir, monkeypatch):
     (chain_dir / "frame03.off").unlink()  # three shapes
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)

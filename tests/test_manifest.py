@@ -143,6 +143,32 @@ def test_a_record_key_of_an_earlier_layout_is_refused(built, capsys, record, key
         put_manifest(ws, original)
 
 
+@pytest.mark.parametrize("case", ["fmn node", "diffs kind"])
+def test_a_dangling_reference_fails_its_reader_with_one_line(built, capsys, case):
+    """A record that names what another record does not hold: an `fmn` node
+    with no shape record, or a listed kind of differences with no files."""
+    _, ws = built
+    original = (ws / "manifest.json").read_bytes()
+    manifest = json.loads(original)
+    if case == "fmn node":
+        manifest["fmn"]["nodes"].append("zz")
+        argv, message = ["latent", "--m", "6"], "no shape record 'zz', which another record names"
+    else:
+        del manifest["diffs"]["files"]["conformal"]
+        argv = ["ops", "descriptors", "--diff-kind", "conformal"]
+        message = "diffs.kinds lists 'conformal', which diffs.files does not hold"
+    try:
+        put_manifest(ws, manifest)
+        before = tree_bytes(ws)
+        capsys.readouterr()
+        assert main(argv + ["--workspace", str(ws)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {ws / 'manifest.json'}: {message}"
+        assert tree_bytes(ws) == before
+    finally:
+        put_manifest(ws, original)
+
+
 @pytest.mark.filterwarnings("ignore::lskit.errors.SpectralGapWarning")  # `ops align`'s m=10 cuts a 7e-12 gap
 def test_the_listing_is_the_files_in_the_stage_directories(tmp_path, monkeypatch):
     """After every command of the two-cluster and landmark pipelines, `listed`

@@ -136,11 +136,17 @@ def test_sha256_file(tmp_path):
 
 
 def test_text_and_json_writers_create_their_directory(tmp_path):
-    write_json(tmp_path / "a" / "doc.json", {"b": [1, 2], "a": 0.1})
+    doc = {"b": [1, 2], "a": 0.1}
+    write_json(tmp_path / "a" / "doc.json", doc)
     write_text(tmp_path / "c" / "rows.txt", "0 1.5\n")
-    assert (tmp_path / "a" / "doc.json").read_text() == json.dumps({"a": 0.1, "b": [1, 2]}, indent=2)
+    assert (tmp_path / "a" / "doc.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"  # one line, sorted
     assert (tmp_path / "c" / "rows.txt").read_text() == "0 1.5\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "c", "doc.json", "rows.txt"]  # no temporaries
+    ws = Workspace(tmp_path / "ws")  # the manifest goes through the same writer
+    manifest = {**ws.init_manifest(), "shapes": {"a": {"k": 1.5e-300}}}
+    ws.save_manifest(manifest)
+    write_json(tmp_path / "manifest.json", manifest)
+    assert (tmp_path / "ws" / "manifest.json").read_bytes() == (tmp_path / "manifest.json").read_bytes()
 
 
 def test_tracked_matrix_is_written_only_when_its_bytes_change(tmp_path):
