@@ -23,7 +23,7 @@ from .errors import LskitError, ManifestError, UnknownShape
 from .matio import DIRECTORIES, STAGES, Workspace, digest, drop_after, listed, read_matrix, read_vector, sha256_file
 from .matio import write_json, write_matrix, write_text
 from .meshes import _PARSERS, load_mesh
-from .spectral import SpectralBasis, _eigen_clusters, metric_measure
+from .spectral import SpectralBasis, metric_measure
 
 
 def _fail(msg):
@@ -93,8 +93,7 @@ class _View:
         """One member's spectral basis, from its tracked eigenvalues and
         eigenvectors. A command that uses no mass reads no more of it."""
         def build(entry):
-            lam = self.eigenvalues(sid)
-            return SpectralBasis(lam, read_matrix(self.ws.verified(entry["files"]["phi"])), sid, _eigen_clusters(lam))
+            return SpectralBasis(self.eigenvalues(sid), read_matrix(self.ws.verified(entry["files"]["phi"])), sid)
 
         return self._member("spectra", sid, build)
 
@@ -127,7 +126,7 @@ class _View:
         """The canonical latent basis and the latent shape."""
         lat = self.record("latent")
         Y = {sid: read_matrix(self.ws.verified(rel)) for sid, rel in lat["Y"].items()}
-        clb = latent_mod.ConsistentLatentBasis(Y, lat["m"], tuple(lat["order"]), True, lat["consistency_residual"])
+        clb = latent_mod.ConsistentLatentBasis(Y, lat["m"], tuple(sorted(Y)), True, lat["consistency_residual"])
         spectrum = read_vector(self.ws.verified(lat["lambda0"]))
         return clb, latent_mod.LatentShape(spectrum, clb)
 
@@ -135,10 +134,8 @@ class _View:
         """The stored differences of one kind: every shape's, or those of the
         shapes in `ids` that have them."""
         diffs = self.record("diffs")
-        if kind not in diffs["kinds"]:
-            raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
         if kind not in diffs["files"]:
-            raise ManifestError(f"{self.ws.manifest_path}: diffs.kinds lists {kind!r}, which diffs.files does not hold")
+            raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
         files = diffs["files"][kind]
         return {
             sid: latent_mod.LatentDifference(read_matrix(self.ws.verified(files[sid])), kind, sid, diffs["normalized"])
@@ -279,9 +276,10 @@ def _blas_setters(verb="set"):
 @contextlib.contextmanager
 def _one_blas_thread():
     """Every loaded BLAS runs on one thread inside the block, and so does a
-    process forked in it, so each solve has the same bits whether it runs
-    in-process or in `spectra`'s pool; each gets its previous thread count
-    back on exit. Yields whether any BLAS was pinned."""
+    process forked in it; each gets its previous thread count back on exit.
+    `main` runs each command inside it, so a command's bits do not depend on
+    the caller's BLAS thread count, nor on whether a solve runs in-process or
+    in `spectra`'s pool. Yields whether any BLAS was pinned."""
     setters, counts = _blas_setters(), [get() for get in _blas_setters("get")]
     for setter in setters:
         setter(1)
@@ -312,14 +310,14 @@ def _solve_shape(root, sid, src, k):
 
 def _solve_in_pool(ws: Workspace, stale, k):
     """Solve the stale (sid, src) shapes in a fork pool whose workers inherit
-    a one-thread BLAS pin, so each solve's bits do not depend on the worker
-    count or on the caller's BLAS threads: one worker per usable CPU, at most
-    one per shape, and one if no loaded BLAS can be pinned. Returns each
-    shape's `_solve_shape` result, or the exception it raised, in order."""
+    the command's one-thread BLAS pin, so each solve's bits do not depend on
+    the worker count: one worker per usable CPU, at most one per shape, and
+    one if no loaded BLAS can be pinned. Returns each shape's `_solve_shape`
+    result, or the exception it raised, in order."""
     with contextlib.ExitStack() as stack:
-        # pinned only while `submit` forks the workers, which inherit the pin: a
-        # fork stops the caller's OpenBLAS threads and the restore restarts them
-        # to spin for about 0.1 s, which then overlaps the solves, not the caller
+        # a window around the forks for its restore: a fork stops this
+        # process's OpenBLAS threads, and a thread-count call restarts them to
+        # spin for about 0.1 s, which then overlaps the solves, not the next command
         with _one_blas_thread() as pinned:
             workers = min(len(os.sched_getaffinity(0)), len(stale)) if pinned else 1
             pool = stack.enter_context(ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")))
@@ -499,22 +497,20 @@ def cmd_latent(args):
     lam0_rel = ws.write_tracked_matrix(os.path.join("latent", "lambda0.lsk"), latent_shape.spectrum)
     manifest["latent"] = {
         "m": args.m,
-        "order": list(canonical.order),
         "consistency_residual": canonical.consistency_residual,
         "Y": y_files,
         "lambda0": lam0_rel,
         "extended": {},
     }
 
-    kinds = ["area", "conformal"] if args.kind == "both" else [args.kind]
     diff_files = {}
-    for kind in kinds:
+    for kind in ["area", "conformal"] if args.kind == "both" else [args.kind]:
         diffs = latent_mod.latent_differences(canonical, spectra, latent_shape, kind, args.normalized)
         diff_files[kind] = {
             sid: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
             for sid, D in diffs.items()
         }
-    manifest["diffs"] = {"kinds": kinds, "normalized": args.normalized, "files": diff_files}
+    manifest["diffs"] = {"normalized": args.normalized, "files": diff_files}
     view.save()
 
     head = ", ".join(f"{v:.6g}" for v in latent_shape.spectrum[: min(6, args.m)])
@@ -682,8 +678,7 @@ def cmd_extend(args):
         return _fail(f"unknown --neighbor {args.neighbor!r}")
     # the auto choice compares shape-DNA: each member's eigenvalues
     spectra = {sid: view.eigenvalues(sid) for sid in clb.order} if auto else None
-    with _one_blas_thread():
-        new_shape = spectral.compute_shape(mesh, k)
+    new_shape = spectral.compute_shape(mesh, k)
     corr = fmaps.load_correspondence(args.corr)
 
     def provider(src: SpectralBasis, tgt: SpectralBasis):
@@ -705,8 +700,8 @@ def cmd_extend(args):
         kind: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)
         for kind, D in diffs.items()
     }
-    for kind in stored["kinds"]:  # extend_to_shape returns both kinds
-        stored["files"][kind][sid] = diff_rels[kind]
+    for kind, files in stored["files"].items():  # extend_to_shape returns both kinds
+        files[sid] = diff_rels[kind]
     view.record("latent")["extended"][sid] = {"neighbor": neighbor, "Y": y_rel, "diffs": diff_rels}
     view.save()
     print(f"extended collection with {sid!r} via neighbor {neighbor!r}")
@@ -804,7 +799,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except (LskitError, OSError) as exc:
         return _fail(exc)
 

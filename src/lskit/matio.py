@@ -122,9 +122,9 @@ STAGES = {
     "shapes": {str: {"mesh": "meshes", "k": int, "files": {"phi": "spectra", "lam": "spectra"}}},
     "fmn": {"topology": str, "maps": str, "nodes": [str], "edges": [(str, str, "maps")],
             "landmark_weight": Maybe(float)},  # under --maps landmarks
-    "latent": {"m": int, "order": [str], "consistency_residual": float, "Y": {str: "latent"}, "lambda0": "latent",
+    "latent": {"m": int, "consistency_residual": float, "Y": {str: "latent"}, "lambda0": "latent",
                "extended": {str: {"neighbor": str, "Y": "latent", "diffs": {str: "diffs"}}}},
-    "diffs": {"kinds": [str], "normalized": bool, "files": {str: {str: "diffs"}}},
+    "diffs": {"normalized": bool, "files": {str: {str: "diffs"}}},
 }
 
 

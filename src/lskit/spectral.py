@@ -6,9 +6,8 @@ truncated Laplace-Beltrami basis, and extracts spectrum-prefix (shape-DNA)
 descriptors.
 """
 
-import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -17,8 +16,6 @@ import scipy.sparse.linalg as sla
 
 from .errors import DegenerateGeometry, DimensionMismatch, InvalidArgument, RankDeficientMass, SolverFailure, SpectralGapWarning
 from .meshes import Mesh
-
-logger = logging.getLogger(__name__)
 
 # Dense symmetric eigensolve at or below this matrix size, shift-invert Lanczos
 # above it. Both eigenproblems (Laplacian pencil and latent block form) cross
@@ -51,9 +48,6 @@ class SpectralBasis:
     eigenvectors : (n, k), M-orthonormal columns; None for a basis read
         without them (`ops align` builds its per-cluster latent bases from
         the eigenvalues alone), which then has no `num_vertices`.
-    clusters : list of (start, stop) index ranges of near-degenerate eigenvalues
-        (relative gap below CLUSTER_GAP_TOL); comparisons of individual
-        eigenvectors are only well-posed outside these ranges.
     mass : (n,) lumped vertex areas, the diagonal of the M that the
         eigenvectors are orthonormal in; None for a basis read without it.
     """
@@ -61,7 +55,6 @@ class SpectralBasis:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     shape_id: str = ""
-    clusters: tuple = field(default_factory=tuple)
     mass: np.ndarray = None
 
     @property
@@ -218,11 +211,7 @@ def eigenbasis(mm: MetricMeasure, k: int) -> SpectralBasis:
             SpectralGapWarning,
             stacklevel=2,
         )
-    lam = lam[:k]
-    clusters = _eigen_clusters(lam)
-    if clusters:
-        logger.debug("shape '%s': eigenvalue clusters %s", mm.shape_id, clusters)
-    return SpectralBasis(lam, vecs, mm.shape_id, clusters, mm.mass_diag)
+    return SpectralBasis(lam[:k], vecs, mm.shape_id, mm.mass_diag)
 
 
 def shape_dna(basis: SpectralBasis, d=None) -> np.ndarray:

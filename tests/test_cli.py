@@ -181,7 +181,7 @@ def test_latent_artifacts_and_outputs(workspace, capsys):
     lat = manifest["latent"]
     assert lat["m"] == 10
     assert sorted(lat["Y"]) == ["a0", "a1", "b0", "b1"]
-    assert set(manifest["diffs"]["kinds"]) == {"area", "conformal"}
+    assert sorted(manifest["diffs"]["files"]) == ["area", "conformal"]  # the kinds stored
     for kind in ("area", "conformal"):
         assert len(manifest["diffs"]["files"][kind]) == 4
     lam0 = read_matrix(workspace / lat["lambda0"])
@@ -831,10 +831,10 @@ def test_each_consumed_setting_is_recorded_once_in_its_stage_record(tmp_path, fa
         ("fmn", "topology"): "clique",
         ("fmn", "maps"): "identity",
         ("latent", "m"): 8,
-        ("diffs", "kinds"): ["area", "conformal"],
         ("diffs", "normalized"): False,
     }
     assert setting_records(manifest) == consumed
+    assert sorted(manifest["diffs"]["files"]) == ["area", "conformal"]  # --kind: the kinds stored
     marks = tmp_path / "landmarks"
     marks.mkdir()
     for a, b in (("a0", "a1"), ("a1", "b0"), ("b0", "b1")):

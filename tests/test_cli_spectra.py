@@ -15,7 +15,7 @@ from lskit import cli, matio, spectral
 from lskit.cli import main
 from lskit.errors import SpectralGapWarning
 from lskit.meshes import Mesh, load_mesh, save_off
-from lskit.synth import chain_family, sphere_bump_family, two_cluster_family, write_family
+from lskit.synth import chain_family, sphere_bump_family, two_cluster_family, two_cluster_ground_truth, write_family
 
 
 def manifest_of(ws):
@@ -204,6 +204,30 @@ def test_pool_workers_run_blas_on_one_thread(tmp_path, monkeypatch, two_blas_thr
     results = cli._solve_in_pool(matio.Workspace(str(tmp_path)), [("a0", "a0.off"), ("a1", "a1.off")], 8)
     assert len(results) == 2 and all(counts and set(counts) == {1} for counts in results)
     assert set(_blas_thread_counts()) == {2}  # the caller's threads are back
+
+
+def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path, two_blas_threads):
+    """Every command runs inside one pin, so a caller at two BLAS threads gets
+    the bytes of a caller at one, from the spectra to the descriptors."""
+    fam = two_cluster_family(n_per_cluster=3, subdivisions=3)
+    write_family(fam.meshes, tmp_path / "meshes", two_cluster_ground_truth(fam))
+    trees = []
+    for threads in (1, 2):
+        for setter in cli._blas_setters():
+            setter(threads)
+        ws = ["--workspace", str(tmp_path / f"ws{threads}")]
+        for argv in (
+            ["spectra", str(tmp_path / "meshes"), "--k", "30"],
+            ["fmn", "--topology", "clique", "--maps", "identity"],
+            ["latent", "--m", "20", "--kind", "both"],
+            ["variability", "--mode", "cross", "--partition", str(tmp_path / "meshes" / "ground_truth.json"),
+             "--emit-fields"],
+            ["ops", "descriptors"],
+        ):
+            assert main(argv + ws) == 0, argv
+        assert set(_blas_thread_counts()) == {threads}  # each command gave the caller's threads back
+        trees.append(tree_bytes(tmp_path / f"ws{threads}"))
+    assert trees[0] == trees[1]
 
 
 def test_gap_warning_in_a_worker_surfaces_from_main(tmp_path):

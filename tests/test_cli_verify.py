@@ -138,7 +138,7 @@ def test_extend_hashes_its_neighbor_the_eigenvalues_and_the_latent_files(built, 
     shapes, lat = manifest["shapes"], manifest["latent"]
     expected = [*shapes[chosen]["files"].values(), *lat["Y"].values(), lat["lambda0"]]
     if neighbor == "auto":  # every member's shape-DNA, the chosen one's read once, and no map
-        expected += [shapes[sid]["files"]["lam"] for sid in lat["order"] if sid != chosen]
+        expected += [shapes[sid]["files"]["lam"] for sid in sorted(lat["Y"]) if sid != chosen]
     assert sorted(hashed) == sorted(str(ws / rel) for rel in expected)
 
 
