@@ -39,9 +39,9 @@ def _usage_fail(msg):
 class _View:
     """One command's view of its workspace: the manifest, and the stage
     artifacts that it lists, built from the tracked files only when the
-    command asks for them, each file verified before it is parsed. Settings
-    come from the command's flags alone, and each stage records those it
-    consumed in its own manifest record.
+    command asks for them: each file is read once, and its bytes are
+    verified and then parsed. Settings come from the command's flags alone,
+    and each stage records those it consumed in its own manifest record.
 
     `mode` "read": each stage record is checked against its declaration
     (`matio.STAGES`) when the command first reads it. "save": every record is
@@ -87,13 +87,13 @@ class _View:
 
     def eigenvalues(self, sid):
         """One member's tracked eigenvalues: its shape-DNA."""
-        return self._member("lam", sid, lambda entry: read_vector(self.ws.verified(entry["files"]["lam"])))
+        return self._member("lam", sid, lambda entry: read_vector(*self.ws.verified(entry["files"]["lam"])))
 
     def spectra(self, sid):
         """One member's spectral basis, from its tracked eigenvalues and
         eigenvectors. A command that uses no mass reads no more of it."""
         def build(entry):
-            return SpectralBasis(self.eigenvalues(sid), read_matrix(self.ws.verified(entry["files"]["phi"])), sid)
+            return SpectralBasis(self.eigenvalues(sid), read_matrix(*self.ws.verified(entry["files"]["phi"])), sid)
 
         return self._member("spectra", sid, build)
 
@@ -101,7 +101,7 @@ class _View:
         """`spectra(sid)` with the member's mass, from its mesh copy, for the
         commands that use the mass. Neither the mesh nor its stiffness is kept."""
         def build(entry):
-            mass = metric_measure(load_mesh(self.ws.verified(entry["mesh"]), shape_id=sid)).mass_diag
+            mass = metric_measure(load_mesh(*self.ws.verified(entry["mesh"]), shape_id=sid)).mass_diag
             return dataclasses.replace(self.spectra(sid), mass=mass)
 
         return self._member("shape", sid, build)
@@ -110,7 +110,7 @@ class _View:
         """The network's maps between `members`, in manifest order."""
         members = set(members)
         return {
-            (src, tgt): fmaps.FunctionalMap(read_matrix(self.ws.verified(rel)), src, tgt)
+            (src, tgt): fmaps.FunctionalMap(read_matrix(*self.ws.verified(rel)), src, tgt)
             for src, tgt, rel in self.record("fmn")["edges"]
             if src in members and tgt in members
         }
@@ -125,9 +125,9 @@ class _View:
     def latent(self):
         """The canonical latent basis and the latent shape."""
         lat = self.record("latent")
-        Y = {sid: read_matrix(self.ws.verified(rel)) for sid, rel in lat["Y"].items()}
+        Y = {sid: read_matrix(*self.ws.verified(rel)) for sid, rel in lat["Y"].items()}
         clb = latent_mod.ConsistentLatentBasis(Y, lat["m"], tuple(sorted(Y)), True, lat["consistency_residual"])
-        spectrum = read_vector(self.ws.verified(lat["lambda0"]))
+        spectrum = read_vector(*self.ws.verified(lat["lambda0"]))
         return clb, latent_mod.LatentShape(spectrum, clb)
 
     def diffs(self, kind, ids=None):
@@ -138,7 +138,7 @@ class _View:
             raise ManifestError(f"no {kind!r} differences stored; rerun `latent` with --kind")
         files = diffs["files"][kind]
         return {
-            sid: latent_mod.LatentDifference(read_matrix(self.ws.verified(files[sid])), kind, sid, diffs["normalized"])
+            sid: latent_mod.LatentDifference(read_matrix(*self.ws.verified(files[sid])), kind, sid, diffs["normalized"])
             for sid in (files if ids is None else files.keys() & ids)
         }
 
@@ -601,7 +601,8 @@ def cmd_ops(args):
 
     if args.action == "descriptors":
         diffs = view.diffs(kind)
-        doc = {sid: opalg.lssd_spectrum_descriptor(D).tolist() for sid, D in sorted(diffs.items())}
+        ids = sorted(diffs)
+        doc = dict(zip(ids, opalg.lssd_spectrum_descriptor([diffs[sid] for sid in ids]).tolist()))
         path = ws.path("ops", f"descriptors.{kind}.json")
         write_json(path, doc)
         print(f"wrote {path}")

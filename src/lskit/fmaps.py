@@ -91,8 +91,12 @@ def _check_bijection(corr, n_src, n_tgt):
         )
     if pairs.min() < 0 or pairs[:, 0].max() >= n_src or pairs[:, 1].max() >= n_tgt:
         raise NonBijective("correspondence index out of range")
-    if np.unique(pairs[:, 0]).size != n_src or np.unique(pairs[:, 1]).size != n_tgt:
-        raise NonBijective("correspondence has duplicate indices")
+    # n in-range indices cover 0..n-1 exactly when none repeats
+    for column in pairs.T:
+        covered = np.zeros(n_src, dtype=bool)
+        covered[column] = True
+        if not covered.all():
+            raise NonBijective("correspondence has duplicate indices")
 
 
 def fmap_from_correspondence(src: SpectralBasis, tgt: SpectralBasis, corr: Correspondence) -> FunctionalMap:
@@ -103,8 +107,10 @@ def fmap_from_correspondence(src: SpectralBasis, tgt: SpectralBasis, corr: Corre
     correspondence between identical meshes gives C = I to solver precision.
     """
     _check_bijection(corr, src.num_vertices, tgt.num_vertices)
-    pulled = np.empty_like(src.eigenvectors)
-    pulled[corr.pairs[:, 1]] = src.eigenvectors[corr.pairs[:, 0]]
+    source_of = np.empty(src.num_vertices, dtype=np.int64)  # target vertex -> its source vertex
+    source_of[corr.pairs[:, 1]] = corr.pairs[:, 0]
+    phi = src.eigenvectors  # gathered in its own memory order, which the product's bits depend on
+    pulled = np.take(phi.T, source_of, axis=1).T if np.isfortran(phi) else phi[source_of]
     matrix = tgt.eigenvectors.T @ (tgt.mass[:, None] * pulled)
     return FunctionalMap(matrix, src.shape_id, tgt.shape_id)
 

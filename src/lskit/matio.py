@@ -7,8 +7,9 @@ directory whose manifest.json is the source of truth: its stage records
 (`STAGES`) list the tracked files, each named `<stem>.<sha256><ext>`: the
 name is the one record of its digest. `Workspace.load_manifest` refuses an
 earlier layout. A command verifies a tracked file when it reads it, or
-keeps it in place of a write (`Workspace.verified`), and no other file;
-`Workspace.verify` checks them all.
+keeps it in place of a write (`Workspace.verified`, which reads it once and
+hands its bytes to the parser), and no other file; `Workspace.verify`
+checks them all.
 """
 
 import collections
@@ -79,31 +80,37 @@ def write_json(path, doc):
     write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
-def read_matrix(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
+def read_matrix(path, data=None):
+    """The array of a container file, parsed from `data`, its bytes, when
+    the caller has read them already (`Workspace.verified`)."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    if len(data) < _HEADER.size:
         raise ParseError(f"{path}: truncated container header")
-    magic, code, rows, cols = _HEADER.unpack_from(blob)
+    magic, code, rows, cols = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ParseError(f"{path}: bad magic {magic!r}")
     if code != _DTYPE_F64:
         raise ParseError(f"{path}: unsupported dtype code {code}")
     expected = _HEADER.size + rows * cols * 8
-    if len(blob) != expected:
-        raise ParseError(f"{path}: payload is {len(blob) - _HEADER.size} bytes, expected {rows * cols * 8}")
-    arr = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
+    if len(data) != expected:
+        raise ParseError(f"{path}: payload is {len(data) - _HEADER.size} bytes, expected {rows * cols * 8}")
+    arr = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
     return np.array(arr, dtype=np.float64)
 
 
-def read_vector(path):
-    arr = read_matrix(path)
+def read_vector(path, data=None):
+    arr = read_matrix(path, data)
     if arr.shape[1] != 1:
         raise ParseError(f"{path}: expected a column vector, got {arr.shape}")
     return arr[:, 0]
 
 
-def sha256_file(path):
+def sha256_file(path, data=None):
+    """The sha256 of a file, or of `data`, its bytes read already."""
+    if data is not None:
+        return hashlib.sha256(data).hexdigest()
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -264,15 +271,18 @@ class Workspace:
         write_json(self.manifest_path, manifest)
 
     def verified(self, rel):
-        """The path of tracked file `rel`; ManifestError when it is missing or
-        its sha256 is not the `digest` its name carries."""
+        """The path of tracked file `rel` and its bytes, read once: the
+        readers parse those bytes. ManifestError when the file is missing or
+        their sha256 is not the `digest` its name carries."""
         full, expected = self.path(rel), digest(rel)
         if expected is None or not os.path.isfile(full):
             raise ManifestError(f"missing artifact {rel!r}")
-        actual = sha256_file(full)
+        with open(full, "rb") as fh:
+            data = fh.read()
+        actual = sha256_file(full, data)
         if actual != expected:
             raise ManifestError(f"hash mismatch for {rel!r}: expected {expected[:12]}..., file {actual[:12]}...")
-        return full
+        return full, data
 
     def verify(self, manifest):
         """Abort (ManifestError) when any listed file is missing or altered."""

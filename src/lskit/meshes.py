@@ -110,6 +110,8 @@ def validate_mesh(vertices, triangles, shape_id=""):
 
 def _data_lines(text):
     """The lines of text without `#` comments, surrounding blanks or blank lines."""
+    if "#" not in text:  # no comment to split off any line
+        return list(filter(None, map(str.strip, text.splitlines())))
     lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     return [line for line in lines if line]
 
@@ -284,13 +286,16 @@ def _parse_ply(text):
 _PARSERS = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply}
 
 
-def load_mesh(path, shape_id=None):
+def load_mesh(path, data=None, shape_id=None):
     """Load and validate a mesh from OFF, OBJ or ASCII-PLY; the file's
     extension names the format.
 
     Parameters
     ----------
     path : str or Path
+    data : bytes, optional
+        The file's bytes, when the caller has read them already; parsed in
+        place of a read of `path`.
     shape_id : str, optional
         Defaults to the file name without extension.
     """
@@ -298,10 +303,11 @@ def load_mesh(path, shape_id=None):
     ext = os.path.splitext(path)[1].lower()
     if ext not in _PARSERS:
         raise ParseError(f"cannot infer mesh format from extension {ext!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        verts, tris = _PARSERS[ext](text)
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:  # text that is not UTF-8 is bad input too
+        verts, tris = _PARSERS[ext](data.decode("utf-8"))
     except (ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if shape_id is None:

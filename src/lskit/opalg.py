@@ -7,6 +7,7 @@ bit for bit.
 """
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,15 +149,21 @@ def localized_basis(
 
 def lssd_spectrum_descriptor(D) -> np.ndarray:
     """Ascending eigenvalues of a difference operator, as a retrieval
-    descriptor. Non-symmetric (conformal) operators are symmetrized first."""
-    mat = _as_matrix(D)
-    kind = D.kind if isinstance(D, LatentDifference) else None
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
-        if kind == "area":
-            warnings.warn("area operator unexpectedly asymmetric; symmetrizing", stacklevel=2)
-        mat = 0.5 * (mat + mat.T)
-    return np.linalg.eigvalsh(mat)
+    descriptor; of a sequence of operators of one size, their descriptors as
+    the rows of one array, from one stacked eigensolve. Non-symmetric
+    (conformal) operators are symmetrized first."""
+    many = isinstance(D, Sequence)
+    mats = []
+    for op in D if many else [D]:
+        mat = _as_matrix(op)
+        asym = float(np.max(np.abs(mat - mat.T)))
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
+            if isinstance(op, LatentDifference) and op.kind == "area":
+                warnings.warn("area operator unexpectedly asymmetric; symmetrizing", stacklevel=2)
+            mat = 0.5 * (mat + mat.T)
+        mats.append(mat)
+    eigs = np.linalg.eigvalsh(np.stack(mats))
+    return eigs if many else eigs[0]
 
 
 def align_by_descriptor(descs_a: dict, descs_b: dict):

@@ -2,13 +2,17 @@
 place of a write: a damaged or deleted one fails the first command that reads
 it, before any parse, and a file that a command does not read cannot fail it."""
 
+import builtins
+import collections
 import gc
 import json
+import os
 import shutil
 
 import pytest
 
 from helpers import hashed_during, parsed_during, tree_bytes, with_id
+from lskit import matio, meshes
 from lskit.cli import main
 from lskit.meshes import Mesh, load_mesh, save_off
 from lskit.spectral import MetricMeasure, SpectralBasis
@@ -264,3 +268,39 @@ def test_an_extended_member_is_read_only_by_a_command_that_uses_it(built, ws, ca
     capsys.readouterr()
     assert main(["fmn", "--topology", "clique", "--maps", "identity", "--workspace", str(ws)]) == 1
     assert f"hash mismatch for {mesh!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fmn", "--topology", "clique", "--maps", "identity"], ["ops", "descriptors"]],
+                         ids=["fmn", "descriptors"])
+def test_a_command_opens_each_tracked_file_that_it_reads_once(ws, monkeypatch, argv):
+    """The bytes that a command hashes are the bytes that it parses."""
+    opened = collections.Counter()
+
+    def counting_open(file, *args, **kwargs):
+        opened[os.fspath(file)] += 1
+        return builtins.open(file, *args, **kwargs)
+
+    for module in (matio, meshes):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    rc, hashed = hashed_during(monkeypatch, argv + ["--workspace", str(ws)])
+    assert rc == 0 and hashed
+    tracked = {os.path.join(ws, rel) for rel in matio.listed(manifest_of(ws))}
+    assert {path: count for path, count in opened.items() if path in tracked} == dict.fromkeys(hashed, 1)
+
+
+def test_a_mesh_that_is_not_utf8_is_bad_input(built, ws, tmp_path, capsys):
+    """A mesh whose bytes are not UTF-8 fails as a ParseError naming the file:
+    `extend` exits 1 with one error line, and `spectra` names the file."""
+    mesh_dir = tmp_path / "meshes"
+    shutil.copytree(built / "meshes", mesh_dir)
+    bad = mesh_dir / "x0.off"
+    bad.write_bytes(b"# caf\xe9\n" + (built / "x0.off").read_bytes())  # one Latin-1 byte in a comment
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["extend", "--mesh", str(bad), "--corr", str(built / "x0_corr.txt"), "--workspace", str(ws)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and "utf-8" in err
+    assert tree_bytes(ws) == before
+    assert main(["spectra", str(mesh_dir), "--workspace", str(ws), "--k", "16"]) == 1
+    assert f"error: x0.off: {bad}: " in capsys.readouterr().err
+    assert manifest_of(ws) == json.loads(before["manifest.json"])

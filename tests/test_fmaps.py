@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,46 @@ def test_non_bijective_rejected(bumpy20):
         fmap_from_correspondence(
             bumpy20, bumpy20, Correspondence(np.array([[0, 0], [1, 1]]), "sparse_landmarks")
         )
+
+
+def _shifted(n, column, by):
+    """Identity pairs with entry 0 of `column` moved by `by`."""
+    pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
+    pairs[0, column] += by
+    return pairs
+
+
+@pytest.mark.parametrize("pairs_of, kind, message", [
+    (lambda n: _shifted(n, 0, 1), "full_bijection", "correspondence has duplicate indices"),
+    (lambda n: _shifted(n, 1, 1), "full_bijection", "correspondence has duplicate indices"),
+    (lambda n: _shifted(n, 0, n), "full_bijection", "correspondence index out of range"),
+    (lambda n: _shifted(n, 1, n), "full_bijection", "correspondence index out of range"),
+    (lambda n: _shifted(n, 1, -1), "full_bijection", "correspondence index out of range"),
+    (lambda n: _shifted(n, 0, 0)[1:], "full_bijection", r"bijection needs (\d+) == \1 pairs, got \d+$"),
+    (lambda n: _shifted(n, 0, 0), "sparse_landmarks", "correspondence kind 'sparse_landmarks' is not a full bijection"),
+], ids=["repeated source", "repeated target", "source >= n", "target >= n", "negative", "pair count",
+        "sparse landmarks"])
+def test_each_refusal_of_the_bijection_check(bumpy20, pairs_of, kind, message):
+    corr = Correspondence(pairs_of(bumpy20.num_vertices), kind)
+    with pytest.raises(NonBijective, match=message):
+        fmap_from_correspondence(bumpy20, bumpy20, corr)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_permuted_correspondence_moves_each_source_row_to_its_target(bumpy20, order):
+    """The map pulls row pairs[i, 0] of the source eigenvectors into row
+    pairs[i, 1], whatever order the pairs come in, and its bits do not depend
+    on how the rows are moved."""
+    basis = dataclasses.replace(bumpy20, eigenvectors=np.asarray(bumpy20.eigenvectors, order=order))
+    rng = np.random.default_rng(5)
+    n = basis.num_vertices
+    pairs = np.stack([rng.permutation(n), rng.permutation(n)], axis=1)
+    pulled = np.empty_like(basis.eigenvectors)
+    for s, t in pairs:
+        pulled[t] = basis.eigenvectors[s]
+    expected = basis.eigenvectors.T @ (basis.mass[:, None] * pulled)
+    C = fmap_from_correspondence(basis, basis, Correspondence(pairs)).matrix
+    assert np.array_equal(C, expected)
 
 
 def test_correspondence_file_roundtrip(tmp_path):

@@ -84,8 +84,8 @@ def test_verified_hashes_only_the_file_it_is_asked_for(tmp_path, monkeypatch):
         fh.seek(40)
         fh.write(b"\xff")
     hashed = []
-    monkeypatch.setattr(matio, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
-    assert ws.verified(kept) == ws.path(kept) and hashed == [ws.path(kept)]
+    monkeypatch.setattr(matio, "sha256_file", lambda path, data: hashed.append(path) or sha256_file(path, data))
+    assert ws.verified(kept) == (ws.path(kept), (tmp_path / kept).read_bytes()) and hashed == [ws.path(kept)]
     with pytest.raises(ManifestError, match=f"hash mismatch for {other!r}"):
         ws.verified(other)
     os.unlink(ws.path(kept))

@@ -1,11 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import full_info_family, random_orthonormal, random_spd
 from lskit.errors import EmptyRegion, IllConditioned, SpectralGapWarning, UnknownShape
-from lskit.latent import canonicalize, consistent_latent_basis, latent_differences
+from lskit.latent import LatentDifference, canonicalize, consistent_latent_basis, latent_differences
 from lskit.opalg import (
     align_by_descriptor,
     analogy,
@@ -84,6 +85,25 @@ def test_replay_bit_identical():
     for expr in (analogy(A, B, C), interpolate(A, B, 0.37), partial_mix(A, B, random_orthonormal(rng, 5, 2))):
         again = replay(expr.recipe)
         np.testing.assert_array_equal(again.result, expr.result)
+
+
+def test_descriptors_of_a_sequence_are_each_operators_rows():
+    """One stacked eigensolve gives each operator's own descriptor, bit for
+    bit, and warns once for each asymmetric area operator."""
+    rng = np.random.default_rng(9)
+    skew = np.triu(np.ones((5, 5)), 1) * 1e-3
+    ops = [
+        random_spd(rng, 5),
+        LatentDifference(random_spd(rng, 5) + skew, "area", "a"),
+        LatentDifference(random_spd(rng, 5) + skew, "conformal", "b"),
+        LatentDifference(random_spd(rng, 5) + skew, "area", "c"),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        singles = [lssd_spectrum_descriptor(D) for D in ops]
+        rows = lssd_spectrum_descriptor(ops)
+    assert [str(w.message) for w in caught] == ["area operator unexpectedly asymmetric; symmetrizing"] * 4
+    assert rows.shape == (4, 5) and all(np.array_equal(row, single) for row, single in zip(rows, singles))
 
 
 def test_descriptor_identity_and_invariance():
