@@ -142,11 +142,12 @@ class _View:
             for sid in (files if ids is None else files.keys() & ids)
         }
 
-    def record_shape(self, sid, src, record):
-        """Copy a mesh into meshes/ and record it with the spectra that
-        `_write_spectra` wrote."""
-        with open(src, "rb") as fh:
-            rel_mesh = self.ws.write_tracked(os.path.join("meshes", os.path.basename(src)), fh.read())
+    def record_shape(self, sid, src, data, record):
+        """Copy `data`, the bytes of mesh file `src` that a shape's spectra
+        were solved from, into meshes/, and record it with the spectra that
+        `_write_spectra` wrote: a source edited since is not recorded with the
+        spectra of its earlier bytes."""
+        rel_mesh = self.ws.write_tracked(os.path.join("meshes", os.path.basename(src)), data)
         self.record("shapes")[sid] = {"mesh": rel_mesh, **record}
 
     def save(self):
@@ -237,6 +238,28 @@ def _write_spectra(ws: Workspace, basis: SpectralBasis):
     return {"k": basis.k, "files": files}
 
 
+def _read_mesh(path, shape_id=None):
+    """A mesh file's bytes, read once, and the mesh parsed from them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data, load_mesh(path, data, shape_id=shape_id)
+
+
+def _parsed_path(ws: Workspace, sid):
+    """The file in which a pool worker hands `spectra` the mesh bytes that it
+    parsed: in spectra/, so a save removes one that was not taken."""
+    return ws.path("spectra", f".{sid}.parsed")
+
+
+def _take_parsed(ws: Workspace, sid):
+    """The mesh bytes that the worker of shape `sid` parsed; the file goes."""
+    path = _parsed_path(ws, sid)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    os.remove(path)
+    return data
+
+
 # OpenBLAS thread-count setters: the plain build's, and the prefixed ones of
 # numpy's (64-bit integer) and scipy's wheels
 BLAS_THREAD_SETTERS = (
@@ -291,20 +314,26 @@ def _one_blas_thread():
 
 
 def _solve_shape(root, sid, src, k):
-    """Pool worker: parse a mesh from its source path, solve its spectra and
-    write them. Returns (record, None, warnings) or, when the mesh fails
-    before anything is written, (None, message, warnings); each warning
-    caught is (category, message, filename, lineno). The record names the
-    files written, and each name carries its file's digest."""
+    """Pool worker: read a mesh source once, parse it, solve its spectra and
+    write them, then leave the bytes parsed in `_parsed_path` for the caller
+    to copy: in a file, since bytes returned through the pool raised the
+    caller's peak memory by more than their size. Returns (record, None,
+    warnings) or, when the mesh fails before anything is written, (None,
+    message, warnings); each warning caught is (category, message, filename,
+    lineno). The record names the files written, and each name carries its
+    file's digest."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the parent's filters decide when it re-emits them
         try:
-            mesh = load_mesh(src, shape_id=sid)
+            data, mesh = _read_mesh(src, sid)
             basis = spectral.compute_shape(mesh, k)
         except (LskitError, OSError) as exc:
             record, error = None, str(exc)
         else:
-            record, error = _write_spectra(Workspace(root), basis), None
+            ws = Workspace(root)
+            record, error = _write_spectra(ws, basis), None
+            with open(_parsed_path(ws, sid), "wb") as fh:
+                fh.write(data)
     return record, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
@@ -370,7 +399,7 @@ def cmd_spectra(args):
                 record, error, shape_warnings = result
                 caught += shape_warnings
                 if error is None:  # copy the mesh only once its spectra are written
-                    view.record_shape(sid, src, record)
+                    view.record_shape(sid, src, _take_parsed(view.ws, sid), record)
                     changed += 1
             if error is not None:
                 failures += 1
@@ -671,7 +700,7 @@ def cmd_extend(args):
     # shape-DNA, so they share it
     k = members[clb.order[0]]["k"]
 
-    mesh = load_mesh(args.mesh)
+    data, mesh = _read_mesh(args.mesh)
     if mesh.shape_id in members:
         return _fail(f"shape id {mesh.shape_id!r} already in the collection")
     auto = args.neighbor == "auto"
@@ -695,7 +724,7 @@ def cmd_extend(args):
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id
-    view.record_shape(sid, args.mesh, _write_spectra(ws, new_shape))
+    view.record_shape(sid, args.mesh, data, _write_spectra(ws, new_shape))
     y_rel = ws.write_tracked_matrix(os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
     diff_rels = {
         kind: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)

@@ -47,25 +47,12 @@ def triangle_areas(vertices, triangles):
     return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
 
 
-def _edge_counts(triangles, n):
-    """Multiplicity of every undirected edge, keyed as lo * n + hi (unique
-    while every index is < n)."""
+def _edge_keys(triangles, n):
+    """The sorted keys lo * n + hi of the triangles' undirected edges, one per
+    triangle side (unique per edge while every index is < n)."""
     a = np.concatenate([triangles[:, 0], triangles[:, 1], triangles[:, 2]])
     b = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 0]])
-    _, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
-    return counts
-
-
-def component_count(vertices, triangles):
-    """Number of connected components (isolated vertices count as components)."""
-    n = vertices.shape[0]
-    if triangles.size == 0:
-        return n
-    i = np.concatenate([triangles[:, 0], triangles[:, 1], triangles[:, 2]])
-    j = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 0]])
-    adj = coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
-    ncomp, _ = connected_components(adj, directed=False)
-    return ncomp
+    return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
 
 
 def validate_mesh(vertices, triangles, shape_id=""):
@@ -93,10 +80,14 @@ def validate_mesh(vertices, triangles, shape_id=""):
         small = np.nonzero(areas <= AREA_EPS * max(scale, 1.0))[0]
         if small.size:
             raise DegenerateGeometry(f"zero-area triangle(s): {small[:8].tolist()}")
-        counts = _edge_counts(t, v.shape[0])
-        if np.any(counts > 2):
-            raise NonManifoldMesh("edge shared by more than two triangles")
-    ncomp = component_count(v, t)
+    n = v.shape[0]
+    keys = _edge_keys(t, n)
+    if np.any(keys[2:] == keys[:-2]):  # sorted: an edge of three triangles has equal keys two apart
+        raise NonManifoldMesh("edge shared by more than two triangles")
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    lo, hi = np.divmod(keys[first], n)
+    ncomp, _ = connected_components(coo_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n)), directed=False)
     if ncomp != 1:
         warnings.warn(
             f"mesh '{shape_id}' has {ncomp} connected components", MeshWarning, stacklevel=2

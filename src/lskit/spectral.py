@@ -3,9 +3,11 @@
 Builds the cotangent stiffness matrix and barycentric lumped mass matrix of a
 triangle mesh, solves the generalized eigenproblem L phi = lambda M phi for the
 truncated Laplace-Beltrami basis, and extracts spectrum-prefix (shape-DNA)
-descriptors.
+descriptors. The mass is computed with the measure; the stiffness is assembled
+when it is first used, so a reader of the mass alone assembles none.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -26,13 +28,26 @@ DENSE_SOLVER_MAX_SIZE = 1000
 CLUSTER_GAP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class MetricMeasure:
-    """Cotangent stiffness L (sparse, PSD) and lumped vertex areas (diagonal of M)."""
+    """Cotangent stiffness L (sparse, PSD) and lumped vertex areas (diagonal of M).
 
-    stiffness: sparse.csr_matrix
-    mass_diag: np.ndarray
-    shape_id: str = ""
+    `stiffness` is L, or a function of no arguments that assembles it: then L
+    is assembled when `.stiffness` is first read, and kept. `metric_measure`
+    gives such a function, so the commands that read a member's mass alone
+    (`fmn`, `latent`, `ops mix`) assemble no stiffness; the eigensolves of
+    `spectra` and `extend` do.
+    """
+
+    def __init__(self, stiffness, mass_diag, shape_id=""):
+        self._stiffness = stiffness
+        self.mass_diag = mass_diag
+        self.shape_id = shape_id
+
+    @property
+    def stiffness(self) -> sparse.csr_matrix:
+        if callable(self._stiffness):  # kept in place of the geometry it is assembled from
+            self._stiffness = self._stiffness()
+        return self._stiffness
 
     @property
     def num_vertices(self):
@@ -69,9 +84,9 @@ class SpectralBasis:
 def metric_measure(mesh: Mesh) -> MetricMeasure:
     """Cotangent stiffness and barycentric (one-third triangle area) mass.
 
-    The stiffness is assembled in its positive semidefinite convention:
-    off-diagonal entries -(cot a + cot b)/2, diagonal minus the row sum, so
-    that constants are in the kernel and x^T L x >= 0.
+    The mass is computed here, the stiffness when it is first read
+    (`_stiffness`), from the edge vectors and doubled triangle areas computed
+    here once.
     """
     v, t = mesh.vertices, mesh.triangles
     n = mesh.num_vertices
@@ -81,6 +96,21 @@ def metric_measure(mesh: Mesh) -> MetricMeasure:
     edges = [p[2] - p[1], p[0] - p[2], p[1] - p[0]]
     double_area = np.linalg.norm(np.cross(edges[0], -edges[2]), axis=1)
 
+    areas = 0.5 * double_area
+    mass = np.zeros(n)
+    for corner in range(3):
+        np.add.at(mass, t[:, corner], areas / 3.0)
+    if np.any(mass <= 0):
+        raise DegenerateGeometry(f"vertex with zero lumped area on mesh '{mesh.shape_id}'")
+    return MetricMeasure(functools.partial(_stiffness, mesh, edges, double_area), mass, mesh.shape_id)
+
+
+def _stiffness(mesh, edges, double_area):
+    """The cotangent stiffness of `mesh`, from `metric_measure`'s edge vectors
+    and doubled triangle areas, in its positive semidefinite convention:
+    off-diagonal entries -(cot a + cot b)/2, diagonal minus the row sum, so
+    that constants are in the kernel and x^T L x >= 0."""
+    t, n = mesh.triangles, mesh.num_vertices
     rows, cols, vals = [], [], []
     for corner in range(3):
         a, b = (corner + 1) % 3, (corner + 2) % 3
@@ -95,17 +125,9 @@ def metric_measure(mesh: Mesh) -> MetricMeasure:
     vals = np.concatenate(vals)
     if not np.all(np.isfinite(vals)):
         raise DegenerateGeometry(f"non-finite cotangent weight on mesh '{mesh.shape_id}'")
-    L = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (vals, (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     ).tocsr()
-
-    areas = 0.5 * double_area
-    mass = np.zeros(n)
-    for corner in range(3):
-        np.add.at(mass, t[:, corner], areas / 3.0)
-    if np.any(mass <= 0):
-        raise DegenerateGeometry(f"vertex with zero lumped area on mesh '{mesh.shape_id}'")
-    return MetricMeasure(L, mass, mesh.shape_id)
 
 
 def _eigen_clusters(eigenvalues, tol=CLUSTER_GAP_TOL):

@@ -1,4 +1,4 @@
-"""Run three fixed CLI pipelines with one lskit source tree, for a byte-identity
+"""Run four fixed CLI pipelines with one lskit source tree, for a byte-identity
 check of two trees:
 
     python tests/pipeline_bytes.py --src <before>/src --out /tmp/before
@@ -13,7 +13,11 @@ The pipelines:
   landmarks    a second workspace on the same meshes, with landmark maps,
                through latent, cross variability and ops align;
   many-shapes  the 120-member chain at k=40, knn:4, m=30: the sparse latent
-               path.
+               path;
+  sparse       synth two-cluster (subdivision 4: 2562 vertices, 2 per
+               cluster, seed 5) at k=49: the shift-invert spectra path, then
+               correspondence maps, latent, cross variability, ops mix and
+               ops align.
 
 Each command runs in its own `python -m lskit` process from `--out`, so the
 data and workspaces hold relative paths. `--out` ends up with the inputs, the
@@ -83,15 +87,33 @@ def many_shapes(ws="ws_chain"):
     ]
 
 
+def sparse(ws="ws_sparse"):
+    pairs, part = "data/sparse", "data/sparse/ground_truth.json"
+    return [
+        ["synth", "two-cluster", "--subdivisions", "4", "--per-cluster", "2", "--intra-spread", "1.2", "--seed", "5",
+         "--out", pairs],
+        ["spectra", pairs, "--workspace", ws, "--k", "49"],
+        ["fmn", "--workspace", ws, "--topology", "clique", "--maps", "correspondence", "--corr-dir",
+         f"{pairs}/correspondences"],
+        ["latent", "--workspace", ws, "--m", "36", "--kind", "both"],
+        ["variability", "--workspace", ws, "--mode", "cross", "--partition", part, "--emit-fields"],
+        ["ops", "mix", "a0", "b0", "--region", "data/sparse_region.json", "--workspace", ws],
+        ["ops", "align", "--workspace", ws, "--partition", part],
+    ]
+
+
 def extend_inputs(out):
     """`extend`'s inputs: x0 and x1, members a0 and a1 of the seed-6 family,
-    with their identity correspondence; and `ops mix`'s region on a0."""
+    with their identity correspondence; and `ops mix`'s regions on a0, every
+    other vertex of its 162 (region.json) and of its 2562 in the sparse
+    pipeline (sparse_region.json)."""
     data = os.path.join(out, "data")
     for sid in ("a0", "a1"):
         shutil.copyfile(os.path.join(data, "extra", f"{sid}.off"), os.path.join(data, f"x{sid[1]}.off"))
     shutil.copyfile(os.path.join(data, "pairs", "correspondences", "a0__a1.txt"), os.path.join(data, "x_corr.txt"))
-    with open(os.path.join(data, "region.json"), "w", encoding="utf-8") as fh:
-        json.dump({"shape": "a0", "vertices": list(range(0, 162, 2))}, fh)
+    for name, count in (("region.json", 162), ("sparse_region.json", 2562)):
+        with open(os.path.join(data, name), "w", encoding="utf-8") as fh:
+            json.dump({"shape": "a0", "vertices": list(range(0, count, 2))}, fh)
 
 
 def main(argv=None):
@@ -114,7 +136,7 @@ def main(argv=None):
     extra = ["synth", "two-cluster", "--subdivisions", "2", "--per-cluster", "3", "--seed", "6", "--out", "data/extra"]
     transcript = [run(cmd) for cmd in (steps[0], extra)]
     extend_inputs(out)
-    transcript += [run(cmd) for cmd in steps[1:] + landmarks() + many_shapes()]
+    transcript += [run(cmd) for cmd in steps[1:] + landmarks() + many_shapes() + sparse()]
     with open(os.path.join(out, "transcript.txt"), "w", encoding="utf-8") as fh:
         fh.write("".join(transcript))
     return 0

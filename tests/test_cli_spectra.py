@@ -321,6 +321,31 @@ def test_write_failure_keeps_the_shapes_old_record(tmp_path, chain_dir, monkeypa
     assert manifest_of(ws)["shapes"]["frame02"]["k"] == 9
 
 
+def test_a_source_edited_during_the_solves_is_recorded_as_it_was_parsed(tmp_path, chain_dir, monkeypatch, capsys):
+    """The mesh copy is the bytes that the shape's spectra were solved from,
+    not the source as it reads when the shape is recorded: a source edited
+    during the solves is recomputed by the next `spectra`, not up to date."""
+    ws, src = tmp_path / "ws", chain_dir / "frame00.off"
+    parsed = src.read_bytes()
+    solve_in_pool = cli._solve_in_pool
+
+    def edited_after_the_solves(*args):
+        results = solve_in_pool(*args)
+        mesh = load_mesh(src)
+        save_off(Mesh(2.0 * mesh.vertices, mesh.triangles, "frame00"), src)
+        return results
+
+    monkeypatch.setattr(cli, "_solve_in_pool", edited_after_the_solves)
+    spectra = ["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]
+    assert main(spectra) == 0
+    monkeypatch.undo()
+    assert (ws / manifest_of(ws)["shapes"]["frame00"]["mesh"]).read_bytes() == parsed
+    capsys.readouterr()
+    assert main(spectra) == 0
+    assert capsys.readouterr().out.strip() == "computed spectra for 1 shapes (k=8), 3 up to date"
+    assert (ws / manifest_of(ws)["shapes"]["frame00"]["mesh"]).read_bytes() == src.read_bytes() != parsed
+
+
 def test_a_new_shape_that_is_not_recorded_leaves_no_file(tmp_path, chain_dir, monkeypatch):
     ws = tmp_path / "ws"
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0

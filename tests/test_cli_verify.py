@@ -8,11 +8,13 @@ import gc
 import json
 import os
 import shutil
+import sys
 
 import pytest
+import scipy.sparse
 
 from helpers import hashed_during, parsed_during, tree_bytes, with_id
-from lskit import matio, meshes
+from lskit import matio, meshes, spectral
 from lskit.cli import main
 from lskit.meshes import Mesh, load_mesh, save_off
 from lskit.spectral import MetricMeasure, SpectralBasis
@@ -234,6 +236,57 @@ def test_align_with_an_extended_member_exits_1(built, ws, tmp_path, capsys):
     assert main(["ops", "align", "--partition", str(partition), "--workspace", str(ws)]) == 1
     assert capsys.readouterr().err == "error: shape 'x0' is not in the functional map network\n"
     assert tree_bytes(ws) == before
+
+
+def test_extend_records_the_mesh_bytes_that_it_solved(built, ws, tmp_path, monkeypatch):
+    x0 = tmp_path / "x0.off"
+    shutil.copyfile(built / "x0.off", x0)
+    parsed = x0.read_bytes()
+    compute_shape = spectral.compute_shape
+
+    def edited_after_the_solve(mesh, k):
+        basis = compute_shape(mesh, k)
+        save_off(Mesh(2.0 * mesh.vertices, mesh.triangles, mesh.shape_id), x0)
+        return basis
+
+    monkeypatch.setattr(spectral, "compute_shape", edited_after_the_solve)
+    assert main(["extend", "--mesh", str(x0), "--corr", str(built / "x0_corr.txt"), "--workspace", str(ws)]) == 0
+    assert (ws / manifest_of(ws)["shapes"]["x0"]["mesh"]).read_bytes() == parsed
+
+
+def test_only_a_solving_command_assembles_a_stiffness(built, ws, tmp_path, monkeypatch):
+    """`fmn`, `latent` and `ops mix` read each member's mass alone and
+    assemble no stiffness; `spectra` assembles one per shape that it solves,
+    in its workers, and `extend` one, for its new member. An assembly is a
+    call of `scipy.sparse.coo_matrix` from `lskit.spectral`, logged to a file
+    so that a forked worker's calls count."""
+    log = tmp_path / "assemblies"
+    log.write_text("")
+    coo_matrix = scipy.sparse.coo_matrix
+
+    def logged(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == spectral.__name__:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("stiffness\n")
+        return coo_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "coo_matrix", logged)
+
+    def assemblies(argv, workspace=ws):
+        before = log.read_text().count("\n")
+        assert main(argv + ["--workspace", str(workspace)]) == 0, argv
+        return log.read_text().count("\n") - before
+
+    for argv in (
+        ["fmn", "--topology", "clique", "--maps", "identity"],
+        ["latent", "--m", "10", "--kind", "both"],
+        ["ops", "mix", "a0", "b0", "--region", str(built / "region.json")],
+    ):
+        assert assemblies(argv) == 0, argv
+    assert assemblies(extend(built)) == 1
+    spectra, fresh = ["spectra", str(built / "meshes"), "--k", "16"], tmp_path / "fresh"
+    assert assemblies(spectra, fresh) == len(list((built / "meshes").glob("*.off")))
+    assert assemblies(spectra, fresh) == 0  # up to date
 
 
 def live_shapes():

@@ -100,6 +100,19 @@ def test_disconnected_mesh_warns():
         validate_mesh(verts, tris)
 
 
+def test_an_unreferenced_vertex_is_a_component_of_its_own():
+    v, t = icosphere(0)
+    with pytest.warns(MeshWarning, match="mesh 'loose' has 2 connected components"):
+        validate_mesh(np.vstack([v, [[5.0, 5.0, 5.0]]]), t, "loose")
+
+
+def test_a_mesh_without_triangles_has_a_component_per_vertex():
+    v, _ = icosphere(0)
+    with pytest.warns(MeshWarning, match=f"mesh 'points' has {len(v)} connected components"):
+        mesh = validate_mesh(v, np.empty((0, 3), dtype=np.int64), "points")
+    assert mesh.num_triangles == 0
+
+
 def test_obj_roundtrip(tmp_path):
     obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
     path = tmp_path / "tetra.obj"

@@ -18,8 +18,8 @@ from helpers import (
     total_area,
     unit_area_triangle,
 )
-from lskit.errors import RankDeficientMass, SpectralGapWarning
-from lskit.meshes import validate_mesh
+from lskit.errors import DegenerateGeometry, RankDeficientMass, SpectralGapWarning
+from lskit.meshes import Mesh, validate_mesh
 from lskit.spectral import (
     MetricMeasure,
     _lowest_eigenpairs,
@@ -55,6 +55,47 @@ def test_stiffness_symmetric(ico2):
     L = mm.stiffness
     asym = sparse.linalg.norm(L - L.T, "fro") / sparse.linalg.norm(L, "fro")
     assert asym <= 1e-12
+
+
+def reference_stiffness(mesh):
+    """The cotangent stiffness as `metric_measure` assembled it in one pass
+    with the mass: the reference for the assembly on first use."""
+    v, t, n = mesh.vertices, mesh.triangles, mesh.num_vertices
+    p = [v[t[:, i]] for i in range(3)]
+    edges = [p[2] - p[1], p[0] - p[2], p[1] - p[0]]
+    double_area = np.linalg.norm(np.cross(edges[0], -edges[2]), axis=1)
+    rows, cols, vals = [], [], []
+    for corner in range(3):
+        a, b = (corner + 1) % 3, (corner + 2) % 3
+        half_cot = 0.5 * (np.einsum("ij,ij->i", -edges[b], edges[a]) / double_area)
+        i, j = t[:, a], t[:, b]
+        rows += [i, j, i, j]
+        cols += [j, i, i, j]
+        vals += [-half_cot, -half_cot, half_cot, half_cot]
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+
+
+def test_stiffness_assembled_on_first_use_equals_the_reference_bit_for_bit():
+    mesh = bumpy_sphere(1, 2)
+    mm, want = metric_measure(mesh), reference_stiffness(mesh)
+    L = mm.stiffness
+    assert L.format == "csr" and L.shape == want.shape and mm.stiffness is L
+    for got, ref in ((L.data, want.data), (L.indices, want.indices), (L.indptr, want.indptr)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_a_non_finite_cotangent_fails_when_the_stiffness_is_read():
+    """The mass does not need the cotangents: a measure of a triangle with no
+    area (an unvalidated mesh) gives its mass, and fails when its stiffness
+    is assembled."""
+    v, t = icosphere(0)
+    mesh = Mesh(v, np.vstack([t, [[0, 1, 0]]]), "flat")
+    mm = metric_measure(mesh)
+    assert mm.num_vertices == len(v) and np.all(mm.mass_diag > 0)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DegenerateGeometry, match="non-finite cotangent"):
+        mm.stiffness
 
 
 def test_uniform_scaling_scales_mass_not_stiffness(ico2):
