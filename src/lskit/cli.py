@@ -191,6 +191,12 @@ def _read_partition(path):
     return variability.Partition(part["cluster_a"], part["cluster_b"]), pairing
 
 
+def _mesh_files(directory):
+    """The names of the mesh files in a directory, sorted: those whose
+    extension names a format that `load_mesh` parses."""
+    return sorted(f for f in os.listdir(directory) if os.path.splitext(f)[1].lower() in _PARSERS)
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -214,6 +220,12 @@ def cmd_synth(args):
     fam = make(**given)
     truth = ground_truth(fam)
     out = args.out
+    # `spectra` reads every mesh file in the directory: another family's would join this one
+    written = {f"{mesh.shape_id}.off" for mesh in fam.meshes}
+    other = [f for f in (_mesh_files(out) if os.path.isdir(out) else []) if f not in written]
+    if other:
+        return _fail(f"{out} holds mesh files that this family does not write: {', '.join(other)}; "
+                     "remove them or choose another --out")
     synth.write_family(fam.meshes, out, truth)
     pairs = synth.family_pairs(truth)
     synth.write_identity_correspondences(fam.meshes, pairs, os.path.join(out, "correspondences"))
@@ -366,7 +378,7 @@ def cmd_spectra(args):
     view = _View(args, "create")
     manifest = view.manifest
 
-    files = sorted(f for f in os.listdir(args.mesh_dir) if os.path.splitext(f)[1].lower() in _PARSERS)
+    files = _mesh_files(args.mesh_dir)
     if not files:
         return _fail(f"no mesh files in {args.mesh_dir}")
     named = {}
@@ -553,6 +565,15 @@ def cmd_latent(args):
 # variability
 
 
+def _field_text(values):
+    """A field file's text: one "<vertex> <value>" line a vertex, each value
+    its float's `repr`, formatted by one `%` call."""
+    items = [None] * (2 * len(values))
+    items[::2] = range(len(values))
+    items[1::2] = np.asarray(values, dtype=np.float64).tolist()
+    return "%d %r\n" * len(values) % tuple(items)
+
+
 def cmd_variability(args):
     if args.count < 1:
         return _usage_fail(f"--count must be at least 1, got {args.count}")
@@ -596,7 +617,7 @@ def cmd_variability(args):
         for sid in clb.order:
             raw, _ = variability.transfer_to_shape(funcs[0], shapes[sid], clb.Y[sid])
             txt = ws.path("fields", f"{args.mode}.{sid}.txt")
-            write_text(txt, "".join(f"{idx} {float(val)!r}\n" for idx, val in enumerate(raw)))
+            write_text(txt, _field_text(raw))
             bundle["shapes"][sid] = {
                 "field": os.path.relpath(txt, ws.root),
                 "max_abs": float(np.max(np.abs(raw))),

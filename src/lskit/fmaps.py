@@ -56,10 +56,14 @@ def load_correspondence(path, kind="full_bijection"):
     return Correspondence(pairs, kind)
 
 
+def correspondence_text(corr):
+    """The text of a correspondence file: one "<source> <target>" pair a line."""
+    return "%d %d\n" * len(corr.pairs) % tuple(corr.pairs.ravel().tolist())
+
+
 def save_correspondence(corr, path):
-    text = "".join(f"{s} {t}\n" for s, t in corr.pairs.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(correspondence_text(corr))
 
 
 @dataclass(frozen=True)

@@ -307,11 +307,14 @@ def load_mesh(path, data=None, shape_id=None):
 
 
 def save_off(mesh, path):
-    """Write a mesh as OFF with full float precision (round-trips exactly)."""
+    """Write a mesh as OFF with full float precision (round-trips exactly):
+    each coordinate is its float's `repr`, the shortest text that parses
+    back to the same float. Each block is formatted by one `%` call."""
+    verts = np.asarray(mesh.vertices, dtype=np.float64)
     text = "".join((
         f"OFF\n{mesh.num_vertices} {mesh.num_triangles} 0\n",
-        *(f"{x!r} {y!r} {z!r}\n" for x, y, z in np.asarray(mesh.vertices, dtype=np.float64).tolist()),
-        *(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
+        "%r %r %r\n" * len(verts) % tuple(verts.ravel().tolist()),
+        "3 %d %d %d\n" * len(mesh.triangles) % tuple(mesh.triangles.ravel().tolist()),
     ))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument
+from .fmaps import correspondence_text, identity_correspondence
 from .meshes import Mesh, save_off
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -23,8 +24,22 @@ def icosphere(subdivisions=3):
     """Unit icosphere: icosahedron with each face 4-split `subdivisions` times.
 
     Vertex counts follow V_{s+1} = V_s + E_s: 12, 42, 162, 642, ...
-    Deterministic vertex ordering (midpoint cache keyed by sorted edge).
+
+    Numbering: a level's new vertices follow the old ones, one per edge, in
+    the order in which the edges are first met when the faces are visited in
+    order, each face (a, b, c) by its sides (a, b), (b, c), (c, a). Face
+    (a, b, c), with midpoints ab, bc, ca, becomes (a, ab, ca), (b, bc, ab),
+    (c, ca, bc), (ab, bc, ca).
+
+    A midpoint is the sum of its edge's ends divided by its norm, and that
+    norm is sqrt of the row's dot product with itself, as `np.linalg.norm`
+    gives for one row. The whole level's norms go through a stacked
+    (1, 3) @ (3, 1) `np.matmul`, which takes the same dot product for each
+    row; `(m * m).sum(axis=1)`, `np.linalg.norm(m, axis=1)` and `einsum` sum
+    in another order and change the last bit of about one row in five.
     """
+    if subdivisions < 0:
+        raise InvalidArgument(f"subdivisions must be >= 0, got {subdivisions}")
     t = GOLDEN
     verts = np.array(
         [
@@ -35,31 +50,31 @@ def icosphere(subdivisions=3):
         dtype=np.float64,
     )
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [tuple(v) for v in verts]
+    faces = np.array(
+        [
+            (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+            (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+            (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+            (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+        ],
+        dtype=np.int64,
+    )
     for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                m = np.asarray(verts[i]) + np.asarray(verts[j])
-                m /= np.linalg.norm(m)
-                cache[key] = len(verts)
-                verts.append(tuple(m))
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64)
+        n = len(verts)
+        sides = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # (a, b), (b, c), (c, a) of each face in turn
+        lo, hi = sides.min(axis=1), sides.max(axis=1)
+        _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the unique edges in order of first visit
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ends = first[order]
+        mids = verts[lo[ends]] + verts[hi[ends]]
+        mids /= np.sqrt(np.matmul(mids[:, None, :], mids[:, :, None]))[:, 0]
+        verts = np.concatenate((verts, mids))
+        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.array([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]).transpose(2, 0, 1).reshape(-1, 3)
+    return verts, faces
 
 
 @dataclass(frozen=True)
@@ -327,16 +342,16 @@ def write_identity_correspondences(meshes, pairs, directory):
     """
     os.makedirs(directory, exist_ok=True)
     by_id = {m.shape_id: m for m in meshes}
-    lines = None
+    size = None
     for a, b in pairs:
         if by_id[a].num_vertices != by_id[b].num_vertices:
             raise InvalidArgument(f"shapes {a!r} and {b!r} do not share connectivity")
         n = by_id[a].num_vertices
-        if lines is None or len(lines) != n:
-            lines = "".join(f"{i} {i}\n" for i in range(n))
+        if n != size:
+            text, size = correspondence_text(identity_correspondence(n)), n
         for src, tgt in ((a, b), (b, a)):
             with open(os.path.join(directory, f"{src}__{tgt}.txt"), "w", encoding="utf-8") as fh:
-                fh.write(lines)
+                fh.write(text)
 
 
 def family_pairs(ground_truth):

@@ -1,11 +1,12 @@
-"""Run four fixed CLI pipelines with one lskit source tree, for a byte-identity
-check of two trees:
+"""Write a sphere-bump family and run four fixed CLI pipelines with one lskit
+source tree, for a byte-identity check of two trees:
 
     python tests/pipeline_bytes.py --src <before>/src --out /tmp/before
     python tests/pipeline_bytes.py --src src --out /tmp/after
     diff -r /tmp/before /tmp/after
 
-The pipelines:
+The sphere-bump family (subdivision 3, 642 vertices, defaults otherwise)
+goes to data/bump; no pipeline reads it. The pipelines:
   two-cluster  synth two-cluster (subdivision 2, 3 per cluster, seed 5), then
                19 commands: spectra, fmn, latent, variability, every ops
                action, extend with `auto` and a forced neighbour, an
@@ -134,7 +135,8 @@ def main(argv=None):
 
     steps = two_cluster()
     extra = ["synth", "two-cluster", "--subdivisions", "2", "--per-cluster", "3", "--seed", "6", "--out", "data/extra"]
-    transcript = [run(cmd) for cmd in (steps[0], extra)]
+    bump = ["synth", "sphere-bump", "--subdivisions", "3", "--out", "data/bump"]
+    transcript = [run(cmd) for cmd in (steps[0], extra, bump)]
     extend_inputs(out)
     transcript += [run(cmd) for cmd in steps[1:] + landmarks() + many_shapes() + sparse()]
     with open(os.path.join(out, "transcript.txt"), "w", encoding="utf-8") as fh:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import bumpy_sphere, listed_files, name_digest, tracked, tree_bytes, with_id
-from lskit import matio, opalg
+from lskit import matio, opalg, variability
 from lskit.cli import build_parser, main
 from lskit.latent import LatentDifference
 from lskit.matio import read_matrix, sha256_file
@@ -978,6 +978,56 @@ def test_synth_rejects_a_flag_its_family_does_not_take(tmp_path, capsys, family,
     assert main(["synth", family, "--out", str(out), "--seed", "3", *flags]) == 2
     assert f"usage error: synth {family} takes no {named}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["sphere-bump", "chain", "two-cluster"])
+def test_synth_refuses_negative_subdivisions(tmp_path, capsys, family):
+    out = tmp_path / "out"
+    assert main(["synth", family, "--out", str(out), "--subdivisions", "-1"]) == 1
+    assert capsys.readouterr().err == "error: subdivisions must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_synth_refuses_an_out_that_holds_another_familys_meshes(tmp_path, capsys):
+    """`spectra` reads every mesh file of a directory, so a smaller family
+    written over a larger one would be solved with the larger one's extra
+    members. `synth` refuses before it writes anything; the same family
+    written again is no conflict."""
+    out = tmp_path / "d"
+    chain = ["synth", "chain", "--out", str(out), "--subdivisions", "1"]
+    assert main([*chain, "--count", "6"]) == 0
+    (out / "scan.PLY").write_text("not read")
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main([*chain, "--count", "4"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out} holds mesh files that this family does not write: frame04.off, frame05.off, scan.PLY; "
+        "remove them or choose another --out\n")
+    assert tree_bytes(out) == before
+    (out / "scan.PLY").unlink()
+    del before["scan.PLY"]
+    assert main([*chain, "--count", "6"]) == 0
+    assert tree_bytes(out) == before
+
+
+def per_line_field(values):
+    """Field text as the per-line writer that `variability` used formatted it."""
+    return "".join(f"{idx} {float(val)!r}\n" for idx, val in enumerate(values))
+
+
+def test_a_field_file_is_the_per_line_text(workspace, monkeypatch):
+    """For the computed fields, and for values whose text is easy to get wrong."""
+    argv = ["variability", "--workspace", str(workspace), "--mode", "global", "--emit-fields"]
+    assert main(argv) == 0
+    for sid in ("a0", "a1", "b0", "b1"):
+        field = workspace / "fields" / f"global.{sid}.txt"
+        assert field.read_text() == per_line_field(np.loadtxt(field, usecols=1)), sid
+    odd = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, -1e-300, 1e22, *np.loadtxt(field, usecols=1)[6:]])
+    monkeypatch.setattr(variability, "transfer_to_shape", lambda *args: (odd, None))
+    assert main(argv) == 0
+    assert field.read_text() == per_line_field(odd)
+    monkeypatch.undo()
+    assert main(argv) == 0  # the module's workspace keeps its computed fields
 
 
 def backdate_tracked(ws):

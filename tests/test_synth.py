@@ -1,15 +1,19 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from helpers import grid_patch
-from lskit.meshes import load_mesh
+from lskit.errors import InvalidArgument
+from lskit.fmaps import Correspondence, save_correspondence
+from lskit.meshes import Mesh, load_mesh, save_off
 from lskit.synth import (
     FamilySpec,
     bump_region,
     chain_family,
     chain_ground_truth,
+    family_pairs,
     icosphere,
     perturbation_family,
     realize,
@@ -18,6 +22,7 @@ from lskit.synth import (
     two_cluster_family,
     two_cluster_ground_truth,
     write_family,
+    write_identity_correspondences,
 )
 
 
@@ -153,3 +158,99 @@ def test_ground_truth_documents():
     doc2 = two_cluster_ground_truth(two)
     assert doc2["pairing"] == [["a0", "b0"], ["a1", "b1"]]
     assert set(doc2["labels"]) == {"a0", "a1", "b0", "b1"}
+
+
+# sha256 of the vertex bytes and of the face bytes of icosphere(s), recorded
+# from the per-edge midpoint-cache subdivision that the vectorized one replaced
+ICOSPHERE_DIGESTS = {
+    0: ("25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
+        "3db7a1822c9b623934e2e4740412c5fbeb065c97b1d30344bad8fa21007c31dc"),
+    1: ("06c7f0252260d8fc7aee150c52687730f6e6b5155419da81ee280e48c7b5a6a0",
+        "e0cdbcb335bade58be14276c1a7faf8c7b2b9d10522ca0de92c2bd6db7443d1e"),
+    2: ("7de701b5e82e6ee7720d5b5c3cbaba8ceec2aa1e2f7901e80eea82c2254f27c0",
+        "b749ec47113ac6dd2fa5788272bee48303d83020354a7b3516876ae6685c404a"),
+    3: ("e30eeaa5b2391204db18ad30d68443f2573f17187b99a8a2149acb61dc3f8d88",
+        "52ba19c5cda73d335f2e29108333509a800acd29026ae2e6c65c32ec3dd5394b"),
+    4: ("0ad2d3b64249546dacbf5ec693366050a9b2b396f11f7b1786beda06a3a1b218",
+        "1d19353ebb1a280dd705a884e8db6ef144348417dd5324e62326249995dddb35"),
+    5: ("530009fc2d21f6622caac7c547696baca4ab1eb07a25eab7ae06dc0c6f9c9503",
+        "6bf33a7fc9429eef8639fd65852d853d10c4399075ba2e6a3789cf2ac7743fd9"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(ICOSPHERE_DIGESTS))
+def test_icosphere_bytes_are_pinned(sub):
+    v, t = icosphere(sub)
+    assert v.dtype == np.float64 and t.dtype == np.int64
+    assert v.flags.c_contiguous and t.flags.c_contiguous
+    digests = (hashlib.sha256(v.tobytes()).hexdigest(), hashlib.sha256(t.tobytes()).hexdigest())
+    assert digests == ICOSPHERE_DIGESTS[sub]
+
+
+def test_negative_subdivisions_are_refused():
+    with pytest.raises(InvalidArgument, match="subdivisions must be >= 0, got -1"):
+        icosphere(-1)
+    for make in (chain_family, two_cluster_family, sphere_bump_family):
+        with pytest.raises(InvalidArgument, match="got -2"):
+            make(subdivisions=-2)
+
+
+def per_line_off(mesh):
+    """OFF text as the per-line writer that `save_off` replaced formatted it."""
+    return "".join((
+        f"OFF\n{mesh.num_vertices} {mesh.num_triangles} 0\n",
+        *(f"{x!r} {y!r} {z!r}\n" for x, y, z in np.asarray(mesh.vertices, dtype=np.float64).tolist()),
+        *(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
+    ))
+
+
+def odd_floats_mesh():
+    """Coordinates whose text is easy to get wrong: a signed zero, the
+    smallest subnormal, a large power of ten and a sum with a long repr."""
+    verts = np.array([[-0.0, 5e-324, 1e16], [0.1 + 0.2, 1.0, -1e16], [0.0, -5e-324, 1e-300], [2.5, -0.0, 1e22]])
+    return Mesh(verts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]], dtype=np.int64), "odd")
+
+
+FAMILIES = {
+    "sphere-bump": lambda: sphere_bump_family(subdivisions=2).meshes,
+    "chain": lambda: chain_family(4, subdivisions=2).meshes,
+    "two-cluster": lambda: two_cluster_family(n_per_cluster=2, subdivisions=2, seed=4).meshes,
+    "perturbation": lambda: perturbation_family(count=3, subdivisions=2).meshes,
+    "odd-floats": lambda: [odd_floats_mesh()],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_save_off_writes_the_bytes_of_the_per_line_writer(tmp_path, family):
+    for mesh in FAMILIES[family]():
+        path = tmp_path / f"{mesh.shape_id}.off"
+        save_off(mesh, path)
+        assert path.read_bytes() == per_line_off(mesh).encode("utf-8")
+        np.testing.assert_array_equal(load_mesh(path).vertices, mesh.vertices)
+
+
+def per_line_identity(n):
+    return "".join(f"{i} {i}\n" for i in range(n))
+
+
+def test_correspondence_writers_write_the_bytes_of_the_per_line_writer(tmp_path):
+    pairs = np.stack([np.arange(50), np.random.default_rng(3).permutation(50)], axis=1)
+    save_correspondence(Correspondence(pairs), tmp_path / "perm.txt")
+    assert (tmp_path / "perm.txt").read_text() == "".join(f"{s} {t}\n" for s, t in pairs.tolist())
+    for fam, truth in ((sphere_bump_family(subdivisions=1), sphere_bump_ground_truth),
+                       (chain_family(4, subdivisions=2), chain_ground_truth),
+                       (two_cluster_family(n_per_cluster=2, subdivisions=1), two_cluster_ground_truth)):
+        out = tmp_path / truth.__name__
+        write_identity_correspondences(fam.meshes, family_pairs(truth(fam)), out)
+        assert len(list(out.iterdir())) == 2 * len(family_pairs(truth(fam)))
+        for path in out.iterdir():
+            assert path.read_text() == per_line_identity(fam.meshes[0].num_vertices), path.name
+
+
+def test_identity_correspondences_of_members_of_two_sizes(tmp_path):
+    small, large = sphere_bump_family(subdivisions=1).meshes, chain_family(3, subdivisions=2).meshes
+    write_identity_correspondences(small + large, [("a0", "a1"), ("frame00", "frame01"), ("b0", "b1")], tmp_path)
+    assert len(list(tmp_path.iterdir())) == 6
+    assert (tmp_path / "a1__a0.txt").read_text() == per_line_identity(42)
+    assert (tmp_path / "frame01__frame00.txt").read_text() == per_line_identity(162)
+    assert (tmp_path / "b0__b1.txt").read_text() == per_line_identity(42)
