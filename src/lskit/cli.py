@@ -20,9 +20,9 @@ import numpy as np
 
 from . import fmaps, latent as latent_mod, network, opalg, spectral, synth, variability
 from .errors import LskitError, ManifestError, UnknownShape
-from .matio import DIRECTORIES, STAGES, Workspace, digest, drop_after, listed, read_matrix, read_vector, sha256_file
+from .matio import DIRECTORIES, STAGES, Workspace, drop_after, listed, read_matrix, read_vector, sha256_file
 from .matio import write_json, write_matrix, write_text
-from .meshes import _PARSERS, load_mesh
+from .meshes import _PARSERS, COPY_EXT, copy_bytes, load_mesh
 from .spectral import SpectralBasis, metric_measure
 
 
@@ -98,8 +98,9 @@ class _View:
         return self._member("spectra", sid, build)
 
     def shape(self, sid):
-        """`spectra(sid)` with the member's mass, from its mesh copy, for the
-        commands that use the mass. Neither the mesh nor its stiffness is kept."""
+        """`spectra(sid)` with the member's mass, from its mesh copy (the binary
+        mesh that its spectra were solved from, read with no text parse), for
+        the commands that use the mass. Neither the mesh nor its stiffness is kept."""
         def build(entry):
             mass = metric_measure(load_mesh(*self.ws.verified(entry["mesh"]), shape_id=sid)).mass_diag
             return dataclasses.replace(self.spectra(sid), mass=mass)
@@ -142,13 +143,9 @@ class _View:
             for sid in (files if ids is None else files.keys() & ids)
         }
 
-    def record_shape(self, sid, src, data, record):
-        """Copy `data`, the bytes of mesh file `src` that a shape's spectra
-        were solved from, into meshes/, and record it with the spectra that
-        `_write_spectra` wrote: a source edited since is not recorded with the
-        spectra of its earlier bytes."""
-        rel_mesh = self.ws.write_tracked(os.path.join("meshes", os.path.basename(src)), data)
-        self.record("shapes")[sid] = {"mesh": rel_mesh, **record}
+    def record_shape(self, sid, record):
+        """Record a shape whose files `_write_shape` wrote."""
+        self.record("shapes")[sid] = record
 
     def save(self):
         """Save the manifest, then delete the files in the stage directories
@@ -240,14 +237,16 @@ def cmd_synth(args):
 # spectra
 
 
-def _write_spectra(ws: Workspace, basis: SpectralBasis):
-    """Write the spectra files of a shape's basis. Returns the fields of its
-    manifest record that they determine."""
+def _write_shape(ws: Workspace, src, data, mesh, basis: SpectralBasis):
+    """Write a shape's spectra and its mesh copy, the binary mesh that they were
+    solved from. Returns its manifest record, whose `source` is the sha256 of
+    `data`, the bytes of `src` parsed: a source edited since is not up to date."""
     files = {
         name: ws.write_tracked_matrix(os.path.join("spectra", f"{basis.shape_id}.{name}.lsk"), arr)
         for name, arr in (("phi", basis.eigenvectors), ("lam", basis.eigenvalues))
     }
-    return {"k": basis.k, "files": files}
+    rel_mesh = ws.write_tracked(os.path.join("meshes", basis.shape_id + COPY_EXT), copy_bytes(mesh))
+    return {"mesh": rel_mesh, "source": sha256_file(src, data), "k": basis.k, "files": files}
 
 
 def _read_mesh(path, shape_id=None):
@@ -255,21 +254,6 @@ def _read_mesh(path, shape_id=None):
     with open(path, "rb") as fh:
         data = fh.read()
     return data, load_mesh(path, data, shape_id=shape_id)
-
-
-def _parsed_path(ws: Workspace, sid):
-    """The file in which a pool worker hands `spectra` the mesh bytes that it
-    parsed: in spectra/, so a save removes one that was not taken."""
-    return ws.path("spectra", f".{sid}.parsed")
-
-
-def _take_parsed(ws: Workspace, sid):
-    """The mesh bytes that the worker of shape `sid` parsed; the file goes."""
-    path = _parsed_path(ws, sid)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    os.remove(path)
-    return data
 
 
 # OpenBLAS thread-count setters: the plain build's, and the prefixed ones of
@@ -327,13 +311,10 @@ def _one_blas_thread():
 
 def _solve_shape(root, sid, src, k):
     """Pool worker: read a mesh source once, parse it, solve its spectra and
-    write them, then leave the bytes parsed in `_parsed_path` for the caller
-    to copy: in a file, since bytes returned through the pool raised the
-    caller's peak memory by more than their size. Returns (record, None,
-    warnings) or, when the mesh fails before anything is written, (None,
-    message, warnings); each warning caught is (category, message, filename,
-    lineno). The record names the files written, and each name carries its
-    file's digest."""
+    write the shape's files (`_write_shape`). Returns (record, None, warnings)
+    or, when the mesh fails before anything is written, (None, message,
+    warnings); each warning caught is (category, message, filename, lineno).
+    The record names the files written, each name carrying its file's digest."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the parent's filters decide when it re-emits them
         try:
@@ -342,10 +323,7 @@ def _solve_shape(root, sid, src, k):
         except (LskitError, OSError) as exc:
             record, error = None, str(exc)
         else:
-            ws = Workspace(root)
-            record, error = _write_spectra(ws, basis), None
-            with open(_parsed_path(ws, sid), "wb") as fh:
-                fh.write(data)
+            record, error = _write_shape(Workspace(root), src, data, mesh, basis), None
     return record, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
@@ -391,7 +369,7 @@ def cmd_spectra(args):
     for sid, fname in named.items():
         src = os.path.join(args.mesh_dir, fname)
         entry = manifest["shapes"].get(sid)
-        if entry and digest(entry["mesh"]) == sha256_file(src) and entry["k"] == args.k:
+        if entry and entry["k"] == args.k and entry["source"] == sha256_file(src):
             for rel in (entry["mesh"], *entry["files"].values()):  # up to date: it keeps these files
                 view.ws.verified(rel)
             continue
@@ -410,8 +388,8 @@ def cmd_spectra(args):
             else:
                 record, error, shape_warnings = result
                 caught += shape_warnings
-                if error is None:  # copy the mesh only once its spectra are written
-                    view.record_shape(sid, src, _take_parsed(view.ws, sid), record)
+                if error is None:
+                    view.record_shape(sid, record)
                     changed += 1
             if error is not None:
                 failures += 1
@@ -745,7 +723,7 @@ def cmd_extend(args):
         print(f"neighbor chosen by shape-DNA: {neighbor}")
 
     sid = mesh.shape_id
-    view.record_shape(sid, args.mesh, data, _write_spectra(ws, new_shape))
+    view.record_shape(sid, _write_shape(ws, args.mesh, data, mesh, new_shape))
     y_rel = ws.write_tracked_matrix(os.path.join("latent", f"Y.{sid}.lsk"), Y_new)
     diff_rels = {
         kind: ws.write_tracked_matrix(os.path.join("diffs", f"{sid}.{kind}.lsk"), D.matrix)

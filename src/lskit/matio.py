@@ -126,7 +126,7 @@ def sha256_file(path, data=None):
 # name of a tracked file in that directory.
 Maybe = collections.namedtuple("Maybe", "value")
 STAGES = {
-    "shapes": {str: {"mesh": "meshes", "k": int, "files": {"phi": "spectra", "lam": "spectra"}}},
+    "shapes": {str: {"mesh": "meshes", "source": str, "k": int, "files": {"phi": "spectra", "lam": "spectra"}}},
     "fmn": {"topology": str, "maps": str, "nodes": [str], "edges": [(str, str, "maps")],
             "landmark_weight": Maybe(float)},  # under --maps landmarks
     "latent": {"m": int, "consistency_residual": float, "Y": {str: "latent"}, "lambda0": "latent",

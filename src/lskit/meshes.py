@@ -2,10 +2,15 @@
 
 All loaders return a validated :class:`Mesh`: indices in range, no zero-area
 triangles, manifold edges. Connectivity is checked and reported as a
-:class:`~lskit.errors.MeshWarning` rather than an error.
+:class:`~lskit.errors.MeshWarning` rather than an error. A workspace keeps
+each member's mesh as a binary copy (`copy_bytes`, extension `COPY_EXT`):
+the validated arrays that its spectra were solved from, which `load_mesh`
+reads back without a text parse. A copy is not a source format, so
+`_PARSERS` leaves it out.
 """
 
 import os
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,6 +21,9 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DegenerateGeometry, IndexOutOfRange, MeshWarning, NonManifoldMesh, ParseError
 
 AREA_EPS = 1e-14
+COPY_EXT = ".lskmesh"
+_COPY_HEADER = struct.Struct("<8sQQ")  # magic, vertex count, triangle count; then <f8 vertices, <i8 triangles
+_COPY_MAGIC = b"LSKMSH01"
 
 
 @dataclass(frozen=True)
@@ -274,12 +282,24 @@ def _parse_ply(text):
     return verts, tris
 
 
+def _read_copy(data):
+    """The vertices and triangles of a mesh copy's bytes, each a writable array of its own, as the parsers give."""
+    if len(data) < _COPY_HEADER.size or data[:8] != _COPY_MAGIC:
+        raise ValueError(f"not a mesh copy: bad magic {data[:8]!r}")
+    _, nv, nt = _COPY_HEADER.unpack_from(data)
+    if len(data) != _COPY_HEADER.size + 24 * (nv + nt):
+        raise ValueError(f"payload is {len(data) - _COPY_HEADER.size} bytes, expected {24 * (nv + nt)}")
+    verts = np.frombuffer(data, "<f8", 3 * nv, _COPY_HEADER.size)
+    tris = np.frombuffer(data, "<i8", 3 * nt, _COPY_HEADER.size + 24 * nv)
+    return verts.reshape(nv, 3).copy(), tris.reshape(nt, 3).copy()
+
+
 _PARSERS = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply}
 
 
 def load_mesh(path, data=None, shape_id=None):
-    """Load and validate a mesh from OFF, OBJ or ASCII-PLY; the file's
-    extension names the format.
+    """Load and validate a mesh from OFF, OBJ or ASCII-PLY, or from a binary
+    mesh copy (`COPY_EXT`); the file's extension names the format.
 
     Parameters
     ----------
@@ -292,13 +312,13 @@ def load_mesh(path, data=None, shape_id=None):
     """
     path = os.fspath(path)
     ext = os.path.splitext(path)[1].lower()
-    if ext not in _PARSERS:
+    if ext not in _PARSERS and ext != COPY_EXT:
         raise ParseError(f"cannot infer mesh format from extension {ext!r}")
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
     try:  # text that is not UTF-8 is bad input too
-        verts, tris = _PARSERS[ext](data.decode("utf-8"))
+        verts, tris = _read_copy(data) if ext == COPY_EXT else _PARSERS[ext](data.decode("utf-8"))
     except (ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if shape_id is None:
@@ -318,3 +338,14 @@ def save_off(mesh, path):
     ))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def copy_bytes(mesh):
+    """The bytes of a mesh's binary copy (`COPY_EXT`): a header, then the
+    vertices as <f8 and the triangles as <i8, row-major; `load_mesh` reads
+    them back bit for bit."""
+    return b"".join((
+        _COPY_HEADER.pack(_COPY_MAGIC, mesh.num_vertices, mesh.num_triangles),
+        np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes(),
+        np.ascontiguousarray(mesh.triangles, dtype="<i8").tobytes(),
+    ))

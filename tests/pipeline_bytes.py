@@ -18,7 +18,11 @@ goes to data/bump; no pipeline reads it. The pipelines:
   sparse       synth two-cluster (subdivision 4: 2562 vertices, 2 per
                cluster, seed 5) at k=49: the shift-invert spectra path, then
                correspondence maps, latent, cross variability, ops mix and
-               ops align.
+               ops align;
+  formats      the two-cluster pipeline's meshes re-saved as OBJ (data/obj)
+               and as ASCII PLY (data/ply), each through spectra, fmn, latent
+               and ops mix, so the workspaces hold mesh copies parsed from
+               every source format.
 
 Each command runs in its own `python -m lskit` process from `--out`, so the
 data and workspaces hold relative paths. `--out` ends up with the inputs, the
@@ -103,6 +107,34 @@ def sparse(ws="ws_sparse"):
     ]
 
 
+def formats(out):
+    """Re-save the meshes of data/pairs as OBJ in data/obj and as ASCII PLY in
+    data/ply, with the OFF files' coordinate text, and return the commands
+    that build a workspace on each."""
+    pairs = os.path.join(out, "data", "pairs")
+    for fmt in ("obj", "ply"):
+        os.makedirs(os.path.join(out, "data", fmt))
+    for name in sorted(f for f in os.listdir(pairs) if f.endswith(".off")):
+        with open(os.path.join(pairs, name), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        nv, nf = map(int, lines[1].split()[:2])
+        verts, faces = lines[2 : 2 + nv], [line.split()[1:] for line in lines[2 + nv : 2 + nv + nf]]
+        stem = os.path.join(out, "data", "{}", name[:-4] + ".{}")
+        with open(stem.format("obj", "obj"), "w", encoding="utf-8") as fh:
+            fh.write("".join([*(f"v {v}\n" for v in verts),
+                              *(f"f {' '.join(str(int(i) + 1) for i in f)}\n" for f in faces)]))
+        header = ["ply", "format ascii 1.0", f"element vertex {nv}", "property double x", "property double y",
+                  "property double z", f"element face {nf}", "property list uchar int vertex_indices", "end_header"]
+        with open(stem.format("ply", "ply"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join([*header, *verts, *(f"3 {' '.join(f)}" for f in faces)]) + "\n")
+    return [cmd for fmt in ("obj", "ply") for cmd in (
+        ["spectra", f"data/{fmt}", "--workspace", f"ws_{fmt}", "--k", "20"],
+        ["fmn", "--workspace", f"ws_{fmt}", "--topology", "clique", "--maps", "identity"],
+        ["latent", "--workspace", f"ws_{fmt}", "--m", "10"],
+        ["ops", "mix", "a0", "b0", "--region", "data/region.json", "--workspace", f"ws_{fmt}"],
+    )]
+
+
 def extend_inputs(out):
     """`extend`'s inputs: x0 and x1, members a0 and a1 of the seed-6 family,
     with their identity correspondence; and `ops mix`'s regions on a0, every
@@ -138,7 +170,7 @@ def main(argv=None):
     bump = ["synth", "sphere-bump", "--subdivisions", "3", "--out", "data/bump"]
     transcript = [run(cmd) for cmd in (steps[0], extra, bump)]
     extend_inputs(out)
-    transcript += [run(cmd) for cmd in steps[1:] + landmarks() + many_shapes() + sparse()]
+    transcript += [run(cmd) for cmd in steps[1:] + landmarks() + many_shapes() + sparse() + formats(out)]
     with open(os.path.join(out, "transcript.txt"), "w", encoding="utf-8") as fh:
         fh.write("".join(transcript))
     return 0

@@ -931,6 +931,53 @@ def test_a_workspace_in_an_earlier_layout_is_refused(earlier_layout, tmp_path, c
     assert tree_bytes(ws) == before
 
 
+@pytest.fixture(scope="module")
+def text_copy_layout(tmp_path_factory):
+    """A four-shape workspace through `latent`, rewritten to the layout in
+    which a shape's mesh copy was its source's text and its record held no
+    `source`. Returns the mesh directory and the workspace."""
+    root = tmp_path_factory.mktemp("text-copy")
+    fam_dir, ws = root / "meshes", root / "ws"
+    fam = two_cluster_family(n_per_cluster=2, subdivisions=1)
+    write_family(fam.meshes, fam_dir, two_cluster_ground_truth(fam))
+    for argv in (["spectra", str(fam_dir), "--k", "10"], ["fmn", "--topology", "clique", "--maps", "identity"],
+                 ["latent", "--m", "6"]):
+        assert main(argv + ["--workspace", str(ws)]) == 0
+    manifest = manifest_of(ws)
+    for sid, entry in manifest["shapes"].items():
+        text = (fam_dir / f"{sid}.off").read_bytes()
+        (ws / entry.pop("mesh")).unlink()
+        entry["mesh"] = f"meshes/{sid}.{hashlib.sha256(text).hexdigest()}.off"
+        (ws / entry["mesh"]).write_bytes(text)
+        del entry["source"]
+    (ws / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    return fam_dir, ws
+
+
+@pytest.mark.parametrize("command", ["spectra", "fmn", "latent", "extend", "mix", "align"])
+def test_a_workspace_with_text_mesh_copies_is_refused(text_copy_layout, tmp_path, capsys, command):
+    """Every command that reads the shape records refuses the layout before
+    its mesh copies became binary; README says to rebuild it with `spectra`."""
+    fam_dir, ws = text_copy_layout
+    region, x0, corr = tmp_path / "region.json", tmp_path / "x0.off", tmp_path / "corr.txt"
+    region.write_text(json.dumps({"shape": "a0", "vertices": [0, 1, 2]}))
+    save_off(with_id(two_cluster_family(n_per_cluster=2, subdivisions=1, seed=4).meshes[0], "x0"), x0)
+    corr.write_text("".join(f"{i} {i}\n" for i in range(42)))
+    argv = {
+        "spectra": ["spectra", str(fam_dir), "--k", "10"],  # every shape up to date at the earlier layout
+        "fmn": ["fmn", "--topology", "clique", "--maps", "identity"],
+        "latent": ["latent", "--m", "6"],
+        "extend": ["extend", "--mesh", str(x0), "--corr", str(corr)],
+        "mix": ["ops", "mix", "a0", "b0", "--region", str(region)],
+        "align": ["ops", "align", "--partition", str(fam_dir / "ground_truth.json")],
+    }[command]
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(argv + ["--workspace", str(ws)]) == 1
+    assert capsys.readouterr().err == "error: manifest.json: shapes.a0: missing 'source'\n"
+    assert tree_bytes(ws) == before
+
+
 @pytest.mark.parametrize("doc, problem", [
     (b"[]", " is not an object holding a 'shapes' object"),
     (b'"lskit"', " is not an object holding a 'shapes' object"),

@@ -4,17 +4,19 @@ that must leave the workspace usable."""
 
 import concurrent.futures
 import ctypes
+import hashlib
 import json
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from helpers import bumpy_sphere, listed_files, tracked, tree_bytes, with_id
 from lskit import cli, matio, spectral
 from lskit.cli import main
 from lskit.errors import SpectralGapWarning
-from lskit.meshes import Mesh, load_mesh, save_off
+from lskit.meshes import COPY_EXT, Mesh, load_mesh, save_off
 from lskit.synth import chain_family, sphere_bump_family, two_cluster_family, two_cluster_ground_truth, write_family
 
 
@@ -244,7 +246,7 @@ def test_failing_mesh_leaves_the_workspace_usable(tmp_path, chain_dir, capsys):
     ws = tmp_path / "ws"
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
     before = manifest_of(ws)["shapes"]["frame01"]
-    copy = (ws / tracked(ws, "meshes/frame01.off")).read_bytes()
+    copy = (ws / tracked(ws, "meshes/frame01" + COPY_EXT)).read_bytes()
     good = (chain_dir / "frame01.off").read_bytes()
     zero_area = "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n"
     (chain_dir / "frame01.off").write_text(zero_area)  # a changed mesh that fails
@@ -255,7 +257,7 @@ def test_failing_mesh_leaves_the_workspace_usable(tmp_path, chain_dir, capsys):
     manifest = manifest_of(ws)
     assert manifest["shapes"]["frame01"] == before
     assert sorted(manifest["shapes"]) == ["frame00", "frame01", "frame02", "frame03"]
-    assert (ws / tracked(ws, "meshes/frame01.off")).read_bytes() == copy
+    assert (ws / tracked(ws, "meshes/frame01" + COPY_EXT)).read_bytes() == copy
     assert not list((ws / "meshes").glob("new.*"))
     assert main(["fmn", "--workspace", str(ws), "--topology", "chain", "--maps", "identity"]) == 0
     assert "error: frame01.off:" in err and "error: new.off:" in err
@@ -266,6 +268,22 @@ def test_failing_mesh_leaves_the_workspace_usable(tmp_path, chain_dir, capsys):
     assert main(["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]) == 0
     assert capsys.readouterr().out.strip() == "up to date (4 shapes)"
     assert not multiprocessing.active_children()
+
+
+def test_a_mesh_copy_is_not_a_source(tmp_path, chain_dir, capsys):
+    ws = tmp_path / "ws"
+    spectra = ["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]
+    assert main(spectra) == 0
+    copy = ws / manifest_of(ws)["shapes"]["frame00"]["mesh"]
+    (chain_dir / copy.name).write_bytes(copy.read_bytes())
+    (chain_dir / ("zz" + COPY_EXT)).write_bytes(copy.read_bytes())
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(spectra) == 0
+    assert capsys.readouterr().out.strip() == "up to date (4 shapes)"
+    assert tree_bytes(ws) == before
+    assert main(["spectra", str(ws / "meshes"), "--workspace", str(tmp_path / "other"), "--k", "8"]) == 1
+    assert capsys.readouterr().err == f"error: no mesh files in {ws / 'meshes'}\n"
 
 
 def test_k_beyond_a_shape_fails_only_that_shape(tmp_path, capsys):
@@ -322,28 +340,37 @@ def test_write_failure_keeps_the_shapes_old_record(tmp_path, chain_dir, monkeypa
 
 
 def test_a_source_edited_during_the_solves_is_recorded_as_it_was_parsed(tmp_path, chain_dir, monkeypatch, capsys):
-    """The mesh copy is the bytes that the shape's spectra were solved from,
-    not the source as it reads when the shape is recorded: a source edited
-    during the solves is recomputed by the next `spectra`, not up to date."""
+    """The mesh copy is the mesh that the shape's spectra were solved from,
+    and `source` the sha256 of the bytes it was parsed from, not of the
+    source as it reads once the solve is done: a source edited during the
+    solves is recomputed by the next `spectra`, not up to date."""
     ws, src = tmp_path / "ws", chain_dir / "frame00.off"
     parsed = src.read_bytes()
-    solve_in_pool = cli._solve_in_pool
+    compute_shape = spectral.compute_shape
 
-    def edited_after_the_solves(*args):
-        results = solve_in_pool(*args)
-        mesh = load_mesh(src)
-        save_off(Mesh(2.0 * mesh.vertices, mesh.triangles, "frame00"), src)
-        return results
+    def edited_after_the_solve(mesh, k):  # in the worker, which inherits it
+        basis = compute_shape(mesh, k)
+        if mesh.shape_id == "frame00":
+            save_off(Mesh(2.0 * mesh.vertices, mesh.triangles, "frame00"), src)
+        return basis
 
-    monkeypatch.setattr(cli, "_solve_in_pool", edited_after_the_solves)
+    def recorded(ws):
+        entry = manifest_of(ws)["shapes"]["frame00"]
+        return entry["source"], load_mesh(ws / entry["mesh"])
+
+    monkeypatch.setattr(spectral, "compute_shape", edited_after_the_solve)
     spectra = ["spectra", str(chain_dir), "--workspace", str(ws), "--k", "8"]
     assert main(spectra) == 0
     monkeypatch.undo()
-    assert (ws / manifest_of(ws)["shapes"]["frame00"]["mesh"]).read_bytes() == parsed
+    source, copy = recorded(ws)
+    assert source == hashlib.sha256(parsed).hexdigest() != hashlib.sha256(src.read_bytes()).hexdigest()
+    assert np.array_equal(copy.vertices, load_mesh(src, parsed).vertices)
     capsys.readouterr()
     assert main(spectra) == 0
     assert capsys.readouterr().out.strip() == "computed spectra for 1 shapes (k=8), 3 up to date"
-    assert (ws / manifest_of(ws)["shapes"]["frame00"]["mesh"]).read_bytes() == src.read_bytes() != parsed
+    source, copy = recorded(ws)
+    assert source == hashlib.sha256(src.read_bytes()).hexdigest()
+    assert np.array_equal(copy.vertices, load_mesh(src).vertices)
 
 
 def test_a_new_shape_that_is_not_recorded_leaves_no_file(tmp_path, chain_dir, monkeypatch):
@@ -414,8 +441,9 @@ def test_two_meshes_of_one_shape_fail_before_any_solve(tmp_path, chain_dir, monk
 def inject(fault, monkeypatch, sid):
     """Make the next `spectra` fail at shape `sid`, after the workers wrote
     every shape's files: interrupted as it records `sid`, once the shapes
-    before it are recorded ("interrupt"), or its mesh copy's write fails
-    ("copy-fails"). Returns what the command then raises, or its exit code."""
+    before it are recorded ("interrupt"), or its mesh copy's write in its
+    worker fails ("copy-fails"). Returns what the command then raises, or its
+    exit code."""
     if fault == "interrupt":
         record_shape = cli._View.record_shape
 
@@ -429,7 +457,7 @@ def inject(fault, monkeypatch, sid):
     atomic_write = matio._atomic_write
 
     def failing(path, data):
-        if os.path.basename(path).startswith(f"{sid}.") and path.endswith(".off"):
+        if os.path.basename(path).startswith(f"{sid}.") and path.endswith(COPY_EXT):
             raise OSError("disk full")
         return atomic_write(path, data)
 
@@ -454,19 +482,22 @@ def test_interrupted_spectra_leaves_a_usable_workspace(tmp_path, chain_dir, monk
         assert "disk full" in capsys.readouterr().err
     monkeypatch.undo()
     manifest = manifest_of(tmp_path / "ws")
-    # the shapes not recorded keep their old records
+    # the shapes not recorded keep their old records: an interrupt stops the
+    # recording, while a failed copy fails only its own shape
+    kept = ("frame01", "frame02", "frame03") if fault == "interrupt" else ("frame01",)
     assert {sid: entry["k"] for sid, entry in manifest["shapes"].items()} == {
-        "frame00": 10, "frame01": 8, "frame02": 8, "frame03": 8,
+        sid: 8 if sid in kept else 10 for sid in ("frame00", "frame01", "frame02", "frame03")
     }
-    assert all(manifest["shapes"][sid] == before[sid] for sid in ("frame01", "frame02", "frame03"))
+    assert all(manifest["shapes"][sid] == before[sid] for sid in kept)
     assert not {"fmn", "latent", "diffs"} & set(manifest)
     listed, on_disk = listed_and_on_disk(tmp_path / "ws")
     assert listed == on_disk  # the maps, and the files written for the shapes not recorded, are gone
     capsys.readouterr()
     assert main(["spectra", str(chain_dir), "--workspace", ws, "--k", "10"]) == 0, capsys.readouterr().err
-    assert capsys.readouterr().out.strip() == "computed spectra for 3 shapes (k=10), 1 up to date"
-    copy = tmp_path / "ws" / tracked(tmp_path / "ws", "meshes/frame01.off")
-    assert copy.read_bytes() == (chain_dir / "frame01.off").read_bytes()
+    assert capsys.readouterr().out.strip() == f"computed spectra for {len(kept)} shapes (k=10), {4 - len(kept)} up to date"
+    entry = manifest_of(tmp_path / "ws")["shapes"]["frame01"]
+    assert entry["source"] == hashlib.sha256((chain_dir / "frame01.off").read_bytes()).hexdigest()
+    assert np.array_equal(load_mesh(tmp_path / "ws" / entry["mesh"]).vertices, load_mesh(chain_dir / "frame01.off").vertices)
     assert main(["fmn", "--workspace", ws, "--topology", "chain", "--maps", "identity"]) == 0
 
 

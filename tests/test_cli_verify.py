@@ -5,18 +5,20 @@ it, before any parse, and a file that a command does not read cannot fail it."""
 import builtins
 import collections
 import gc
+import hashlib
 import json
 import os
 import shutil
 import sys
 
+import numpy as np
 import pytest
 import scipy.sparse
 
 from helpers import hashed_during, parsed_during, tree_bytes, with_id
 from lskit import matio, meshes, spectral
 from lskit.cli import main
-from lskit.meshes import Mesh, load_mesh, save_off
+from lskit.meshes import COPY_EXT, Mesh, load_mesh, save_off
 from lskit.spectral import MetricMeasure, SpectralBasis
 from lskit.synth import sphere_bump_family, sphere_bump_ground_truth, write_family
 
@@ -87,6 +89,28 @@ def test_a_bad_tracked_file_fails_the_command_that_reads_it(built, ws, victim, f
     err = capsys.readouterr().err
     assert ("hash mismatch" if fault == "damaged" else "missing artifact") in err and path.name in err
     assert manifest_of(ws) == before
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda data: b"OFF\n" + data[4:], "not a mesh copy: bad magic b'OFF\\n"),
+    (lambda data: data[:-24], "payload is "),
+], ids=["magic", "payload-length"])
+def test_a_well_named_copy_that_is_no_mesh_copy_fails_as_a_parse_error(built, ws, capsys, change, problem):
+    """A mesh copy whose name carries its digest but whose bytes are not a
+    binary mesh fails the command that reads it, with exit 1 and one line."""
+    manifest = manifest_of(ws)
+    entry = manifest["shapes"]["a0"]
+    data = change((ws / entry["mesh"]).read_bytes())
+    (ws / entry["mesh"]).unlink()
+    entry["mesh"] = f"meshes/a0.{hashlib.sha256(data).hexdigest()}{COPY_EXT}"
+    (ws / entry["mesh"]).write_bytes(data)
+    (ws / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["fmn", "--topology", "clique", "--maps", "identity", "--workspace", str(ws)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {ws / entry['mesh']}: {problem}"), line
+    assert tree_bytes(ws) == before
 
 
 def test_a_cache_hit_spectra_verifies_the_files_it_keeps(built, ws, capsys):
@@ -251,7 +275,10 @@ def test_extend_records_the_mesh_bytes_that_it_solved(built, ws, tmp_path, monke
 
     monkeypatch.setattr(spectral, "compute_shape", edited_after_the_solve)
     assert main(["extend", "--mesh", str(x0), "--corr", str(built / "x0_corr.txt"), "--workspace", str(ws)]) == 0
-    assert (ws / manifest_of(ws)["shapes"]["x0"]["mesh"]).read_bytes() == parsed
+    entry = manifest_of(ws)["shapes"]["x0"]
+    assert entry["source"] == hashlib.sha256(parsed).hexdigest() != hashlib.sha256(x0.read_bytes()).hexdigest()
+    copy, solved = load_mesh(ws / entry["mesh"]), load_mesh(x0, parsed)
+    assert np.array_equal(copy.vertices, solved.vertices) and np.array_equal(copy.triangles, solved.triangles)
 
 
 def test_only_a_solving_command_assembles_a_stiffness(built, ws, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from pipeline_bytes import extend_inputs, landmarks, two_cluster
 
 STAGE_DIRECTORIES = ("meshes", "spectra", "maps", "latent", "diffs")
 KEYS = {  # the keys of the stage records, and of the records inside them, that README describes
-    "mesh", "k", "files", "phi", "lam",  # a shape
+    "mesh", "source", "k", "files", "phi", "lam",  # a shape
     "topology", "maps", "nodes", "edges", "landmark_weight",  # fmn
     "m", "consistency_residual", "Y", "lambda0", "extended", "neighbor", "diffs",  # latent, an extension
     "normalized",  # diffs, and its files

@@ -62,6 +62,7 @@ def test_manifest_verify_aborts_on_tamper(tmp_path):
     rel = ws.write_tracked_matrix("spectra/a.phi.lsk", np.eye(2))
     manifest["shapes"]["a"] = {
         "mesh": ws.write_tracked("meshes/a.off", b"OFF\n0 0 0\n"),
+        "source": sha256_file(None, b"OFF\n0 0 0\n"),
         "k": 2,
         "files": {"phi": rel, "lam": ws.write_tracked_matrix("spectra/a.lam.lsk", np.ones(2))},
     }

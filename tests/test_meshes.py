@@ -8,11 +8,14 @@ from lskit import meshes
 from lskit.errors import DegenerateGeometry, IndexOutOfRange, MeshWarning, NonManifoldMesh, ParseError
 from helpers import apply_rigid, grid_patch, permute_vertices, random_rotation
 from lskit.meshes import (
+    COPY_EXT,
     Mesh,
+    copy_bytes,
     load_mesh,
     save_off,
     validate_mesh,
 )
+from lskit.spectral import metric_measure
 from lskit.synth import chain_family, icosphere, perturbation_family, sphere_bump_family, two_cluster_family
 
 TETRA_OFF = """OFF
@@ -454,6 +457,72 @@ def test_family_round_trips_are_bit_exact(tmp_path, family):
         again = load_mesh(path)
         np.testing.assert_array_equal(again.vertices.view(np.int64), member.vertices.view(np.int64))
         np.testing.assert_array_equal(again.triangles, member.triangles)
+
+
+# ---------------------------------------------------------------------------
+# binary mesh copies
+
+
+def _jittered_grid():
+    """A 5x5 grid patch with full-precision random coordinates."""
+    grid = grid_patch(4)
+    rng = np.random.default_rng(28)
+    return Mesh(grid.vertices + rng.uniform(-0.05, 0.05, grid.vertices.shape), grid.triangles, "grid")
+
+
+def _source_text(mesh, fmt):
+    """`mesh` as OFF; as OBJ with v/vt/vn and v//vn face tokens, negative
+    indices and its first cell as one quad; or as ASCII PLY with an extra
+    vertex property and a face colour."""
+    verts = [" ".join(map(repr, v)) for v in mesh.vertices.tolist()]
+    tris, nv = mesh.triangles.tolist(), mesh.num_vertices
+    if fmt == "obj":
+        (a, b, d), (_, _, c) = tris[:2]  # the cell's fan (a, b, d), (a, d, c)
+        tokens = (lambda i: f"{i + 1}/1/1", lambda i: f"{i + 1}//1", lambda i: str(i - nv))
+        faces = [f"f {a + 1} {b + 1} {d + 1} {c + 1}"]
+        faces += ["f " + " ".join(tokens[n % 3](i) for i in tri) for n, tri in enumerate(tris[2:])]
+        return "\n".join(["vt 0 0", "vn 0 0 1", *("v " + v for v in verts), *faces]) + "\n"
+    if fmt == "ply":
+        return _ply(["x", "y", "z", "confidence"], [v + " 0.5" for v in verts],
+                    ["3 " + " ".join(map(str, tri)) + " 255 0 0" for tri in tris], face_props=("red", "green", "blue"))
+    return "".join([f"OFF\n{nv} {len(tris)} 0\n", *(v + "\n" for v in verts),
+                    *("3 " + " ".join(map(str, tri)) + "\n" for tri in tris)])
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["off", "obj", "ply"])
+def test_a_mesh_copy_round_trips_its_parsed_source_bit_for_bit(tmp_path, fmt):
+    mesh = _jittered_grid()
+    source = load_mesh(_write(tmp_path / f"grid.{fmt}", _source_text(mesh, fmt)))
+    np.testing.assert_array_equal(source.vertices.view(np.int64), mesh.vertices.view(np.int64))
+    np.testing.assert_array_equal(source.triangles, mesh.triangles)
+    path = tmp_path / ("grid" + COPY_EXT)
+    path.write_bytes(copy_bytes(source))
+    copy = load_mesh(path)
+    assert copy.shape_id == "grid"
+    for got, want in ((copy.vertices, source.vertices), (copy.triangles, source.triangles)):
+        assert got.dtype == want.dtype and got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(metric_measure(copy).mass_diag.view(np.int64),
+                                  metric_measure(source).mass_diag.view(np.int64))
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: b"LSKMAT01" + data[8:], "not a mesh copy: bad magic b'LSKMAT01'"),
+    (lambda data: data[:4], "not a mesh copy: bad magic b'LSKM'"),
+    (lambda data: data[:-8], "payload is 1360 bytes, expected 1368"),
+    (lambda data: data + bytes(8), "payload is 1376 bytes, expected 1368"),
+], ids=["magic", "truncated-header", "short-payload", "long-payload"])
+def test_a_bad_mesh_copy_is_a_parse_error_naming_the_file(tmp_path, damage, message):
+    path = tmp_path / ("grid" + COPY_EXT)
+    path.write_bytes(damage(copy_bytes(_jittered_grid())))
+    with pytest.raises(ParseError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------------------
